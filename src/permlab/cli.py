@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 from . import bijections, enumeration, toeplitz, verify
@@ -28,19 +28,12 @@ CACHE_ENV_VAR = "PERMLAB_CACHE"
 CACHE_FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    cache_dir: Path | None
-    output_format: str
-    budget_override: int | None = None
-
-
 class DiskCache:
     """Count tables persisted as checksummed JSON files, one per (kind, n).
 
-    Files are written atomically (temp file, then rename); a file whose
-    checksum does not match its payload is ignored and recomputed, never
-    trusted.
+    Files are written atomically (temp file, then rename).  A file whose
+    checksum does not match its payload, or whose content is not shaped like
+    a table of its (kind, n), is ignored and recomputed, never trusted.
     """
 
     def __init__(self, root: Path):
@@ -64,6 +57,33 @@ class DiskCache:
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 
+    @staticmethod
+    def _well_formed(n: int, totals, cells) -> bool:
+        """Shape and invariants of a table at n, checked without recounting it.
+
+        ``totals`` has one non-negative int per statistic and sums to the
+        closed form; ``cells`` is one (n-1) x (n-1) layer per statistic of
+        non-negative ints, zero on the diagonal, each layer summing to at most
+        its total.
+        """
+        size = (n - 1) // 2 + 1
+        if not (isinstance(totals, list) and isinstance(cells, list)
+                and len(totals) == len(cells) == size):
+            return False
+        if not all(isinstance(layer, list) and len(layer) == n - 1 for layer in cells):
+            return False
+        rows = [row for layer in cells for row in layer]
+        if not all(isinstance(row, list) and len(row) == n - 1 for row in rows):
+            return False
+        flat = list(chain(totals, *rows))
+        if set(map(type, flat)) != {int} or min(flat) < 0:
+            return False
+        if any(layer[t][t] for layer in cells for t in range(n - 1)):
+            return False
+        if any(sum(map(sum, layer)) > total for total, layer in zip(totals, cells)):
+            return False
+        return sum(totals) == enumeration.ballot_count_closed(n)
+
     def load(self, kind: str, n: int) -> CountTable | None:
         path = self._path(kind, n)
         try:
@@ -75,6 +95,8 @@ class DiskCache:
             if payload.get("format_version") != CACHE_FORMAT_VERSION:
                 return None
             if payload.get("kind") != kind or payload.get("n") != n:
+                return None
+            if not self._well_formed(n, payload["totals"], payload["cells"]):
                 return None
             return CountTable(
                 kind=kind,
@@ -100,21 +122,13 @@ class DiskCache:
             raise
 
 
-def _config(args) -> CliConfig:
+def _store(args) -> DiskCache | None:
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR)
-    return CliConfig(
-        cache_dir=Path(cache_dir) if cache_dir else None,
-        output_format=getattr(args, "format", "text"),
-        budget_override=getattr(args, "budget_override", None),
-    )
-
-
-def _store(config: CliConfig) -> DiskCache | None:
-    return DiskCache(config.cache_dir) if config.cache_dir else None
+    return DiskCache(Path(cache_dir)) if cache_dir else None
 
 
 def _cmd_count(args) -> int:
-    store = _store(_config(args))
+    store = _store(args)
     key = CountKey(n=args.n, d=args.d, i=args.i, j=args.j)
     print(enumeration.count(args.kind, key, store=store))
     return 0
@@ -129,7 +143,7 @@ def _matrix_text(matrix: CountMatrix, fmt: str) -> str:
 
 
 def _cmd_matrix(args) -> int:
-    store = _store(_config(args))
+    store = _store(args)
     matrix = enumeration.build_matrix(args.kind, args.n, args.d, store=store)
     print(_matrix_text(matrix, args.format))
     return 0

@@ -1,16 +1,23 @@
-"""Exhaustive generation of ballot and odd order permutations and their counts.
+"""Ballot and odd order permutations: their member streams and their count tables.
 
-All refined counts are produced by one exhaustive pass per (kind, n) that
-classifies every permutation by its statistic d (descents for ballot
-permutations, cyclic weight for odd order permutations) and by the two
-neighbors (i, j) of the largest letter, read as the factor i n j (cyclic
-inside the decomposition's cycles).  Counting is definitionally exhaustive so
-that these tables can serve as the trusted oracle for every other module.
+The generators stream every member of one kind at one n.  The count tables
+classify the members by their statistic d (descents for ballot permutations,
+cyclic weight for odd order permutations) and by the two neighbors (i, j) of
+the largest letter, read as the factor i n j (cyclic inside the
+decomposition's cycles).  Tables are counted by exact dynamic programs rather
+than by classifying each member: a subset DP over ballot prefixes and
+suffixes, and the exponential formula over odd cycles for odd order
+permutations.  The test suite checks every table against the classified
+member stream, which stays the oracle; member lists and word-pair counts are
+still drawn from the stream.  Both the stream and the tables keep the same
+budgets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from math import comb
 
 from .cycles import CycleDecomposition, max_letter_neighbors, perm_weight
 from .errors import BudgetError, DomainError
@@ -178,18 +185,163 @@ class CountTable:
         return self.cells[d][i - 1][j - 1]
 
 
-def _fill_table(kind: str, n: int) -> CountTable:
-    d_max = (n - 1) // 2
-    totals = [0] * (d_max + 1)
-    cells = [[[0] * (n - 1) for _ in range(n - 1)] for _ in range(d_max + 1)]
-    cell_fn = _CELL_FN[kind]
-    for member in _STREAM_FN[kind](n):
-        d, nb = cell_fn(member)
-        totals[d] += 1
-        if nb is not None:
-            cells[d][nb[0] - 1][nb[1] - 1] += 1
-    frozen = tuple(tuple(tuple(row) for row in layer) for layer in cells)
-    return CountTable(kind=kind, n=n, totals=tuple(totals), cells=frozen)
+def _add(acc: list[int], vec, shift: int = 0, scale: int = 1) -> None:
+    """acc[t + shift] += scale * vec[t]; entries that would land past the end of acc are zero."""
+    for t, c in enumerate(vec[:len(acc) - shift]):
+        acc[t + shift] += scale * c
+
+
+def _convolve(a, b, size: int) -> list[int]:
+    """The first ``size`` entries of the convolution of two statistic vectors."""
+    out = [0] * size
+    for s, x in enumerate(a[:size]):
+        if x:
+            _add(out, b, s, x)
+    return out
+
+
+def _letters(mask: int):
+    """The letters of a bit set, bit x - 1 standing for letter x."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length()
+        mask ^= low
+
+
+def _freeze(kind: str, n: int, totals, by_pair) -> CountTable:
+    """A CountTable from totals and per-(i, j) statistic vectors."""
+    cells = tuple(
+        tuple(tuple(by_pair[i][j][d] for j in range(n - 1)) for i in range(n - 1))
+        for d in range(len(totals))
+    )
+    return CountTable(kind=kind, n=n, totals=tuple(totals), cells=cells)
+
+
+def _ballot_table(n: int) -> CountTable:
+    """B(n, .) by subset DP over ballot prefixes and suffixes.
+
+    A ballot permutation with n inside reads u i n j v: the prefix u i is a
+    ballot word of height h on a subset of [n-1], n climbs to h + 1, the
+    descent n j comes back to h, and j v uses the rest of [n-1] and must not
+    dip below height 0 when started at h.  The totals come from the same
+    forward DP run over whole words on [n], not from the cells.
+    """
+    size = (n - 1) // 2 + 1
+    full = (1 << n) - 1
+    # forward[mask][(last, h)]: descent vector of the ballot words on the
+    # letters of mask that end with last at height h
+    forward: list[dict[tuple[int, int], list[int]]] = [{} for _ in range(full + 1)]
+    for x in range(1, n + 1):
+        forward[1 << (x - 1)][x, 0] = [1] + [0] * (size - 1)
+    for mask in range(1, full):
+        for (last, h), vec in forward[mask].items():
+            for y in _letters(full & ~mask):
+                if y > last:
+                    key, shift = (y, h + 1), 0
+                elif h:
+                    key, shift = (y, h - 1), 1
+                else:
+                    continue
+                _add(forward[mask | 1 << (y - 1)].setdefault(key, [0] * size), vec, shift)
+    totals = [0] * size
+    for vec in forward[full].values():
+        _add(totals, vec)
+
+    @cache
+    def suffix(rest: int, first: int, h: int) -> list[int]:
+        """Descent vector of the words on ``rest`` that start with ``first``
+        at height h and stay at height >= 0."""
+        vec = [0] * size
+        after = rest & ~(1 << (first - 1))
+        if not after:
+            vec[0] = 1
+        for y in _letters(after):
+            if y > first:
+                _add(vec, suffix(after, y, h + 1))
+            elif h:
+                _add(vec, suffix(after, y, h - 1), 1)
+        return vec
+
+    by_pair = [[[0] * size for _ in range(n - 1)] for _ in range(n - 1)]
+    low = (1 << (n - 1)) - 1
+    for mask in range(1, low):
+        rest = low & ~mask
+        for (i, h), vec in forward[mask].items():
+            for j in _letters(rest):
+                # the descent n j adds one to the descents of u i and j v
+                _add(by_pair[i - 1][j - 1], _convolve(vec, suffix(rest, j, h), size), 1)
+    return _freeze("ballot", n, totals, by_pair)
+
+
+def _odd_table(n: int) -> CountTable:
+    """P(n, .) by counting the cycle of n and the odd order rest separately.
+
+    Written from n, a k-cycle on [k] with a -> k -> b reads (k b ... a); its
+    cyclic descents are the descents of the one-line word b ... a on [k-1]
+    plus one (k > b), so its weight is min(des + 1, k - des - 1).  The class
+    vectors P(m) follow the exponential formula over the cycle of the
+    smallest letter.  For a cell (i, j), the other k - 3 letters of n's
+    cycle are chosen below, between and above i and j, which fixes the
+    ranks of i and j inside that cycle; the remaining n - k letters form any
+    odd order permutation.
+    """
+    size = (n - 1) // 2 + 1
+    # ends[m][(first, last)]: descent vector of the permutations of [m] with
+    # these end letters, grown by appending a letter of each relative rank
+    ends: list[dict[tuple[int, int], list[int]]] = [{}, {(1, 1): [1]}]
+    for m in range(1, n - 1):
+        grown: dict[tuple[int, int], list[int]] = {}
+        for (f, q), vec in ends[m].items():
+            for r in range(1, m + 2):
+                # the new last letter has rank r: old ranks >= r move up one,
+                # and it is a descent when it lands below the old last letter
+                acc = grown.setdefault((f + (r <= f), r), [0] * (m + 1))
+                _add(acc, vec, 1 if r <= q else 0)
+        ends.append(grown)
+
+    def weights(k: int, vec) -> list[int]:
+        """Weight vector of k-cycles whose word after k has descent vector ``vec``."""
+        out = [0] * size
+        for des, c in enumerate(vec):
+            out[min(des + 1, k - des - 1)] += c
+        return out
+
+    cycles = {1: [1] + [0] * (size - 1)}  # cycles[k]: weight vector of all k-cycles on [k]
+    for k in range(3, n + 1, 2):
+        cycles[k] = [0] * size
+        for vec in ends[k - 1].values():
+            _add(cycles[k], weights(k, vec))
+    classes = [[1] + [0] * (size - 1)]  # classes[m]: weight vector of P(m)
+    for m in range(1, n + 1):
+        out = [0] * size
+        for k in range(1, m + 1, 2):
+            _add(out, _convolve(cycles[k], classes[m - k], size), 0, comb(m - 1, k - 1))
+        classes.append(out)
+
+    @cache
+    def with_rest(k: int, a: int, b: int) -> list[int]:
+        """Weight vector of n's k-cycle, with a -> n -> b by rank, times any rest."""
+        return _convolve(weights(k, ends[k - 1][b, a]), classes[n - k], size)
+
+    by_pair = [[[0] * size for _ in range(n - 1)] for _ in range(n - 1)]
+    for i in range(1, n):
+        for j in range(1, n):
+            if i == j:
+                continue
+            lo, hi = min(i, j), max(i, j)
+            acc = by_pair[i - 1][j - 1]
+            for k in range(3, n + 1, 2):
+                for x in range(k - 2):
+                    for y in range(k - 2 - x):
+                        ways = comb(lo - 1, x) * comb(hi - lo - 1, y) * comb(n - 1 - hi, k - 3 - x - y)
+                        if ways:
+                            r_lo, r_hi = x + 1, x + y + 2
+                            a, b = (r_lo, r_hi) if i < j else (r_hi, r_lo)
+                            _add(acc, with_rest(k, a, b), 0, ways)
+    return _freeze("odd", n, classes[n], by_pair)
+
+
+_BUILDERS = {"ballot": _ballot_table, "odd": _odd_table}
 
 
 _TABLES: dict[tuple[str, int], CountTable] = {}
@@ -208,7 +360,7 @@ def count_table(kind: str, n: int, store=None) -> CountTable:
         if table is not None:
             _TABLES[key] = table
             return table
-    table = _fill_table(kind, n)
+    table = _BUILDERS[kind](n)
     _TABLES[key] = table
     if store is not None:
         store.save(table)

@@ -1,4 +1,4 @@
-"""Named exhaustive checks of every counting identity against the enumeration oracle.
+"""Named exhaustive checks of every counting identity against the count tables and member streams.
 
 Each check sweeps all of its parameter cells up to a requested size bound,
 compares both sides exactly (or certifies a bijection by codomain membership,
@@ -26,6 +26,7 @@ from .bijections import (
 from .cycles import cycle_stats, format_cycles
 from .enumeration import (
     KINDS,
+    MAX_MEMBER_N,
     ballot_count_closed,
     count_table,
     count_word_pair,
@@ -441,6 +442,7 @@ class CheckInfo:
     budget_cap: int
     min_n: int
     runner: Callable[[int], tuple[int, list]]
+    member_lists: bool = False  # the runner draws on member_index up to max_n
 
 
 _CATALOG: tuple[CheckInfo, ...] = (
@@ -455,19 +457,19 @@ _CATALOG: tuple[CheckInfo, ...] = (
               10, 11, 3, lambda m: _run_recurrence("odd", m)),
     CheckInfo("lemma21",
               "cells with adjacent neighbor letters contract bijectively onto the class two letters down",
-              8, 9, 3, _run_lemma21),
+              8, 9, 3, _run_lemma21, member_lists=True),
     CheckInfo("lemma22",
               "anchor splits with a non-ballot tail have a descending junction and anchor height != 1",
-              7, 8, 4, _run_lemma22),
+              7, 8, 4, _run_lemma22, member_lists=True),
     CheckInfo("thm23_bijection",
               "the flank swap is a bijection between the two pivot anchor classes",
-              8, 9, 4, _run_thm23),
+              8, 9, 4, _run_thm23, member_lists=True),
     CheckInfo("x_lambda_identity",
               "anchor class sizes equal differences of adjacent neighbor cell counts",
-              8, 9, 4, _run_x_lambda),
+              8, 9, 4, _run_x_lambda, member_lists=True),
     CheckInfo("phi_bijection",
               "swapping the letters j-1 and j maps the complement class onto the shifted cell",
-              8, 9, 4, _run_phi),
+              8, 9, 4, _run_phi, member_lists=True),
     CheckInfo("toeplitz_B",
               "ballot count matrices are constant along diagonals for every descent number",
               8, 10, 3, lambda m: _run_toeplitz("ballot", m)),
@@ -479,7 +481,7 @@ _CATALOG: tuple[CheckInfo, ...] = (
               9, 11, 3, _run_symmetry_p),
     CheckInfo("T_roundtrip",
               "diagonal shifts round-trip, preserve statistics, and hit the whole target cell",
-              8, 9, 4, _run_t_roundtrip),
+              8, 9, 4, _run_t_roundtrip, member_lists=True),
     CheckInfo("conj_spiro",
               "descent counts of ballot permutations match weight counts of odd order permutations",
               9, 10, 1, _run_conj_spiro),
@@ -491,7 +493,7 @@ _CATALOG: tuple[CheckInfo, ...] = (
               10, 10, 4, _run_prop41),
     CheckInfo("lemma42",
               "the weight-preserving cycle flip gives p(n,d,1,2) = p(n,d,1,3)",
-              9, 9, 4, _run_lemma42),
+              9, 9, 4, _run_lemma42, member_lists=True),
     CheckInfo("prop43_words",
               "word-pair counts reduce to whole-class totals three letters down",
               8, 10, 4, _run_prop43),
@@ -512,7 +514,9 @@ def run_check(name: str, max_n: int | None = None, budget_override: int | None =
     """Run one named check up to ``max_n`` (its recommended budget by default).
 
     Raising ``max_n`` past the check's budget cap needs an explicit
-    ``budget_override``; the global enumeration budgets still apply.
+    ``budget_override``; the global enumeration budgets still apply, and a
+    check that needs member lists past their budget is refused before any
+    work starts.
     """
     info = CHECKS.get(name)
     if info is None:
@@ -526,6 +530,11 @@ def run_check(name: str, max_n: int | None = None, budget_override: int | None =
         raise BudgetError(
             f"check {name} is budgeted up to max_n={cap}; "
             f"pass a budget override to go further"
+        )
+    if info.member_lists and max_n > MAX_MEMBER_N:
+        raise BudgetError(
+            f"check {name} needs member lists, which are budgeted up to n={MAX_MEMBER_N}; "
+            f"got max_n={max_n}"
         )
     start = time.perf_counter()
     cells, counterexamples = info.runner(max_n)

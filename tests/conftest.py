@@ -3,6 +3,12 @@ import itertools
 import pytest
 from hypothesis import HealthCheck, settings
 
+from permlab.enumeration import (
+    ballot_cell,
+    enumerate_ballot,
+    enumerate_odd_order,
+    odd_cell,
+)
 from permlab.words import is_ballot
 
 settings.register_profile(
@@ -70,3 +76,27 @@ def ballot_factor_oracle(small_ballot):
 @pytest.fixture(scope="session")
 def small_odd():
     return {n: oracle_odd_order(n) for n in range(1, 8)}
+
+
+def reference_table(kind, n):
+    """(totals, cells) of one count table, by classifying every streamed member.
+
+    The exhaustive builder the exact counting DP replaced, kept as its oracle:
+    one pass over the pruned generator, one (d, i, j) cell per member.
+    """
+    stream, cell_fn = {"ballot": (enumerate_ballot, ballot_cell),
+                       "odd": (enumerate_odd_order, odd_cell)}[kind]
+    d_max = (n - 1) // 2
+    totals = [0] * (d_max + 1)
+    cells = [[[0] * (n - 1) for _ in range(n - 1)] for _ in range(d_max + 1)]
+    for member in stream(n):
+        d, nb = cell_fn(member)
+        totals[d] += 1
+        if nb is not None:
+            cells[d][nb[0] - 1][nb[1] - 1] += 1
+    return tuple(totals), tuple(tuple(tuple(row) for row in layer) for layer in cells)
+
+
+@pytest.fixture(scope="session")
+def enumeration_reference():
+    return reference_table

@@ -190,6 +190,59 @@ def test_disk_cache_rejects_corruption(tmp_path):
     assert cache.load("ballot", 5) is None
 
 
+def _forge(cache, kind, n, **content):
+    """Overwrite a cache file's content and give it a matching checksum."""
+    path = cache._path(kind, n)
+    payload = {k: v for k, v in json.loads(path.read_text()).items() if k != "checksum"}
+    payload.update(content)
+    path.write_text(json.dumps(dict(payload, checksum=DiskCache._checksum(payload))))
+
+
+def test_disk_cache_rejects_wrong_content_with_valid_checksum(tmp_path):
+    cache = DiskCache(tmp_path)
+    table = enumeration.count_table("ballot", 5)
+    cells = [[list(row) for row in layer] for layer in table.cells]
+    diagonal = [[list(row) for row in layer] for layer in table.cells]
+    diagonal[1][0][0] = 1
+    negative = [[list(row) for row in layer] for layer in table.cells]
+    negative[1][0][1] = -negative[1][0][1]
+    overfull = [[list(row) for row in layer] for layer in table.cells]
+    overfull[0][0][1] += table.totals[0] + 1
+    forgeries = (
+        {"totals": [7], "cells": []},
+        {"totals": [1, 22, 21, 1]},                # right sum, wrong length
+        {"totals": [1, 23, 22]},                   # wrong grand total
+        {"totals": [1, 22.0, 22]},                 # not ints
+        {"cells": cells[:2]},                      # a layer missing
+        {"cells": [layer[:3] for layer in cells]}, # a row missing
+        {"cells": diagonal},
+        {"cells": negative},
+        {"cells": overfull},
+    )
+    for content in forgeries:
+        cache.save(table)
+        assert cache.load("ballot", 5) == table
+        _forge(cache, "ballot", 5, **content)
+        assert cache.load("ballot", 5) is None, content
+
+
+def test_forged_cache_file_is_recomputed(tmp_path, capsys):
+    cache = DiskCache(tmp_path)
+    enumeration.clear_memo()
+    cache.save(enumeration.count_table("ballot", 5))
+    _forge(cache, "ballot", 5, totals=[7], cells=[])
+    base = ("--cache-dir", str(tmp_path))
+    for argv, expected in ((("count", "--kind", "ballot", "--n", "5"), "45"),
+                           (("count", "--kind", "ballot", "--n", "5", "--d", "2"), "22"),
+                           (("matrix", "--kind", "ballot", "--n", "5"),
+                            "0 3 2 1\n3 0 3 2\n4 3 0 3\n5 4 3 0")):
+        enumeration.clear_memo()
+        code, out, err = run_cli(capsys, *base, *argv)
+        assert (code, out.strip(), err) == (0, expected, "")
+    # the recomputed table replaced the forged file
+    assert cache.load("ballot", 5) == enumeration.count_table("ballot", 5)
+
+
 def test_cache_dir_flag_writes_and_reuses(tmp_path, capsys):
     enumeration.clear_memo()
     code, first, _ = run_cli(capsys, "--cache-dir", str(tmp_path),

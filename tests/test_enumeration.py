@@ -145,6 +145,23 @@ def test_count_tables_match_oracle(small_ballot, small_odd):
                         assert table.cell(d, i, j) == seen.get((d, i, j), 0)
 
 
+@pytest.mark.parametrize("kind", ["ballot", "odd"])
+def test_count_tables_match_enumeration_reference(kind, enumeration_reference):
+    # the counting DP against classifying every member, at every budgeted n <= 10
+    for n in range(1, 11):
+        table = count_table(kind, n)
+        assert (table.kind, table.n) == (kind, n)
+        assert (table.totals, table.cells) == enumeration_reference(kind, n), (kind, n)
+
+
+def test_odd_table_at_11():
+    p = [count_table("odd", n).grand_total for n in (9, 10, 11)]
+    assert p[2] == ballot_count_closed(11) == 893025 * 11
+    assert p[2] == p[1] + 10 * 9 * p[0]
+    table = count_table("odd", 11)
+    assert len(table.totals) == 6 and len(table.cells[0]) == 10
+
+
 def test_golden_matrices():
     for n, expected in GOLDEN_BALLOT.items():
         assert build_matrix("ballot", n).entries == expected

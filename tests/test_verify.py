@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from permlab import enumeration
+from permlab.cli import main
 from permlab.errors import BudgetError, DomainError
 from permlab.verify import CHECKS, VerificationReport, list_checks, run_check
 
@@ -35,6 +37,23 @@ def test_budget_errors():
         run_check("lemma21", max_n=10)
     with pytest.raises(DomainError):
         run_check("thm23_bijection", max_n=2)
+
+
+def test_member_list_budget_fails_before_any_work(capsys):
+    # the override lifts lemma42's own cap, but member lists stop at n=9
+    enumeration.clear_memo()
+    with pytest.raises(BudgetError, match="member lists"):
+        run_check("lemma42", max_n=10, budget_override=10)
+    assert enumeration._INDEXES == {}
+    code = main(["verify", "--check", "lemma42", "--max-n", "10", "--budget-override", "10"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "member lists" in captured.err
+    assert enumeration._INDEXES == {}
+    assert [name for name, info in CHECKS.items() if info.member_lists] == [
+        "lemma21", "lemma22", "thm23_bijection", "x_lambda_identity",
+        "phi_bijection", "T_roundtrip", "lemma42",
+    ]
 
 
 def test_budget_override_allows_higher_max_n():
