@@ -204,18 +204,35 @@ def _report_text(report: verify.VerificationReport) -> str:
     return line
 
 
-def _cmd_verify(args) -> int:
-    if args.check == "all":
-        names = [name for name, _, _ in verify.list_checks()]
-    else:
-        names = [args.check]
-    failed = False
-    for name in names:
+def _verify_bounds(args) -> dict[str, int | None]:
+    """The bound each requested check runs at, all resolved before the first one starts.
+
+    Under ``--check all`` a blanket ``--max-n`` is brought into each check's
+    own range: at least its min_n, and at most the budget override when one is
+    given (checks that need member lists stop at their budget), otherwise at
+    most its default bound.  Each check bounded below ``--max-n`` is named on
+    stderr.
+    """
+    if args.check != "all":
+        return {args.check: args.max_n}
+    bounds = {}
+    for info in verify.CHECKS.values():
         max_n = args.max_n
-        if args.check == "all" and max_n is not None:
-            # clamp a blanket bound into each check's own sensible range
-            info = verify.CHECKS[name]
-            max_n = max(info.min_n, min(max_n, info.default_max_n))
+        if max_n is not None:
+            ceiling = info.default_max_n if args.budget_override is None else args.budget_override
+            if info.member_lists:
+                ceiling = min(ceiling, enumeration.MAX_MEMBER_N)
+            max_n = max(info.min_n, min(max_n, ceiling))
+            if max_n < args.max_n:
+                print(f"permlab: {info.name} runs at max_n={max_n}, below --max-n {args.max_n}",
+                      file=sys.stderr)
+        bounds[info.name] = max_n
+    return bounds
+
+
+def _cmd_verify(args) -> int:
+    failed = False
+    for name, max_n in _verify_bounds(args).items():
         report = verify.run_check(name, max_n=max_n, budget_override=args.budget_override)
         if args.format == "json":
             print(json.dumps(report.to_json_obj()))

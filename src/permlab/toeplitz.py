@@ -54,10 +54,8 @@ class CoreData:
 
     ``core`` is a factor of the host (cyclic for decompositions) of length
     ``width + 2`` containing the largest letter; ``position`` is its 1-based
-    start index, or (cycle index, offset) for the cyclic form.  ``bar_map``
-    and ``underbar_map`` record the two letter rewrites x -> x with M -> M+1
-    and x -> x with m+1 -> m on the interval [m, M+1]; the shift's letter
-    bijection is assembled from them.
+    start index, or (cycle index, offset) for the cyclic form.  ``m`` and
+    ``M`` are min(i, j) and max(i, j).
     """
 
     m: int
@@ -65,15 +63,6 @@ class CoreData:
     width: int
     core: Word
     position: int | tuple[int, int]
-    bar_map: dict[int, int]
-    underbar_map: dict[int, int]
-
-
-def _interval_maps(m: int, M: int) -> tuple[dict[int, int], dict[int, int]]:
-    interval = range(m, M + 2)
-    bar = {x: (M + 1 if x == M else x) for x in interval}
-    under = {x: (m if x == m + 1 else x) for x in interval}
-    return bar, under
 
 
 def _occurs(host: Word, word: Word, cyclic: bool) -> bool:
@@ -131,15 +120,12 @@ def _core_data(p, i: int, j: int, cyclic: bool, upper: bool) -> CoreData:
     start = find(host, core)
     if start is None:
         raise DomainError(f"widest run is not anchored at the largest letter in {host}")
-    bar, under = _interval_maps(m, M)
     return CoreData(
         m=m,
         M=M,
         width=width,
         core=core,
         position=start if not cyclic else (k + 1, start),
-        bar_map=bar,
-        underbar_map=under,
     )
 
 

@@ -1,18 +1,24 @@
 """Named exhaustive checks of every counting identity against the count tables and member streams.
 
-Each check sweeps all of its parameter cells up to a requested size bound,
-compares both sides exactly (or certifies a bijection by codomain membership,
-round trip, and image-set equality against exhaustive enumeration), and
-records every violated cell.  Conjecture-style checks report counterexamples
-instead of raising, so the harness doubles as a counterexample search at
-larger budgets.  Reports are deterministic apart from wall time.
+Each check is a generator of the cells at one size n, and each cell is the
+list of counterexamples it found.  ``run_check`` owns the one sweep, from the
+check's ``min_n`` up to the requested bound, and counts the cells.  A cell is
+one of two kinds: ``_same`` compares the two sides of an identity between
+table cells (or class sizes) exactly, and ``_bijection`` certifies a map
+between member cells by round trip, per-member invariants, and image-set
+equality against exhaustive enumeration.  Every violated cell is recorded, so
+conjecture-style checks report counterexamples instead of raising and the
+harness doubles as a counterexample search at larger budgets.  Reports are
+deterministic apart from wall time.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import asdict, dataclass
+from functools import partial
+from itertools import permutations
+from typing import Callable, Iterable
 
 from .bijections import (
     ShiftAnchors,
@@ -49,14 +55,7 @@ class VerificationReport:
     wall_time_ms: float
 
     def to_json_obj(self) -> dict:
-        return {
-            "check": self.check,
-            "max_n": self.max_n,
-            "cells_checked": self.cells_checked,
-            "status": self.status,
-            "counterexamples": list(self.counterexamples),
-            "wall_time_ms": self.wall_time_ms,
-        }
+        return dict(asdict(self), counterexamples=list(self.counterexamples))
 
 
 def _ce(params: dict, lhs, rhs) -> dict:
@@ -69,6 +68,44 @@ def _fmt(member) -> str:
     return format_word(member)
 
 
+def _same(params: dict, lhs, rhs) -> list:
+    """One cell of an identity: its counterexample when the two sides differ."""
+    return [] if lhs == rhs else [_ce(params, lhs, rhs)]
+
+
+def _bijection(params: dict, domain, target, fwd, inv=None, invariants=()) -> list:
+    """One cell of a bijection: counterexamples unless ``fwd`` maps ``domain`` onto ``target``.
+
+    Each member p is mapped once to q = fwd(p).  ``inv`` (when given) must send
+    q back to p.  Each invariant is a (property, broken) pair, where
+    ``broken(p, q)`` returns None while the invariant holds and otherwise the
+    (lhs, rhs) pair to report for p.  The image must have no repeats and equal
+    the target as a set.
+    """
+    bad, image, roundtrip = [], [], True
+    for p in domain:
+        q = fwd(p)
+        if inv is not None and inv(q) != p:
+            roundtrip = False
+        for prop, broken in invariants:
+            sides = broken(p, q)
+            if sides is not None:
+                bad.append(_ce(dict(params, property=prop, perm=_fmt(p)), *sides))
+        image.append(q)
+    if not roundtrip:
+        bad.append(_ce(dict(params, property="roundtrip"), "round trip", "identity"))
+    seen, wanted = set(image), set(target)
+    if len(image) != len(seen):
+        bad.append(_ce(dict(params, property="injective"), len(image), len(seen)))
+    if seen != wanted:
+        bad.append(_ce(
+            dict(params, property="image"),
+            "missing " + "; ".join(_fmt(x) for x in sorted(wanted - seen)[:3]),
+            "extra " + "; ".join(_fmt(x) for x in sorted(seen - wanted)[:3]),
+        ))
+    return bad
+
+
 def _spread_pairs(n: int):
     """(i, j) with 1 <= i and i+2 <= j <= n-1."""
     for i in range(1, n - 2):
@@ -76,362 +113,199 @@ def _spread_pairs(n: int):
             yield i, j
 
 
-def _shift_pairs(n: int):
-    """(i, j) with 1 <= i != j <= n-2."""
-    for i in range(1, n - 1):
-        for j in range(1, n - 1):
-            if i != j:
-                yield i, j
-
-
 def _entry(table, d, i, j) -> int:
     return 0 if i == j else table.cell(d, i, j)
 
 
-def _anchor_class(idx, i: int, j: int, word, cell: tuple[int, int]) -> list:
-    """Members of the anchor class for ``word``, drawn from one neighbor cell."""
-    return [p for p in idx.cell_union(*cell) if is_anchor_decomposable(p, word)]
+def _anchor_classes(idx, n: int, i: int, j: int) -> tuple[list, list]:
+    """The forward and backward pivot anchor classes, each drawn from its neighbor cell."""
+    anchors = ShiftAnchors(i=i, j=j, n=n)
+    return ([p for p in idx.cell_union(i, j - 1) if is_anchor_decomposable(p, anchors.forward_word)],
+            [p for p in idx.cell_union(j, i) if is_anchor_decomposable(p, anchors.backward_word)])
 
 
-def _check_bijection(bad: list, params: dict, target, image, roundtrip_ok: bool) -> None:
-    """Record counterexamples unless the image round-trips and equals the target set."""
-    if not roundtrip_ok:
-        bad.append(_ce(dict(params, property="roundtrip"), "round trip", "identity"))
-    if len(image) != len(set(image)):
-        bad.append(_ce(dict(params, property="injective"), len(image), len(set(image))))
-    if set(image) != set(target):
-        missing = sorted(set(target) - set(image))
-        extra = sorted(set(image) - set(target))
-        bad.append(_ce(
-            dict(params, property="image"),
-            "missing " + "; ".join(_fmt(x) for x in missing[:3]),
-            "extra " + "; ".join(_fmt(x) for x in extra[:3]),
-        ))
+def _closed_form(n: int):
+    b = count_table("ballot", n).grand_total
+    p = count_table("odd", n).grand_total
+    c = ballot_count_closed(n)
+    yield [] if b == c == p else [_ce({"n": n}, f"ballot={b} odd={p}", f"closed_form={c}")]
 
 
-def _run_closed_form(max_n: int):
-    cells, bad = 0, []
-    for n in range(1, max_n + 1):
-        b = count_table("ballot", n).grand_total
-        p = count_table("odd", n).grand_total
-        c = ballot_count_closed(n)
-        cells += 1
-        if not b == c == p:
-            bad.append(_ce({"n": n}, f"ballot={b} odd={p}", f"closed_form={c}"))
-    return cells, bad
+def _recurrence(kind: str, n: int):
+    lhs, prev, prev2 = (count_table(kind, m).grand_total for m in (n, n - 1, n - 2))
+    yield _same({"kind": kind, "n": n}, lhs, prev + (n - 1) * (n - 2) * prev2)
 
 
-def _run_recurrence(kind: str, max_n: int):
-    cells, bad = 0, []
-    for n in range(3, max_n + 1):
-        lhs = count_table(kind, n).grand_total
-        rhs = (count_table(kind, n - 1).grand_total
-               + (n - 1) * (n - 2) * count_table(kind, n - 2).grand_total)
-        cells += 1
-        if lhs != rhs:
-            bad.append(_ce({"kind": kind, "n": n}, lhs, rhs))
-    return cells, bad
-
-
-def _run_lemma21(max_n: int):
-    cells, bad = 0, []
+def _lemma21(n: int):
     for kind in KINDS:
-        for n in range(3, max_n + 1):
-            idx = member_index(kind, n)
-            small = member_index(kind, n - 2)
-            for i in range(1, n):
-                for j in (i - 1, i + 1):
-                    if not 1 <= j <= n - 1:
-                        continue
-                    for d in range((n - 1) // 2 + 1):
-                        cells += 1
-                        params = {"kind": kind, "n": n, "d": d, "i": i, "j": j}
-                        domain = idx.cell(d, i, j)
-                        target = small.stat_class(d - 1) if d >= 1 else ()
-                        image = []
-                        ok = True
-                        for p in domain:
-                            q = contract(p, i, j)
-                            if contract(q, i, j, inverse=True) != p:
-                                ok = False
-                            image.append(q)
-                        _check_bijection(bad, params, target, image, ok)
-    return cells, bad
+        idx = member_index(kind, n)
+        small = member_index(kind, n - 2)
+        for i in range(1, n):
+            for j in (i - 1, i + 1):
+                if not 1 <= j <= n - 1:
+                    continue
+                for d in range((n - 1) // 2 + 1):
+                    yield _bijection({"kind": kind, "n": n, "d": d, "i": i, "j": j},
+                                     idx.cell(d, i, j), small.stat_class(d - 1) if d >= 1 else (),
+                                     lambda p: contract(p, i, j),
+                                     lambda q: contract(q, i, j, inverse=True))
 
 
-def _run_lemma22(max_n: int):
-    cells, bad = 0, []
-    for n in range(4, max_n + 1):
-        idx = member_index("ballot", n)
-        for i, j in _spread_pairs(n):
-            anchors = ShiftAnchors(i=i, j=j, n=n)
-            for word, cell in ((anchors.forward_word, (i, j - 1)),
-                               (anchors.backward_word, (j, i))):
-                for p in idx.cell_union(*cell):
-                    dec = anchor_decompose(p, word)
-                    if dec is None:
-                        continue
-                    cells += 1
-                    if dec.tail and not is_ballot(dec.tail):
-                        if not (dec.carry_last > dec.tail[0] and height(word) != 1):
-                            bad.append(_ce(
-                                {"n": n, "i": i, "j": j, "anchor": format_word(word),
-                                 "perm": format_word(p)},
-                                f"carry_last={dec.carry_last} tail_1={dec.tail[0]}",
-                                f"anchor_height={height(word)}",
-                            ))
-    return cells, bad
+def _lemma22(n: int):
+    idx = member_index("ballot", n)
+    for i, j in _spread_pairs(n):
+        anchors = ShiftAnchors(i=i, j=j, n=n)
+        for word, cell in ((anchors.forward_word, (i, j - 1)),
+                           (anchors.backward_word, (j, i))):
+            for p in idx.cell_union(*cell):
+                dec = anchor_decompose(p, word)
+                if dec is None:
+                    continue
+                broken = (dec.tail and not is_ballot(dec.tail)
+                          and not (dec.carry_last > dec.tail[0] and height(word) != 1))
+                yield [_ce({"n": n, "i": i, "j": j, "anchor": format_word(word), "perm": format_word(p)},
+                           f"carry_last={dec.carry_last} tail_1={dec.tail[0]}",
+                           f"anchor_height={height(word)}")] if broken else []
 
 
-def _run_thm23(max_n: int):
-    cells, bad = 0, []
-    for n in range(4, max_n + 1):
-        idx = member_index("ballot", n)
-        for i, j in _spread_pairs(n):
-            anchors = ShiftAnchors(i=i, j=j, n=n)
-            forward_class = _anchor_class(idx, i, j, anchors.forward_word, (i, j - 1))
-            backward_class = _anchor_class(idx, i, j, anchors.backward_word, (j, i))
-            cells += 1
-            params = {"n": n, "i": i, "j": j}
-            image = []
-            ok = True
-            for p in forward_class:
-                q = flank_swap(p, i, j, "forward")
-                if flank_swap(q, i, j, "backward") != p:
-                    ok = False
-                image.append(q)
-            _check_bijection(bad, params, backward_class, image, ok)
-    return cells, bad
+def _thm23(n: int):
+    idx = member_index("ballot", n)
+    for i, j in _spread_pairs(n):
+        forward_class, backward_class = _anchor_classes(idx, n, i, j)
+        yield _bijection({"n": n, "i": i, "j": j}, forward_class, backward_class,
+                         lambda p: flank_swap(p, i, j, "forward"),
+                         lambda q: flank_swap(q, i, j, "backward"))
 
 
-def _run_x_lambda(max_n: int):
-    cells, bad = 0, []
-    for n in range(4, max_n + 1):
-        idx = member_index("ballot", n)
-        table = count_table("ballot", n)
-        for i, j in _spread_pairs(n):
-            anchors = ShiftAnchors(i=i, j=j, n=n)
-            forward_size = len(_anchor_class(idx, i, j, anchors.forward_word, (i, j - 1)))
-            backward_size = len(_anchor_class(idx, i, j, anchors.backward_word, (j, i)))
-            cells += 1
-            rhs = table.cell(None, i, j - 1) - table.cell(None, i, j)
-            if forward_size != rhs:
-                bad.append(_ce({"n": n, "i": i, "j": j, "side": "forward"}, forward_size, rhs))
-            cells += 1
-            rhs = table.cell(None, j, i) - table.cell(None, j - 1, i)
-            if backward_size != rhs:
-                bad.append(_ce({"n": n, "i": i, "j": j, "side": "backward"}, backward_size, rhs))
-    return cells, bad
+def _x_lambda(n: int):
+    idx = member_index("ballot", n)
+    table = count_table("ballot", n)
+    for i, j in _spread_pairs(n):
+        forward_class, backward_class = _anchor_classes(idx, n, i, j)
+        yield _same({"n": n, "i": i, "j": j, "side": "forward"}, len(forward_class),
+                    table.cell(None, i, j - 1) - table.cell(None, i, j))
+        yield _same({"n": n, "i": i, "j": j, "side": "backward"}, len(backward_class),
+                    table.cell(None, j, i) - table.cell(None, j - 1, i))
 
 
-def _run_phi(max_n: int):
-    cells, bad = 0, []
-    for n in range(4, max_n + 1):
-        idx = member_index("ballot", n)
-        for i, j in _spread_pairs(n):
-            anchors = ShiftAnchors(i=i, j=j, n=n)
-            complement = [p for p in idx.cell_union(i, j - 1)
-                          if not is_anchor_decomposable(p, anchors.forward_word)]
-            target = idx.cell_union(i, j)
-            cells += 1
-            params = {"n": n, "i": i, "j": j}
-            image = [exchange_letters(p, i, j) for p in complement]
-            _check_bijection(bad, params, target, image, True)
-    return cells, bad
+def _phi(n: int):
+    idx = member_index("ballot", n)
+    for i, j in _spread_pairs(n):
+        word = ShiftAnchors(i=i, j=j, n=n).forward_word
+        complement = [p for p in idx.cell_union(i, j - 1) if not is_anchor_decomposable(p, word)]
+        yield _bijection({"n": n, "i": i, "j": j}, complement, idx.cell_union(i, j),
+                         lambda p: exchange_letters(p, i, j))
 
 
-def _run_toeplitz(kind: str, max_n: int):
-    cells, bad = 0, []
-    for n in range(3, max_n + 1):
-        table = count_table(kind, n)
-        for d in range((n - 1) // 2 + 1):
-            for i in range(1, n - 1):
-                for j in range(1, n - 1):
-                    cells += 1
-                    lhs = _entry(table, d, i, j)
-                    rhs = _entry(table, d, i + 1, j + 1)
-                    if lhs != rhs:
-                        bad.append(_ce({"kind": kind, "n": n, "d": d, "i": i, "j": j}, lhs, rhs))
-    return cells, bad
+def _toeplitz(kind: str, n: int):
+    table = count_table(kind, n)
+    for d in range((n - 1) // 2 + 1):
+        for i in range(1, n - 1):
+            for j in range(1, n - 1):
+                yield _same({"kind": kind, "n": n, "d": d, "i": i, "j": j},
+                            _entry(table, d, i, j), _entry(table, d, i + 1, j + 1))
 
 
-def _run_symmetry_p(max_n: int):
-    cells, bad = 0, []
-    for n in range(3, max_n + 1):
-        table = count_table("odd", n)
-        for d in range((n - 1) // 2 + 1):
-            for i in range(1, n):
-                for j in range(i + 1, n):
-                    cells += 1
-                    lhs, rhs = table.cell(d, i, j), table.cell(d, j, i)
-                    if lhs != rhs:
-                        bad.append(_ce({"n": n, "d": d, "i": i, "j": j}, lhs, rhs))
-    return cells, bad
+def _symmetry_p(n: int):
+    table = count_table("odd", n)
+    for d in range((n - 1) // 2 + 1):
+        for i in range(1, n):
+            for j in range(i + 1, n):
+                yield _same({"n": n, "d": d, "i": i, "j": j}, table.cell(d, i, j), table.cell(d, j, i))
 
 
 def _cycle_profile(cycles):
     return sorted((len(c), cycle_stats(c)[0]) for c in cycles)
 
 
-def _run_t_roundtrip(max_n: int):
-    cells, bad = 0, []
+def _shift_invariants(i: int, j: int, cyclic: bool):
+    """The shift keeps the core width and, on decompositions, each cycle's length and weight."""
+    def width(p, q):
+        lower = lower_core(p, i, j, cyclic=cyclic).width
+        upper = upper_core(q, i, j, cyclic=cyclic).width
+        return None if lower == upper else (lower, upper)
+
+    def stats(p, q):
+        before, after = _cycle_profile(p), _cycle_profile(q)
+        return None if before == after else (str(before), str(after))
+
+    return (("width", width), ("cycle_stats", stats)) if cyclic else (("width", width),)
+
+
+def _t_roundtrip(n: int):
     for kind, cyclic in (("ballot", False), ("odd", True)):
-        for n in range(4, max_n + 1):
-            idx = member_index(kind, n)
-            for d in range((n - 1) // 2 + 1):
-                for i, j in _shift_pairs(n):
-                    domain = idx.cell(d, i, j)
-                    target = idx.cell(d, i + 1, j + 1)
-                    if not domain and not target:
-                        cells += 1
-                        continue
-                    cells += 1
-                    params = {"kind": kind, "n": n, "d": d, "i": i, "j": j}
-                    image = []
-                    ok = True
-                    for p in domain:
-                        q = shift(p, i, j, cyclic=cyclic)
-                        if shift_inv(q, i, j, cyclic=cyclic) != p:
-                            ok = False
-                        if lower_core(p, i, j, cyclic=cyclic).width != upper_core(q, i, j, cyclic=cyclic).width:
-                            bad.append(_ce(dict(params, property="width", perm=_fmt(p)),
-                                           lower_core(p, i, j, cyclic=cyclic).width,
-                                           upper_core(q, i, j, cyclic=cyclic).width))
-                        if cyclic and _cycle_profile(p) != _cycle_profile(q):
-                            bad.append(_ce(dict(params, property="cycle_stats", perm=_fmt(p)),
-                                           str(_cycle_profile(p)), str(_cycle_profile(q))))
-                        image.append(q)
-                    _check_bijection(bad, params, target, image, ok)
-    return cells, bad
-
-
-def _run_conj_spiro(max_n: int):
-    cells, bad = 0, []
-    for n in range(1, max_n + 1):
-        bt = count_table("ballot", n)
-        pt = count_table("odd", n)
+        idx = member_index(kind, n)
         for d in range((n - 1) // 2 + 1):
-            cells += 1
-            if bt.total(d) != pt.total(d):
-                bad.append(_ce({"n": n, "d": d}, bt.total(d), pt.total(d)))
-    return cells, bad
+            for i, j in permutations(range(1, n - 1), 2):
+                yield _bijection({"kind": kind, "n": n, "d": d, "i": i, "j": j},
+                                 idx.cell(d, i, j), idx.cell(d, i + 1, j + 1),
+                                 lambda p: shift(p, i, j, cyclic=cyclic),
+                                 lambda q: shift_inv(q, i, j, cyclic=cyclic),
+                                 _shift_invariants(i, j, cyclic))
 
 
-def _run_conj_refined(max_n: int):
-    cells, bad = 0, []
-    for n in range(3, max_n + 1):
-        bt = count_table("ballot", n)
-        pt = count_table("odd", n)
-        for d in range((n - 1) // 2 + 1):
-            for j in range(2, n):
-                cells += 1
-                lhs = bt.cell(d, 1, j) + bt.cell(d, j, 1)
-                rhs = 2 * pt.cell(d, 1, j)
-                if lhs != rhs:
-                    bad.append(_ce({"n": n, "d": d, "j": j}, lhs, rhs))
-    return cells, bad
+def _conj_spiro(n: int):
+    bt = count_table("ballot", n)
+    pt = count_table("odd", n)
+    for d in range((n - 1) // 2 + 1):
+        yield _same({"n": n, "d": d}, bt.total(d), pt.total(d))
 
 
-def _run_prop41(max_n: int):
-    cells, bad = 0, []
-    for n in range(4, max_n + 1):
-        bt = count_table("ballot", n)
-        pt = count_table("odd", n)
-        for label, lhs, rhs in (
-            ("b(1,2)", bt.cell(1, 1, 2), 1),
-            ("b(2,1)", bt.cell(1, 2, 1), 1),
-            ("p(1,2)", pt.cell(1, 1, 2), 1),
-        ):
-            cells += 1
-            if lhs != rhs:
-                bad.append(_ce({"n": n, "d": 1, "cell": label}, lhs, rhs))
-        for j in range(3, n):
-            for label, lhs, rhs in (
-                ("b(j,1)", bt.cell(1, j, 1), 2 ** (j - 2)),
-                ("b(1,j)", bt.cell(1, 1, j), 0),
-                ("p(1,j)", pt.cell(1, 1, j), 2 ** (j - 3)),
-            ):
-                cells += 1
-                if lhs != rhs:
-                    bad.append(_ce({"n": n, "d": 1, "j": j, "cell": label}, lhs, rhs))
-    return cells, bad
+def _conj_refined(n: int):
+    bt = count_table("ballot", n)
+    pt = count_table("odd", n)
+    for d in range((n - 1) // 2 + 1):
+        for j in range(2, n):
+            yield _same({"n": n, "d": d, "j": j}, bt.cell(d, 1, j) + bt.cell(d, j, 1), 2 * pt.cell(d, 1, j))
 
 
-def _run_lemma42(max_n: int):
-    cells, bad = 0, []
-    for n in range(4, max_n + 1):
-        idx = member_index("odd", n)
-        for d in range((n - 1) // 2 + 1):
-            domain = idx.cell(d, 1, 2)
-            target = idx.cell(d, 1, 3)
-            cells += 1
-            params = {"n": n, "d": d}
-            image = []
-            ok = True
-            for p in domain:
-                q = cycle_flip(p)
-                if cycle_flip(q) != p:
-                    ok = False
-                if sorted(len(c) for c in p) != sorted(len(c) for c in q):
-                    bad.append(_ce(dict(params, property="cycle_lengths", perm=_fmt(p)),
-                                   _fmt(p), _fmt(q)))
-                image.append(q)
-            _check_bijection(bad, params, target, image, ok)
-    return cells, bad
+def _prop41(n: int):
+    bt = count_table("ballot", n)
+    pt = count_table("odd", n)
+    yield _same({"n": n, "d": 1, "cell": "b(1,2)"}, bt.cell(1, 1, 2), 1)
+    yield _same({"n": n, "d": 1, "cell": "b(2,1)"}, bt.cell(1, 2, 1), 1)
+    yield _same({"n": n, "d": 1, "cell": "p(1,2)"}, pt.cell(1, 1, 2), 1)
+    for j in range(3, n):
+        for label, lhs, rhs in (("b(j,1)", bt.cell(1, j, 1), 2 ** (j - 2)),
+                                ("b(1,j)", bt.cell(1, 1, j), 0),
+                                ("p(1,j)", pt.cell(1, 1, j), 2 ** (j - 3))):
+            yield _same({"n": n, "d": 1, "j": j, "cell": label}, lhs, rhs)
 
 
-def _run_prop43(max_n: int):
-    cells, bad = 0, []
-    for n in range(4, max_n + 1):
-        bt = count_table("ballot", n)
-        small = count_table("ballot", n - 3)
-        for d in range((n - 1) // 2 + 1):
-            ascending = {
-                "u=1 v=23": count_word_pair(n, d, (1,), (2, 3)),
-                "u=23 v=1": count_word_pair(n, d, (2, 3), (1,)),
-            }
-            for label, lhs in ascending.items():
-                cells += 1
-                rhs = small.total(d - 1)
-                if lhs != rhs:
-                    bad.append(_ce({"n": n, "d": d, "pair": label}, lhs, rhs))
-            descending = {
-                "u=1 v=32": count_word_pair(n, d, (1,), (3, 2)),
-                "u=32 v=1": count_word_pair(n, d, (3, 2), (1,)),
-            }
-            for label, lhs in descending.items():
-                cells += 1
-                rhs = small.total(d - 2)
-                if lhs != rhs:
-                    bad.append(_ce({"n": n, "d": d, "pair": label}, lhs, rhs))
-            cells += 1
-            lhs = bt.cell(d, 1, 2) - bt.cell(d, 1, 3)
-            rhs = ascending["u=1 v=23"] - descending["u=1 v=32"]
-            if lhs != rhs:
-                bad.append(_ce({"n": n, "d": d, "identity": "right pairs"}, lhs, rhs))
-            cells += 1
-            lhs = bt.cell(d, 3, 1) - bt.cell(d, 2, 1)
-            rhs = ascending["u=23 v=1"] - descending["u=32 v=1"]
-            if lhs != rhs:
-                bad.append(_ce({"n": n, "d": d, "identity": "left pairs"}, lhs, rhs))
-    return cells, bad
+def _lemma42(n: int):
+    def lengths(p, q):
+        return None if sorted(map(len, p)) == sorted(map(len, q)) else (_fmt(p), _fmt(q))
+
+    idx = member_index("odd", n)
+    for d in range((n - 1) // 2 + 1):
+        yield _bijection({"n": n, "d": d}, idx.cell(d, 1, 2), idx.cell(d, 1, 3),
+                         cycle_flip, cycle_flip, (("cycle_lengths", lengths),))
 
 
-def _run_eq_bnd_pnd(max_n: int):
-    cells, bad = 0, []
+def _prop43(n: int):
+    bt = count_table("ballot", n)
+    small = count_table("ballot", n - 3)
+    for d in range((n - 1) // 2 + 1):
+        ascending = {"u=1 v=23": count_word_pair(n, d, (1,), (2, 3)),
+                     "u=23 v=1": count_word_pair(n, d, (2, 3), (1,))}
+        descending = {"u=1 v=32": count_word_pair(n, d, (1,), (3, 2)),
+                      "u=32 v=1": count_word_pair(n, d, (3, 2), (1,))}
+        for pairs, rhs in ((ascending, small.total(d - 1)), (descending, small.total(d - 2))):
+            for label, lhs in pairs.items():
+                yield _same({"n": n, "d": d, "pair": label}, lhs, rhs)
+        yield _same({"n": n, "d": d, "identity": "right pairs"}, bt.cell(d, 1, 2) - bt.cell(d, 1, 3),
+                    ascending["u=1 v=23"] - descending["u=1 v=32"])
+        yield _same({"n": n, "d": d, "identity": "left pairs"}, bt.cell(d, 3, 1) - bt.cell(d, 2, 1),
+                    ascending["u=23 v=1"] - descending["u=32 v=1"])
+
+
+def _eq_bnd_pnd(n: int):
     for kind in KINDS:
-        for n in range(2, max_n + 1):
-            table = count_table(kind, n)
-            prev = count_table(kind, n - 1)
-            for d in range((n - 1) // 2 + 1):
-                cells += 1
-                rhs = prev.total(d) + sum(table.cell(d, i, j)
-                                          for i in range(1, n)
-                                          for j in range(1, n) if i != j)
-                lhs = table.total(d)
-                if lhs != rhs:
-                    bad.append(_ce({"kind": kind, "n": n, "d": d}, lhs, rhs))
-    return cells, bad
+        table = count_table(kind, n)
+        prev = count_table(kind, n - 1)
+        for d in range((n - 1) // 2 + 1):
+            yield _same({"kind": kind, "n": n, "d": d}, table.total(d),
+                        prev.total(d) + sum(table.cell(d, i, j) for i, j in permutations(range(1, n), 2)))
 
 
 @dataclass(frozen=True)
@@ -441,65 +315,65 @@ class CheckInfo:
     default_max_n: int
     budget_cap: int
     min_n: int
-    runner: Callable[[int], tuple[int, list]]
-    member_lists: bool = False  # the runner draws on member_index up to max_n
+    cells: Callable[[int], Iterable[list]]  # the cells at one size n, each its counterexamples
+    member_lists: bool = False  # the cells draw on member_index up to max_n
 
 
 _CATALOG: tuple[CheckInfo, ...] = (
     CheckInfo("closed_form",
               "enumerated ballot and odd order totals match the double factorial closed form",
-              10, 10, 1, _run_closed_form),
+              10, 10, 1, _closed_form),
     CheckInfo("recurrence_b",
               "ballot totals satisfy b(n) = b(n-1) + (n-1)(n-2) b(n-2)",
-              10, 10, 3, lambda m: _run_recurrence("ballot", m)),
+              10, 10, 3, partial(_recurrence, "ballot")),
     CheckInfo("recurrence_p",
               "odd order totals satisfy p(n) = p(n-1) + (n-1)(n-2) p(n-2)",
-              10, 11, 3, lambda m: _run_recurrence("odd", m)),
+              10, 11, 3, partial(_recurrence, "odd")),
     CheckInfo("lemma21",
               "cells with adjacent neighbor letters contract bijectively onto the class two letters down",
-              8, 9, 3, _run_lemma21, member_lists=True),
+              8, 9, 3, _lemma21, member_lists=True),
     CheckInfo("lemma22",
               "anchor splits with a non-ballot tail have a descending junction and anchor height != 1",
-              7, 8, 4, _run_lemma22, member_lists=True),
+              7, 8, 4, _lemma22, member_lists=True),
     CheckInfo("thm23_bijection",
               "the flank swap is a bijection between the two pivot anchor classes",
-              8, 9, 4, _run_thm23, member_lists=True),
+              8, 9, 4, _thm23, member_lists=True),
     CheckInfo("x_lambda_identity",
               "anchor class sizes equal differences of adjacent neighbor cell counts",
-              8, 9, 4, _run_x_lambda, member_lists=True),
+              8, 9, 4, _x_lambda, member_lists=True),
     CheckInfo("phi_bijection",
               "swapping the letters j-1 and j maps the complement class onto the shifted cell",
-              8, 9, 4, _run_phi, member_lists=True),
+              8, 9, 4, _phi, member_lists=True),
     CheckInfo("toeplitz_B",
               "ballot count matrices are constant along diagonals for every descent number",
-              8, 10, 3, lambda m: _run_toeplitz("ballot", m)),
+              8, 10, 3, partial(_toeplitz, "ballot")),
     CheckInfo("toeplitz_P",
               "odd order count matrices are constant along diagonals for every weight",
-              9, 11, 3, lambda m: _run_toeplitz("odd", m)),
+              9, 11, 3, partial(_toeplitz, "odd")),
     CheckInfo("symmetry_P",
               "odd order count matrices are symmetric",
-              9, 11, 3, _run_symmetry_p),
+              9, 11, 3, _symmetry_p),
     CheckInfo("T_roundtrip",
               "diagonal shifts round-trip, preserve statistics, and hit the whole target cell",
-              8, 9, 4, _run_t_roundtrip, member_lists=True),
+              8, 9, 4, _t_roundtrip, member_lists=True),
     CheckInfo("conj_spiro",
               "descent counts of ballot permutations match weight counts of odd order permutations",
-              9, 10, 1, _run_conj_spiro),
+              9, 10, 1, _conj_spiro),
     CheckInfo("conj_refined",
               "b(n,d,1,j) + b(n,d,j,1) = 2 p(n,d,1,j) for every cell",
-              8, 10, 3, _run_conj_refined),
+              8, 10, 3, _conj_refined),
     CheckInfo("prop41",
               "single-descent neighbor cells follow the powers-of-two formulas",
-              10, 10, 4, _run_prop41),
+              10, 10, 4, _prop41),
     CheckInfo("lemma42",
               "the weight-preserving cycle flip gives p(n,d,1,2) = p(n,d,1,3)",
-              9, 9, 4, _run_lemma42, member_lists=True),
+              9, 9, 4, _lemma42, member_lists=True),
     CheckInfo("prop43_words",
               "word-pair counts reduce to whole-class totals three letters down",
-              8, 10, 4, _run_prop43),
+              8, 10, 4, _prop43),
     CheckInfo("eq_bnd_pnd",
               "class totals split over the neighbor cells of the largest letter",
-              8, 10, 2, _run_eq_bnd_pnd),
+              8, 10, 2, _eq_bnd_pnd),
 )
 
 CHECKS: dict[str, CheckInfo] = {info.name: info for info in _CATALOG}
@@ -537,7 +411,11 @@ def run_check(name: str, max_n: int | None = None, budget_override: int | None =
             f"got max_n={max_n}"
         )
     start = time.perf_counter()
-    cells, counterexamples = info.runner(max_n)
+    cells, counterexamples = 0, []
+    for n in range(info.min_n, max_n + 1):
+        for found in info.cells(n):
+            cells += 1
+            counterexamples.extend(found)
     elapsed_ms = round((time.perf_counter() - start) * 1000.0, 3)
     return VerificationReport(
         check=name,

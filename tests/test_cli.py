@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from permlab import enumeration
+from permlab import enumeration, verify
 from permlab.cli import DiskCache, main
 
 
@@ -166,6 +166,39 @@ def test_verify_all_small(capsys):
     # everything passes at this bound except the word-pair reduction check
     assert code == 1
     assert sum("FAIL" in line for line in lines) == 1
+
+
+def test_verify_all_honours_budget_override(capsys, monkeypatch):
+    # record the bound each check is given instead of running it
+    calls, err_at_first_call = [], []
+
+    def fake_run_check(name, max_n=None, budget_override=None):
+        if not calls:
+            err_at_first_call.append(capsys.readouterr().err)
+        calls.append((name, max_n))
+        return verify.VerificationReport(name, max_n, 1, "pass", (), 0.0)
+
+    monkeypatch.setattr(verify, "run_check", fake_run_check)
+    member_checks = {name for name, info in verify.CHECKS.items() if info.member_lists}
+
+    code, _, _ = run_cli(capsys, "verify", "--check", "all", "--max-n", "10", "--budget-override", "10")
+    bounds = dict(calls)
+    assert code == 0 and len(calls) == 18
+    assert (bounds["toeplitz_B"], bounds["conj_refined"], bounds["lemma21"]) == (10, 10, 9)
+    assert {name for name, bound in calls if bound < 10} == member_checks
+    assert all(bound == 9 for name, bound in calls if name in member_checks)
+    # every lowered bound is named on stderr before the first check runs
+    notes = err_at_first_call[0].splitlines()
+    assert len(notes) == len(member_checks)
+    assert {line.split()[1] for line in notes} == member_checks
+
+    # without an override each check keeps its default bound, as before
+    calls.clear()
+    err_at_first_call.clear()
+    run_cli(capsys, "verify", "--check", "all", "--max-n", "10")
+    assert dict(calls) == {name: min(10, info.default_max_n) for name, info in verify.CHECKS.items()}
+    lowered = sum(info.default_max_n < 10 for info in verify.CHECKS.values())
+    assert len(err_at_first_call[0].splitlines()) == lowered
 
 
 def test_disk_cache_round_trip(tmp_path):

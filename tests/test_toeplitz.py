@@ -44,10 +44,6 @@ def test_core_data_invariants():
         assert len(cd.core) == cd.width + 2
         assert 0 <= cd.width <= cd.M - cd.m + 1
         assert max(cd.core) > cd.M + 1  # the largest letter sits inside the core
-        assert cd.bar_map[cd.M] == cd.M + 1
-        assert cd.underbar_map[cd.m + 1] == cd.m
-        assert all(cd.bar_map[x] == x for x in range(cd.m, cd.M))
-        assert all(cd.underbar_map[x] == x for x in cd.underbar_map if x != cd.m + 1)
 
 
 def test_shift_printed_examples():

@@ -5,7 +5,7 @@ import pytest
 from permlab import enumeration
 from permlab.cli import main
 from permlab.errors import BudgetError, DomainError
-from permlab.verify import CHECKS, VerificationReport, list_checks, run_check
+from permlab.verify import CHECKS, VerificationReport, _bijection, _same, list_checks, run_check
 
 ALL_CHECKS = [
     "closed_form", "recurrence_b", "recurrence_p", "lemma21", "lemma22",
@@ -64,10 +64,17 @@ def test_budget_override_allows_higher_max_n():
 
 def test_every_check_passes_at_small_budget():
     expected_status = {"prop43_words": "fail"}
+    # the sweep over n counts each cell exactly once
+    expected_cells = {
+        "closed_form": 5, "recurrence_b": 3, "recurrence_p": 3, "lemma21": 60, "lemma22": 8,
+        "thm23_bijection": 4, "x_lambda_identity": 8, "phi_bijection": 4, "toeplitz_B": 37,
+        "toeplitz_P": 37, "symmetry_P": 26, "T_roundtrip": 44, "conj_spiro": 9, "conj_refined": 15,
+        "prop41": 15, "lemma42": 5, "prop43_words": 30, "eq_bnd_pnd": 16,
+    }
     for name, _, _ in list_checks():
         small = max(CHECKS[name].min_n, 5)
         report = run_check(name, max_n=small)
-        assert report.cells_checked > 0, name
+        assert report.cells_checked == expected_cells[name], name
         assert report.status == expected_status.get(name, "pass"), (name, report.counterexamples)
         assert (report.status == "pass") == (not report.counterexamples)
 
@@ -107,3 +114,53 @@ def test_fail_report_construction_direct():
         wall_time_ms=0.1,
     )
     assert report.to_json_obj()["counterexamples"][0]["lhs"] == 1
+
+
+def test_same_cell():
+    assert _same({"n": 4, "d": 1}, 3, 3) == []
+    assert _same({"n": 4, "d": 1}, 3, 2) == [{"params": {"n": 4, "d": 1}, "lhs": 3, "rhs": 2}]
+
+
+def _reverse(p):
+    return p[::-1]
+
+
+def test_bijection_cell_passes():
+    words = [(1, 2, 3), (2, 1, 3)]
+    assert _bijection({"n": 3}, words, [(3, 2, 1), (3, 1, 2)], _reverse, _reverse) == []
+    assert _bijection({"n": 3}, [], [], _reverse) == []
+
+
+def test_bijection_cell_reports_a_map_that_is_not_injective():
+    bad = _bijection({"n": 3, "d": 0}, [(1, 2, 3), (2, 1, 3)], [(1, 2, 3)], lambda p: (1, 2, 3))
+    assert bad == [{"params": {"n": 3, "d": 0, "property": "injective"}, "lhs": 2, "rhs": 1}]
+
+
+def test_bijection_cell_reports_a_broken_inverse():
+    bad = _bijection({"n": 3}, [(1, 2, 3), (2, 1, 3)], [(3, 2, 1), (3, 1, 2)],
+                     _reverse, lambda q: q)
+    assert bad == [{"params": {"n": 3, "property": "roundtrip"}, "lhs": "round trip", "rhs": "identity"}]
+
+
+def test_bijection_cell_reports_a_map_that_misses_the_target():
+    identity = [((1,), (2,), (3,)), ((1, 2, 3),)]
+    bad = _bijection({"n": 3, "d": 1}, identity, [((1, 3, 2),), ((1, 2, 3),)], lambda p: p)
+    assert bad == [{"params": {"n": 3, "d": 1, "property": "image"},
+                    "lhs": "missing (1 3 2)", "rhs": "extra (1)(2)(3)"}]
+    # at most three members are listed on each side, in sorted order
+    bad = _bijection({"n": 3}, [], [(3, 2, 1), (2, 3, 1), (1, 3, 2), (1, 2, 3)], _reverse)
+    assert bad == [{"params": {"n": 3, "property": "image"},
+                    "lhs": "missing 1 2 3; 1 3 2; 2 3 1", "rhs": "extra "}]
+
+
+def test_bijection_cell_reports_each_member_that_breaks_an_invariant():
+    def first_letter_grows(p, q):
+        return None if p[0] < q[0] else (p[0], q[0])
+
+    words = [(1, 2, 3), (3, 1, 2), (2, 3, 1)]
+    bad = _bijection({"kind": "ballot", "n": 3}, words, [(3, 2, 1), (2, 1, 3), (1, 3, 2)],
+                     _reverse, _reverse, (("width", first_letter_grows),))
+    assert bad == [
+        {"params": {"kind": "ballot", "n": 3, "property": "width", "perm": "3 1 2"}, "lhs": 3, "rhs": 2},
+        {"params": {"kind": "ballot", "n": 3, "property": "width", "perm": "2 3 1"}, "lhs": 2, "rhs": 1},
+    ]
