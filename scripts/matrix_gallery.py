@@ -8,7 +8,7 @@ diagonals for every fixed statistic.
 
 import argparse
 
-from permlab.enumeration import build_matrix
+from permlab.enumeration import BUDGETS, build_matrix
 
 
 def main() -> None:
@@ -17,8 +17,14 @@ def main() -> None:
     parser.add_argument("--d", type=int, default=None,
                         help="fix the statistic instead of summing over it")
     args = parser.parse_args()
+    if args.n_max > BUDGETS["ballot"]:
+        parser.error(f"--n-max is budgeted up to {BUDGETS['ballot']}, got {args.n_max}")
+    if args.d is not None and args.d < 0:
+        parser.error(f"--d must be at least 0, got {args.d}")
 
-    for n in range(3, args.n_max + 1):
+    # the statistic d ranges over 0 <= d <= (n-1)//2, so it first occurs at n = 2d+1
+    n_min = 3 if args.d is None else max(3, 2 * args.d + 1)
+    for n in range(n_min, args.n_max + 1):
         left = build_matrix("ballot", n, args.d)
         right = build_matrix("odd", n, args.d)
         lrows = left.to_text().splitlines()

@@ -208,10 +208,8 @@ def _verify_bounds(args) -> dict[str, int | None]:
     """The bound each requested check runs at, all resolved before the first one starts.
 
     Under ``--check all`` a blanket ``--max-n`` is brought into each check's
-    own range: at least its min_n, and at most the budget override when one is
-    given (checks that need member lists stop at their budget), otherwise at
-    most its default bound.  Each check bounded below ``--max-n`` is named on
-    stderr.
+    range ``[min_n, budget_cap]``, where the cap is the smallest budget the
+    check reads.  Each check bounded below ``--max-n`` is named on stderr.
     """
     if args.check != "all":
         return {args.check: args.max_n}
@@ -219,10 +217,7 @@ def _verify_bounds(args) -> dict[str, int | None]:
     for info in verify.CHECKS.values():
         max_n = args.max_n
         if max_n is not None:
-            ceiling = info.default_max_n if args.budget_override is None else args.budget_override
-            if info.member_lists:
-                ceiling = min(ceiling, enumeration.MAX_MEMBER_N)
-            max_n = max(info.min_n, min(max_n, ceiling))
+            max_n = max(info.min_n, min(max_n, info.budget_cap))
             if max_n < args.max_n:
                 print(f"permlab: {info.name} runs at max_n={max_n}, below --max-n {args.max_n}",
                       file=sys.stderr)
@@ -233,7 +228,7 @@ def _verify_bounds(args) -> dict[str, int | None]:
 def _cmd_verify(args) -> int:
     failed = False
     for name, max_n in _verify_bounds(args).items():
-        report = verify.run_check(name, max_n=max_n, budget_override=args.budget_override)
+        report = verify.run_check(name, max_n=max_n)
         if args.format == "json":
             print(json.dumps(report.to_json_obj()))
         else:
@@ -288,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--check", choices=check_names + ["all"], required=True)
     ver.add_argument("--max-n", type=int, default=None, dest="max_n")
     ver.add_argument("--format", choices=("text", "json"), default="text")
-    ver.add_argument("--budget-override", type=int, default=None, dest="budget_override")
     ver.set_defaults(fn=_cmd_verify)
 
     return parser

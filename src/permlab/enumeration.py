@@ -25,10 +25,10 @@ from .words import Word, descents, find_factor
 
 KINDS = ("ballot", "odd")
 
-# Desk-scale enumeration budgets; larger n fails fast instead of running unbounded.
-MAX_ENUM_N = {"ballot": 10, "odd": 11}
-# Checks that need full member lists keep them in memory only up to this size.
-MAX_MEMBER_N = 9
+# Desk-scale budgets, the largest n each resource serves; larger n fails fast instead of
+# running unbounded.  "ballot" and "odd" bound the member streams and the tables of that
+# kind, "members" bounds the member lists held in memory by member_index.
+BUDGETS = {"ballot": 10, "odd": 11, "members": 9}
 
 
 def _check_kind(kind: str) -> str:
@@ -37,12 +37,13 @@ def _check_kind(kind: str) -> str:
     return kind
 
 
-def _check_budget(kind: str, n: int, limit: int | None = None) -> None:
+def _check_budget(resource: str, n: int) -> None:
     if n < 1:
         raise DomainError(f"n must be at least 1, got {n}")
-    cap = MAX_ENUM_N[kind] if limit is None else limit
+    cap = BUDGETS[resource]
     if n > cap:
-        raise BudgetError(f"exhaustive {kind} enumeration is budgeted up to n={cap}, got n={n}")
+        what = "member lists are" if resource == "members" else f"exhaustive {resource} enumeration is"
+        raise BudgetError(f"{what} budgeted up to n={cap}, got n={n}")
 
 
 def double_factorial(k: int) -> int:
@@ -473,8 +474,7 @@ class MemberIndex:
     """Member lists of one kind at one n, classified by (d, i, j).
 
     ``by_d`` maps each statistic to all members; ``by_cell`` maps (d, i, j)
-    to the members whose largest letter has neighbors (i, j); ``unanchored``
-    holds the members whose largest letter is last (ballot) or fixed (odd).
+    to the members whose largest letter has neighbors (i, j).
     """
 
     def __init__(self, kind: str, n: int):
@@ -482,18 +482,14 @@ class MemberIndex:
         self.n = n
         by_d: dict[int, list] = {}
         by_cell: dict[tuple[int, int, int], list] = {}
-        unanchored: dict[int, list] = {}
         cell_fn = _CELL_FN[kind]
         for member in _STREAM_FN[kind](n):
             d, nb = cell_fn(member)
             by_d.setdefault(d, []).append(member)
-            if nb is None:
-                unanchored.setdefault(d, []).append(member)
-            else:
+            if nb is not None:
                 by_cell.setdefault((d, nb[0], nb[1]), []).append(member)
         self.by_d = {d: tuple(ms) for d, ms in by_d.items()}
         self.by_cell = {k: tuple(ms) for k, ms in by_cell.items()}
-        self.unanchored = {d: tuple(ms) for d, ms in unanchored.items()}
 
     def stat_class(self, d: int):
         return self.by_d.get(d, ())
@@ -514,10 +510,7 @@ _INDEXES: dict[tuple[str, int], MemberIndex] = {}
 
 def member_index(kind: str, n: int) -> MemberIndex:
     _check_kind(kind)
-    if n < 1:
-        raise DomainError(f"n must be at least 1, got {n}")
-    if n > MAX_MEMBER_N:
-        raise BudgetError(f"member lists are budgeted up to n={MAX_MEMBER_N}, got n={n}")
+    _check_budget("members", n)
     key = (kind, n)
     index = _INDEXES.get(key)
     if index is None:

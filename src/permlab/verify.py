@@ -31,8 +31,8 @@ from .bijections import (
 )
 from .cycles import cycle_stats, format_cycles
 from .enumeration import (
+    BUDGETS,
     KINDS,
-    MAX_MEMBER_N,
     ballot_count_closed,
     count_table,
     count_word_pair,
@@ -310,70 +310,81 @@ def _eq_bnd_pnd(n: int):
 
 @dataclass(frozen=True)
 class CheckInfo:
+    """One catalog entry.
+
+    ``reads`` names the budgets in ``enumeration.BUDGETS`` that the cells draw
+    on: "ballot" or "odd" for count tables and word-pair counts of that kind,
+    "members" for member lists.  The cells at size n read no size above n, so
+    the check's cap is the smallest budget it reads.
+    """
+
     name: str
     description: str
     default_max_n: int
-    budget_cap: int
     min_n: int
     cells: Callable[[int], Iterable[list]]  # the cells at one size n, each its counterexamples
-    member_lists: bool = False  # the cells draw on member_index up to max_n
+    reads: tuple[str, ...]
+
+    @property
+    def budget_cap(self) -> int:
+        return min(BUDGETS[resource] for resource in self.reads)
 
 
 _CATALOG: tuple[CheckInfo, ...] = (
     CheckInfo("closed_form",
               "enumerated ballot and odd order totals match the double factorial closed form",
-              10, 10, 1, _closed_form),
+              10, 1, _closed_form, ("ballot", "odd")),
     CheckInfo("recurrence_b",
               "ballot totals satisfy b(n) = b(n-1) + (n-1)(n-2) b(n-2)",
-              10, 10, 3, partial(_recurrence, "ballot")),
+              10, 3, partial(_recurrence, "ballot"), ("ballot",)),
     CheckInfo("recurrence_p",
               "odd order totals satisfy p(n) = p(n-1) + (n-1)(n-2) p(n-2)",
-              10, 11, 3, partial(_recurrence, "odd")),
+              10, 3, partial(_recurrence, "odd"), ("odd",)),
     CheckInfo("lemma21",
               "cells with adjacent neighbor letters contract bijectively onto the class two letters down",
-              8, 9, 3, _lemma21, member_lists=True),
+              8, 3, _lemma21, ("members",)),
     CheckInfo("lemma22",
               "anchor splits with a non-ballot tail have a descending junction and anchor height != 1",
-              7, 8, 4, _lemma22, member_lists=True),
+              7, 4, _lemma22, ("members",)),
     CheckInfo("thm23_bijection",
               "the flank swap is a bijection between the two pivot anchor classes",
-              8, 9, 4, _thm23, member_lists=True),
+              8, 4, _thm23, ("members",)),
     CheckInfo("x_lambda_identity",
               "anchor class sizes equal differences of adjacent neighbor cell counts",
-              8, 9, 4, _x_lambda, member_lists=True),
+              8, 4, _x_lambda, ("members", "ballot")),
     CheckInfo("phi_bijection",
               "swapping the letters j-1 and j maps the complement class onto the shifted cell",
-              8, 9, 4, _phi, member_lists=True),
+              8, 4, _phi, ("members",)),
     CheckInfo("toeplitz_B",
               "ballot count matrices are constant along diagonals for every descent number",
-              8, 10, 3, partial(_toeplitz, "ballot")),
+              8, 3, partial(_toeplitz, "ballot"), ("ballot",)),
     CheckInfo("toeplitz_P",
               "odd order count matrices are constant along diagonals for every weight",
-              9, 11, 3, partial(_toeplitz, "odd")),
+              9, 3, partial(_toeplitz, "odd"), ("odd",)),
     CheckInfo("symmetry_P",
               "odd order count matrices are symmetric",
-              9, 11, 3, _symmetry_p),
+              9, 3, _symmetry_p, ("odd",)),
     CheckInfo("T_roundtrip",
               "diagonal shifts round-trip, preserve statistics, and hit the whole target cell",
-              8, 9, 4, _t_roundtrip, member_lists=True),
+              8, 4, _t_roundtrip, ("members",)),
     CheckInfo("conj_spiro",
               "descent counts of ballot permutations match weight counts of odd order permutations",
-              9, 10, 1, _conj_spiro),
+              9, 1, _conj_spiro, ("ballot", "odd")),
     CheckInfo("conj_refined",
               "b(n,d,1,j) + b(n,d,j,1) = 2 p(n,d,1,j) for every cell",
-              8, 10, 3, _conj_refined),
+              8, 3, _conj_refined, ("ballot", "odd")),
     CheckInfo("prop41",
               "single-descent neighbor cells follow the powers-of-two formulas",
-              10, 10, 4, _prop41),
+              10, 4, _prop41, ("ballot", "odd")),
     CheckInfo("lemma42",
               "the weight-preserving cycle flip gives p(n,d,1,2) = p(n,d,1,3)",
-              9, 9, 4, _lemma42, member_lists=True),
+              9, 4, _lemma42, ("members",)),
     CheckInfo("prop43_words",
               "word-pair counts reduce to whole-class totals three letters down",
-              8, 10, 4, _prop43),
+              8, 4, _prop43, ("ballot",)),
     CheckInfo("eq_bnd_pnd",
               "class totals split over the neighbor cells of the largest letter",
-              8, 10, 2, _eq_bnd_pnd),
+              8, 2, _eq_bnd_pnd, ("ballot", "odd")),
 )
 
 CHECKS: dict[str, CheckInfo] = {info.name: info for info in _CATALOG}
@@ -384,13 +395,11 @@ def list_checks() -> list[tuple[str, str, int]]:
     return [(info.name, info.description, info.default_max_n) for info in _CATALOG]
 
 
-def run_check(name: str, max_n: int | None = None, budget_override: int | None = None) -> VerificationReport:
+def run_check(name: str, max_n: int | None = None) -> VerificationReport:
     """Run one named check up to ``max_n`` (its recommended budget by default).
 
-    Raising ``max_n`` past the check's budget cap needs an explicit
-    ``budget_override``; the global enumeration budgets still apply, and a
-    check that needs member lists past their budget is refused before any
-    work starts.
+    ``max_n`` may not pass the check's cap, the smallest budget its cells
+    read; a larger bound is refused before any work starts.
     """
     info = CHECKS.get(name)
     if info is None:
@@ -399,16 +408,10 @@ def run_check(name: str, max_n: int | None = None, budget_override: int | None =
         max_n = info.default_max_n
     if max_n < info.min_n:
         raise DomainError(f"check {name} needs max_n >= {info.min_n}, got {max_n}")
-    cap = budget_override if budget_override is not None else info.budget_cap
-    if max_n > cap:
+    if max_n > info.budget_cap:
         raise BudgetError(
-            f"check {name} is budgeted up to max_n={cap}; "
-            f"pass a budget override to go further"
-        )
-    if info.member_lists and max_n > MAX_MEMBER_N:
-        raise BudgetError(
-            f"check {name} needs member lists, which are budgeted up to n={MAX_MEMBER_N}; "
-            f"got max_n={max_n}"
+            f"check {name} reads {' and '.join(info.reads)}, "
+            f"budgeted up to n={info.budget_cap}; got max_n={max_n}"
         )
     start = time.perf_counter()
     cells, counterexamples = 0, []

@@ -168,37 +168,41 @@ def test_verify_all_small(capsys):
     assert sum("FAIL" in line for line in lines) == 1
 
 
-def test_verify_all_honours_budget_override(capsys, monkeypatch):
+def test_budget_override_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--check", "lemma22", "--max-n", "8", "--budget-override", "8"])
+    assert exc.value.code == 2
+
+
+def test_verify_all_clamps_max_n_to_each_cap(capsys, monkeypatch):
     # record the bound each check is given instead of running it
     calls, err_at_first_call = [], []
 
-    def fake_run_check(name, max_n=None, budget_override=None):
+    def fake_run_check(name, max_n=None):
         if not calls:
             err_at_first_call.append(capsys.readouterr().err)
         calls.append((name, max_n))
         return verify.VerificationReport(name, max_n, 1, "pass", (), 0.0)
 
     monkeypatch.setattr(verify, "run_check", fake_run_check)
-    member_checks = {name for name, info in verify.CHECKS.items() if info.member_lists}
+    member_checks = {name for name, info in verify.CHECKS.items() if "members" in info.reads}
 
-    code, _, _ = run_cli(capsys, "verify", "--check", "all", "--max-n", "10", "--budget-override", "10")
+    code, _, _ = run_cli(capsys, "verify", "--check", "all", "--max-n", "10")
     bounds = dict(calls)
     assert code == 0 and len(calls) == 18
-    assert (bounds["toeplitz_B"], bounds["conj_refined"], bounds["lemma21"]) == (10, 10, 9)
+    assert (bounds["toeplitz_B"], bounds["toeplitz_P"], bounds["conj_refined"]) == (10, 10, 10)
     assert {name for name, bound in calls if bound < 10} == member_checks
-    assert all(bound == 9 for name, bound in calls if name in member_checks)
+    assert all(bounds[name] == 9 for name in member_checks)
     # every lowered bound is named on stderr before the first check runs
     notes = err_at_first_call[0].splitlines()
-    assert len(notes) == len(member_checks)
     assert {line.split()[1] for line in notes} == member_checks
 
-    # without an override each check keeps its default bound, as before
+    # without --max-n each check keeps its default bound
     calls.clear()
     err_at_first_call.clear()
-    run_cli(capsys, "verify", "--check", "all", "--max-n", "10")
-    assert dict(calls) == {name: min(10, info.default_max_n) for name, info in verify.CHECKS.items()}
-    lowered = sum(info.default_max_n < 10 for info in verify.CHECKS.values())
-    assert len(err_at_first_call[0].splitlines()) == lowered
+    run_cli(capsys, "verify", "--check", "all")
+    assert calls == [(name, None) for name in verify.CHECKS]
+    assert err_at_first_call == [""]
 
 
 def test_disk_cache_round_trip(tmp_path):

@@ -39,27 +39,35 @@ def test_budget_errors():
         run_check("thm23_bijection", max_n=2)
 
 
-def test_member_list_budget_fails_before_any_work(capsys):
-    # the override lifts lemma42's own cap, but member lists stop at n=9
-    enumeration.clear_memo()
-    with pytest.raises(BudgetError, match="member lists"):
-        run_check("lemma42", max_n=10, budget_override=10)
-    assert enumeration._INDEXES == {}
-    code = main(["verify", "--check", "lemma42", "--max-n", "10", "--budget-override", "10"])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (2, "")
-    assert "member lists" in captured.err
-    assert enumeration._INDEXES == {}
-    assert [name for name, info in CHECKS.items() if info.member_lists] == [
-        "lemma21", "lemma22", "thm23_bijection", "x_lambda_identity",
-        "phi_bijection", "T_roundtrip", "lemma42",
-    ]
+def test_budget_caps_are_pinned():
+    # each cap is the smallest budget the check reads: tables of one kind or both, or member lists
+    assert {name: info.budget_cap for name, info in CHECKS.items()} == {
+        "closed_form": 10, "recurrence_b": 10, "recurrence_p": 11, "lemma21": 9, "lemma22": 9,
+        "thm23_bijection": 9, "x_lambda_identity": 9, "phi_bijection": 9, "toeplitz_B": 10,
+        "toeplitz_P": 11, "symmetry_P": 11, "T_roundtrip": 9, "conj_spiro": 10, "conj_refined": 10,
+        "prop41": 10, "lemma42": 9, "prop43_words": 10, "eq_bnd_pnd": 10,
+    }
 
 
-def test_budget_override_allows_higher_max_n():
-    # cap for lemma22 is 8; the override admits it explicitly
-    report = run_check("lemma22", max_n=8, budget_override=8)
-    assert report.status == "pass"
+def _memos_empty():
+    return enumeration._TABLES == enumeration._INDEXES == enumeration._WORD_PAIRS == {}
+
+
+def test_every_check_refuses_past_its_cap_before_any_work(capsys):
+    for name, info in CHECKS.items():
+        enumeration.clear_memo()
+        with pytest.raises(BudgetError, match=f"check {name} reads"):
+            run_check(name, max_n=info.budget_cap + 1)
+        assert _memos_empty(), name
+        code = main(["verify", "--check", name, "--max-n", str(info.budget_cap + 1)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), name
+        assert "budget" in captured.err
+        assert _memos_empty(), name
+
+
+def test_lemma22_runs_at_its_members_budget():
+    assert run_check("lemma22", max_n=9).status == "pass"
 
 
 def test_every_check_passes_at_small_budget():
