@@ -34,7 +34,6 @@ from .words import (
     find_factor,
     height,
     is_ballot,
-    standard_form,
     swap_letters,
 )
 
@@ -174,54 +173,6 @@ def exchange_letters(p: Word, i: int, j: int) -> Word:
     return swap_letters(p, j - 1, j)
 
 
-def _contract_word(p: Word, i: int, j: int) -> Word:
-    n = len(p)
-    if find_factor(p, (i, n, j)) is None:
-        raise DomainError(f"{p} does not contain the factor {i} {n} {j}")
-    return standard_form(tuple(x for x in p if x not in (j, n)))
-
-
-def _expand_word(q: Word, i: int, j: int) -> Word:
-    n = len(q) + 2
-    if not (1 <= i <= n - 1 and 1 <= j <= n - 1):
-        raise DomainError(f"letters must lie in [1, {n - 1}], got ({i}, {j})")
-    kept = sorted(set(range(1, n + 1)) - {j, n})
-    relabeled = tuple(kept[x - 1] for x in q)
-    t = relabeled.index(i)
-    return relabeled[:t + 1] + (n, j) + relabeled[t + 1:]
-
-
-def _contract_cycles(cycles: CycleDecomposition, i: int, j: int) -> CycleDecomposition:
-    cycles = canonicalize_cycles(cycles)
-    n = decomposition_size(cycles)
-    if max_letter_neighbors(cycles) != (i, j):
-        raise DomainError(f"{cycles} does not contain the cyclic factor {i} {n} {j}")
-    kept = sorted(set(range(1, n + 1)) - {j, n})
-    rank = {x: r for r, x in enumerate(kept, start=1)}
-    out = []
-    for c in cycles:
-        reduced = tuple(rank[x] for x in c if x not in (j, n))
-        if reduced:
-            out.append(reduced)
-    return canonicalize_cycles(out)
-
-
-def _expand_cycles(cycles: CycleDecomposition, i: int, j: int) -> CycleDecomposition:
-    cycles = canonicalize_cycles(cycles)
-    n = decomposition_size(cycles) + 2
-    if not (1 <= i <= n - 1 and 1 <= j <= n - 1):
-        raise DomainError(f"letters must lie in [1, {n - 1}], got ({i}, {j})")
-    kept = sorted(set(range(1, n + 1)) - {j, n})
-    relabeled = [tuple(kept[x - 1] for x in c) for c in cycles]
-    out = []
-    for c in relabeled:
-        if i in c:
-            t = c.index(i)
-            c = c[:t + 1] + (n, j) + c[t + 1:]
-        out.append(c)
-    return canonicalize_cycles(out)
-
-
 def contract(p, i: int, j: int, inverse: bool = False):
     """Remove (or re-insert, with inverse=True) the letters j and n around i.
 
@@ -234,10 +185,30 @@ def contract(p, i: int, j: int, inverse: bool = False):
         raise DomainError(f"contract needs |i - j| = 1, got ({i}, {j})")
     p = tuple(p)
     is_cycles = bool(p) and isinstance(p[0], tuple)
-    if is_cycles:
-        return _expand_cycles(p, i, j) if inverse else _contract_cycles(p, i, j)
-    word = check_permutation(p)
-    return _expand_word(word, i, j) if inverse else _contract_word(word, i, j)
+    p = canonicalize_cycles(p) if is_cycles else check_permutation(p)
+    # A word is one non-cyclic row; a decomposition is its cycles.
+    rows = p if is_cycles else (p,)
+    n = sum(map(len, rows)) + (2 if inverse else 0)
+    kept = sorted(set(range(1, n + 1)) - {j, n})
+    out = []
+    if inverse:
+        if not (1 <= i <= n - 1 and 1 <= j <= n - 1):
+            raise DomainError(f"letters must lie in [1, {n - 1}], got ({i}, {j})")
+        for row in rows:
+            row = tuple(kept[x - 1] for x in row)
+            if i in row:
+                t = row.index(i) + 1
+                row = row[:t] + (n, j) + row[t:]
+            out.append(row)
+    else:
+        found = max_letter_neighbors(p) == (i, j) if is_cycles else find_factor(p, (i, n, j)) is not None
+        if not found:
+            kind = "cyclic factor" if is_cycles else "factor"
+            raise DomainError(f"{p} does not contain the {kind} {i} {n} {j}")
+        # No row empties: j and n share their row with i.
+        rank = {x: r for r, x in enumerate(kept, start=1)}
+        out = [tuple(rank[x] for x in row if x not in (j, n)) for row in rows]
+    return canonicalize_cycles(out) if is_cycles else out[0]
 
 
 def cycle_flip(cycles: CycleDecomposition) -> CycleDecomposition:
@@ -258,10 +229,8 @@ def cycle_flip(cycles: CycleDecomposition) -> CycleDecomposition:
     neighbors = max_letter_neighbors(cycles)
     if neighbors not in ((1, 2), (1, 3)):
         raise DomainError(f"no cycle with the largest letter flanked by 1 and 2 or 3: {cycles}")
+    # A canonical cycle starts at its minimum, here 1, so it reads (1, n, small, ...).
     k, c = cycle_containing(cycles, n)
-    # Rotate so the cycle reads (1, n, small, ...).
-    t = c.index(1)
-    c = c[t:] + c[:t]
     small = neighbors[1]
     other = 5 - small
     if len(c) >= 4 and c[3] == other:

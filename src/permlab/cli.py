@@ -89,6 +89,8 @@ class DiskCache:
         try:
             with open(path, encoding="utf-8") as fh:
                 blob = json.load(fh)
+            if not isinstance(blob, dict):
+                return None
             payload = {k: v for k, v in blob.items() if k != "checksum"}
             if blob.get("checksum") != self._checksum(payload):
                 return None
@@ -108,18 +110,20 @@ class DiskCache:
             return None
 
     def save(self, table: CountTable) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
+        """Write one table; a cache directory that cannot be written is a DomainError."""
         payload = self._payload(table)
         blob = dict(payload, checksum=self._checksum(payload))
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        tmp = None
         try:
+            self.root.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 json.dump(blob, fh, sort_keys=True)
             os.replace(tmp, self._path(table.kind, table.n))
-        except OSError:
-            if os.path.exists(tmp):
+        except OSError as exc:
+            if tmp is not None and os.path.exists(tmp):
                 os.unlink(tmp)
-            raise
+            raise DomainError(f"cache directory {self.root} cannot be written: {exc}") from exc
 
 
 def _store(args) -> DiskCache | None:

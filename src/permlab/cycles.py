@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 
 from .errors import DomainError
-from .words import Word, find_cyclic_factor
+from .words import Word
 
 Cycle = tuple[int, ...]
 CycleDecomposition = tuple[Cycle, ...]
@@ -122,11 +122,6 @@ def max_letter_neighbors(cycles: CycleDecomposition) -> tuple[int, int] | None:
         return None
     t = c.index(n)
     return c[t - 1], c[(t + 1) % len(c)]
-
-
-def has_cyclic_factor(cycles: CycleDecomposition, needle: Word) -> bool:
-    """Whether ``needle`` occurs contiguously (with wrap-around) inside some cycle."""
-    return any(find_cyclic_factor(c, needle) is not None for c in cycles)
 
 
 def format_cycles(cycles: CycleDecomposition) -> str:

@@ -3,18 +3,17 @@
 For letters i != j in [n-2], with m = min(i, j) and M = max(i, j), the shift
 sends a permutation whose largest letter n has neighbors (i, j) to one with
 neighbors (i+1, j+1), preserving the descent number (one-line form) or every
-cycle's length and cyclic descent number (cycle form).  It works in two
-steps:
+cycle's length and cyclic descent number (cycle form).
 
-* core replacement: locate the widest run of "discretely continuous" letters
-  anchored next to n (the core), and rewrite it by the mirrored run on the
-  other side of the interval [m, M+1];
-* straightening: relabel the interval letters displaced by the rewrite in
-  the order-preserving way.
-
-Both steps together amount to one letter bijection, so the cycle structure
-is carried along for free.  The inverse shift plays the same game from the
-(i+1, j+1) side with the roles of the interval's ends exchanged.
+One routine serves both directions.  It finds the core at one end of the
+interval [m, M+1]: the widest run of "discretely continuous" letters anchored
+next to n.  It then writes the core of the same width at the other end and
+relabels the interval letters displaced by the rewrite in the
+order-preserving way.  The shift reads the core at the lower end (neighbors
+i, j) and writes it at the upper end (neighbors i+1, j+1); its inverse reads
+and writes the other way round.  The two cores are mirror images under
+x -> m + M + 1 - x, and the whole rewrite is one letter bijection, so the
+cycle structure is carried along for free.
 """
 
 from __future__ import annotations
@@ -28,24 +27,24 @@ from .cycles import (
     is_odd_order,
 )
 from .errors import DomainError
-from .words import (
-    Word,
-    adjacent_in,
-    check_permutation,
-    find_cyclic_factor,
-    find_factor,
-    is_ballot,
-)
+from .words import Word, adjacent_in, check_permutation, is_ballot, locate_factor
 
 
-def _run_up(m: int, M: int, length: int) -> Word:
-    """Ascending run m, m+1, ... of the given length, writing M+1 in place of M."""
+def _run(m: int, M: int, length: int, upper: bool) -> Word:
+    """Run of the given length at one end of [m, M+1]: m, m+1, ... writing M+1
+    in place of M at the lower end, or its mirror image M+1, M, ... writing m
+    in place of m+1 at the upper end."""
+    if upper:
+        return tuple(m if x == m + 1 else x for x in range(M + 1, M + 1 - length, -1))
     return tuple(M + 1 if x == M else x for x in range(m, m + length))
 
 
-def _run_down(m: int, M: int, length: int) -> Word:
-    """Descending run M+1, M, ... of the given length, writing m in place of m+1."""
-    return tuple(m if x == m + 1 else x for x in range(M + 1, M + 1 - length, -1))
+def _core_word(n: int, i: int, j: int, width: int, upper: bool) -> Word:
+    """The core of the given width next to n, at neighbors (i, j) on the lower
+    end or (i+1, j+1) on the upper end."""
+    left, right = (i + 1, j + 1) if upper else (i, j)
+    run = _run(min(i, j), max(i, j), width, upper)
+    return (left, n) + run if (i < j) == upper else run[::-1] + (n, right)
 
 
 @dataclass(frozen=True)
@@ -65,101 +64,72 @@ class CoreData:
     position: int | tuple[int, int]
 
 
-def _occurs(host: Word, word: Word, cyclic: bool) -> bool:
-    find = find_cyclic_factor if cyclic else find_factor
-    return find(host, word) is not None or find(host, word[::-1]) is not None
-
-
-def _max_width(host: Word, m: int, M: int, run, adjacency: tuple[int, int], cyclic: bool) -> int:
-    """Largest length whose run (or its reversal) occurs in the host, or 0 when
-    the adjacency pair sits together."""
-    if adjacent_in(host, adjacency[0], adjacency[1], cyclic):
-        return 0
-    width = 0
-    for length in range(1, M - m + 2):
-        if _occurs(host, run(m, M, length), cyclic):
-            width = length
-        else:
-            break
-    return width
-
-
-def _validate_letters(n: int, i: int, j: int) -> None:
-    if i == j or not (1 <= i <= n - 2 and 1 <= j <= n - 2):
-        raise DomainError(f"shift letters must satisfy 1 <= i != j <= n-2 = {n - 2}, got ({i}, {j})")
-
-
 def _host(p, cyclic: bool):
-    """(normalized input, host word, n, cycle index of host) where the host is
+    """(normalized input, host word, cycle index of host) where the host is
     the whole word, or the cycle containing n for decompositions."""
     if cyclic:
         cycles = canonicalize_cycles(p)
-        n = decomposition_size(cycles)
-        k, c = cycle_containing(cycles, n)
-        return cycles, c, n, k
+        k, c = cycle_containing(cycles, decomposition_size(cycles))
+        return cycles, c, k
     word = check_permutation(p)
-    return word, word, len(word), None
+    return word, word, None
 
 
-def _core_data(p, i: int, j: int, cyclic: bool, upper: bool) -> CoreData:
-    normalized, host, n, k = _host(p, cyclic)
-    _validate_letters(n, i, j)
+def _find_core(host: Word, k: int | None, i: int, j: int, cyclic: bool, upper: bool) -> CoreData:
+    """The core at the lower (upper=False) or upper end of [m, M+1] in the host."""
+    n = max(host)
+    if i == j or not (1 <= i <= n - 2 and 1 <= j <= n - 2):
+        raise DomainError(f"shift letters must satisfy 1 <= i != j <= n-2 = {n - 2}, got ({i}, {j})")
     m, M = min(i, j), max(i, j)
     left, right = (i + 1, j + 1) if upper else (i, j)
-    factor = (left, n, right)
-    find = find_cyclic_factor if cyclic else find_factor
-    if find(host, factor) is None:
+    if locate_factor(host, (left, n, right), cyclic) is None:
         kind = "cyclic factor" if cyclic else "factor"
         raise DomainError(f"input does not contain the {kind} {left} {n} {right}")
-    if upper:
-        width = _max_width(host, m, M, _run_down, (m, m + 1), cyclic)
-        core = (left, n) + _run_down(m, M, width) if i < j else _run_down(m, M, width)[::-1] + (n, right)
-    else:
-        width = _max_width(host, m, M, _run_up, (M, M + 1), cyclic)
-        core = _run_up(m, M, width)[::-1] + (n, right) if i < j else (left, n) + _run_up(m, M, width)
-    start = find(host, core)
+    # The width is the largest length whose run (or its reversal) occurs in the
+    # host, or 0 when M, M+1 (m, m+1 at the upper end) sit together.
+    width = 0
+    if not adjacent_in(host, *((m, m + 1) if upper else (M, M + 1)), cyclic):
+        for length in range(1, M - m + 2):
+            run = _run(m, M, length, upper)
+            if locate_factor(host, run, cyclic) is None and locate_factor(host, run[::-1], cyclic) is None:
+                break
+            width = length
+    core = _core_word(n, i, j, width, upper)
+    start = locate_factor(host, core, cyclic)
     if start is None:
         raise DomainError(f"widest run is not anchored at the largest letter in {host}")
-    return CoreData(
-        m=m,
-        M=M,
-        width=width,
-        core=core,
-        position=start if not cyclic else (k + 1, start),
-    )
+    return CoreData(m=m, M=M, width=width, core=core, position=start if k is None else (k + 1, start))
 
 
 def lower_core(p, i: int, j: int, *, cyclic: bool = False) -> CoreData:
     """Core anchored at the lower end of [m, M+1], for inputs with neighbor cell (i, j)."""
-    return _core_data(p, i, j, cyclic, upper=False)
+    _, host, k = _host(p, cyclic)
+    return _find_core(host, k, i, j, cyclic, upper=False)
 
 
 def upper_core(s, i: int, j: int, *, cyclic: bool = False) -> CoreData:
     """Core anchored at the upper end of [m, M+1], for inputs with neighbor cell (i+1, j+1)."""
-    return _core_data(s, i, j, cyclic, upper=True)
+    _, host, k = _host(s, cyclic)
+    return _find_core(host, k, i, j, cyclic, upper=True)
 
 
-def _letter_map(core: Word, new_core: Word, m: int, M: int) -> dict[int, int]:
-    interval = set(range(m, M + 2))
-    mapping = dict(zip(core, new_core))
-    old_left = sorted(interval - set(core))
-    new_left = sorted(interval - set(new_core))
-    mapping.update(zip(old_left, new_left))
-    return mapping
-
-
-def _apply(normalized, mapping: dict[int, int], cyclic: bool):
-    if cyclic:
-        return canonicalize_cycles([tuple(mapping.get(x, x) for x in c) for c in normalized])
-    return tuple(mapping.get(x, x) for x in normalized)
-
-
-def _check_membership(normalized, cyclic: bool) -> None:
+def _move(p, i: int, j: int, cyclic: bool, upper: bool):
+    """Replace the core at one end of [m, M+1] by the core of the same width at
+    the other end, relabeling the rest of the interval in order."""
+    normalized, host, k = _host(p, cyclic)
     if cyclic:
         if not is_odd_order(normalized):
             raise DomainError("cyclic shift needs an odd order permutation")
     elif not is_ballot(normalized):
         raise DomainError("linear shift needs a ballot permutation")
+    cd = _find_core(host, k, i, j, cyclic, upper)
+    new_core = _core_word(max(host), i, j, cd.width, not upper)
+    interval = set(range(cd.m, cd.M + 2))
+    mapping = dict(zip(cd.core, new_core))
+    mapping.update(zip(sorted(interval - set(cd.core)), sorted(interval - set(new_core))))
+    if cyclic:
+        return canonicalize_cycles([tuple(mapping.get(x, x) for x in c) for c in normalized])
+    return tuple(mapping.get(x, x) for x in normalized)
 
 
 def shift(p, i: int, j: int, *, cyclic: bool = False):
@@ -169,19 +139,9 @@ def shift(p, i: int, j: int, *, cyclic: bool = False):
     contain the (cyclic) factor i n j with 1 <= i != j <= n-2.  The statistic
     (descent number, or cyclic weight and all cycle lengths) is preserved.
     """
-    normalized, _, n, _ = _host(p, cyclic)
-    _check_membership(normalized, cyclic)
-    cd = lower_core(normalized, i, j, cyclic=cyclic)
-    m, M, w = cd.m, cd.M, cd.width
-    new_core = (i + 1, n) + _run_down(m, M, w) if i < j else _run_down(m, M, w)[::-1] + (n, j + 1)
-    return _apply(normalized, _letter_map(cd.core, new_core, m, M), cyclic)
+    return _move(p, i, j, cyclic, upper=False)
 
 
 def shift_inv(s, i: int, j: int, *, cyclic: bool = False):
     """Inverse of :func:`shift`: move neighbor cell (i+1, j+1) back to (i, j)."""
-    normalized, _, n, _ = _host(s, cyclic)
-    _check_membership(normalized, cyclic)
-    cd = upper_core(normalized, i, j, cyclic=cyclic)
-    m, M, w = cd.m, cd.M, cd.width
-    new_core = _run_up(m, M, w)[::-1] + (n, j) if i < j else (i, n) + _run_up(m, M, w)
-    return _apply(normalized, _letter_map(cd.core, new_core, m, M), cyclic)
+    return _move(s, i, j, cyclic, upper=True)

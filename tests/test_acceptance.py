@@ -5,14 +5,16 @@ the module, so the expensive n=10 enumerations happen once.
 """
 
 import itertools
+import json
 import random
 import time
+from pathlib import Path
 
 from permlab.cli import main
 from permlab.cycles import cycle_stats, parse_cycles
 from permlab.enumeration import ballot_count_closed, count_table, count_word_pair
 from permlab.toeplitz import shift
-from permlab.verify import run_check
+from permlab.verify import CHECKS, run_check
 from permlab.words import height, reversal
 
 EXPECTED_TOTALS = [1, 1, 3, 9, 45, 225, 1575, 11025, 99225, 893025]
@@ -37,8 +39,19 @@ def report(label, ok, detail=""):
     return ok
 
 
+# Every report the suite computes, by (check, max_n), so the pin comparison at
+# the end reuses them instead of running the checks again.
+_REPORTS = {}
+
+
+def check(name, max_n):
+    if (name, max_n) not in _REPORTS:
+        _REPORTS[name, max_n] = run_check(name, max_n=max_n)
+    return _REPORTS[name, max_n]
+
+
 def run_and_report(label, name, max_n):
-    r = run_check(name, max_n=max_n)
+    r = check(name, max_n)
     ok = report(label, r.status == "pass",
                 f"max_n={r.max_n}, cells={r.cells_checked}, {r.wall_time_ms:.0f} ms")
     assert ok, (name, r.counterexamples[:5])
@@ -96,7 +109,7 @@ def test_criterion_5_section2_bijections():
 
 
 def test_criterion_6_prop41():
-    r = run_check("prop41", max_n=10)
+    r = check("prop41", 10)
     detail = f"cells={r.cells_checked}"
     assert report("criterion 6a (prop41, 10)", r.status == "pass", detail), r.counterexamples[:5]
 
@@ -131,7 +144,7 @@ def test_criterion_6_prop43_words(ballot_factor_oracle):
     # (c) N is symmetric under swapping u and v, hence
     #     b(d,1,2) + b(d,2,1) = b(d,1,3) + b(d,3,1), the j = 2, 3 link that
     #     Lemma 4.2 needs for the refined conjecture.
-    r = run_check("prop43_words", max_n=8)
+    r = check("prop43_words", 8)
     oracle = ballot_factor_oracle
 
     identities_hold = r.cells_checked == 96 and not any(
@@ -178,9 +191,9 @@ def test_criterion_6_prop43_words(ballot_factor_oracle):
 
 
 def test_criterion_7_conjectures_and_exit_codes(capsys):
-    r = run_check("conj_spiro", max_n=9)
+    r = check("conj_spiro", 9)
     ok1 = r.status == "pass" and not r.counterexamples
-    r = run_check("conj_refined", max_n=8)
+    r = check("conj_refined", 8)
     ok2 = r.status == "pass" and not r.counterexamples
     # exit code distinguishes pass from counterexample found
     pass_code = main(["verify", "--check", "conj_spiro", "--max-n", "5"])
@@ -236,3 +249,19 @@ def test_criterion_9_property_bundle():
                             for d in range(table.d_max + 1)
                         )
     assert report("criterion 9d (adjacent cells equal the class two down, n<=9)", ok)
+
+
+def test_every_report_matches_its_catalog_pin():
+    # perfbench/catalog_pins.json pins each check's report at its default
+    # bound, wall time aside; prop43_words is pinned red with its
+    # counterexamples.
+    root = Path(__file__).resolve().parent.parent
+    pins = json.loads((root / "perfbench" / "catalog_pins.json").read_text())
+    assert sorted(pins) == sorted(CHECKS)
+    off = []
+    for name, pinned in pins.items():
+        obj = check(name, CHECKS[name].default_max_n).to_json_obj()
+        del obj["wall_time_ms"]
+        if obj != pinned:
+            off.append(name)
+    assert report("catalog pins (18 reports at their default bounds)", not off, f"off: {off}"), off

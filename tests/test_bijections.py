@@ -164,6 +164,10 @@ def test_contract_errors():
         contract((1, 5, 2, 3, 4), 2, 3)  # factor absent
     with pytest.raises(DomainError):
         contract(((1, 4, 3), (2,)), 1, 2)  # cyclic factor absent
+    for q in ((1, 2, 3), ((1,), (2,), (3,))):  # the inverse side: letters past n-1
+        with pytest.raises(DomainError) as exc:
+            contract(q, 5, 6, inverse=True)
+        assert str(exc.value) == "letters must lie in [1, 4], got (5, 6)"
 
 
 def test_cycle_flip_examples():

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from permlab import enumeration, verify
 from permlab.cli import DiskCache, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -278,6 +284,30 @@ def test_forged_cache_file_is_recomputed(tmp_path, capsys):
         assert (code, out.strip(), err) == (0, expected, "")
     # the recomputed table replaced the forged file
     assert cache.load("ballot", 5) == enumeration.count_table("ballot", 5)
+
+
+def test_cache_file_that_is_not_a_json_object_is_recomputed(tmp_path, capsys):
+    cache = DiskCache(tmp_path)
+    for blob in ("[]", "null", "5", '"x"'):
+        cache._path("ballot", 5).write_text(blob)
+        assert cache.load("ballot", 5) is None, blob
+        enumeration.clear_memo()
+        code, out, err = run_cli(capsys, "--cache-dir", str(tmp_path),
+                                 "count", "--kind", "ballot", "--n", "5")
+        assert (code, out.strip(), err) == (0, "45", ""), blob
+
+
+def test_unusable_cache_dir_exits_2_without_traceback(tmp_path):
+    not_a_dir = tmp_path / "plain-file"
+    not_a_dir.write_text("")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-m", "permlab.cli", "--cache-dir", str(not_a_dir),
+                             "count", "--kind", "ballot", "--n", "5"],
+                            capture_output=True, text=True, env=env, timeout=60)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("permlab: cache ")
+    assert len(result.stderr.splitlines()) == 1
+    assert "Traceback" not in result.stderr
 
 
 def test_cache_dir_flag_writes_and_reuses(tmp_path, capsys):

@@ -9,7 +9,6 @@ from permlab.cycles import (
     cycle_stats,
     cycles_from_one_line,
     format_cycles,
-    has_cyclic_factor,
     max_letter_neighbors,
     one_line_from_cycles,
     parse_cycles,
@@ -61,12 +60,6 @@ def test_max_letter_neighbors():
     assert max_letter_neighbors(((1, 4, 3), (2,))) == (1, 3)
     assert max_letter_neighbors(((1,), (2,), (3,))) is None
     assert max_letter_neighbors(((1, 2, 5, 3, 4),)) == (2, 3)
-
-
-def test_has_cyclic_factor():
-    cycles = ((1, 4, 5), (2, 6, 8, 3, 7))
-    assert has_cyclic_factor(cycles, (3, 7, 2))
-    assert not has_cyclic_factor(cycles, (7, 3))
 
 
 def test_parse_and_format_cycles():

@@ -136,3 +136,17 @@ def test_shift_domain_errors():
         lower_core((1, 2, 3, 4), 1, 2)  # factor absent
     with pytest.raises(DomainError):
         shift(((1, 2), (3, 6, 4, 5)), 3, 4, cyclic=True)  # even cycles inside
+    # the inverse side, with exact messages
+    letters = "shift letters must satisfy 1 <= i != j <= n-2 = 7, got "
+    for call, message in (
+        (lambda: shift_inv((3, 8, 2, 5, 4, 9, 6, 7, 1), 4, 6), "input does not contain the factor 5 9 7"),
+        (lambda: shift_inv((3, 8, 2, 6, 4, 5, 9, 7, 1), 6, 6), letters + "(6, 6)"),
+        (lambda: shift_inv((3, 8, 2, 6, 4, 5, 9, 7, 1), 4, 8), letters + "(4, 8)"),
+        (lambda: shift_inv((2, 1, 4, 5, 3), 1, 3), "linear shift needs a ballot permutation"),
+        (lambda: shift_inv(((1, 2), (3, 6, 4, 5)), 3, 4, cyclic=True),
+         "cyclic shift needs an odd order permutation"),
+        (lambda: upper_core((1, 2, 3, 4), 1, 2), "input does not contain the factor 2 4 3"),
+    ):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == message
