@@ -2,9 +2,10 @@
 
 Subcommands: count, matrix, enumerate, map, verify.  Payload goes to stdout,
 diagnostics to stderr.  Exit codes: 0 success or pass, 1 a check found a
-counterexample, 2 usage or domain error.  This is the only module that
-touches the filesystem or environment; the cache directory comes from
-``--cache-dir`` or the PERMLAB_CACHE environment variable.
+counterexample, 2 usage or domain error, 141 (128 + SIGPIPE) stdout closed
+before the payload was written.  This is the only module that touches the
+filesystem or environment; the cache directory comes from ``--cache-dir`` or
+the PERMLAB_CACHE environment variable.
 """
 
 from __future__ import annotations
@@ -297,6 +298,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except BrokenPipeError:
+        # The reader closed stdout early (say, `| head`).  Point stdout at
+        # devnull so that the interpreter's final flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except BudgetError as exc:
         print(f"permlab: budget error: {exc}", file=sys.stderr)
         return 2

@@ -1,16 +1,18 @@
 """Ballot and odd order permutations: their member streams and their count tables.
 
-The generators stream every member of one kind at one n.  The count tables
-classify the members by their statistic d (descents for ballot permutations,
-cyclic weight for odd order permutations) and by the two neighbors (i, j) of
-the largest letter, read as the factor i n j (cyclic inside the
-decomposition's cycles).  Tables are counted by exact dynamic programs rather
-than by classifying each member: a subset DP over ballot prefixes and
-suffixes, and the exponential formula over odd cycles for odd order
-permutations.  The test suite checks every table against the classified
-member stream, which stays the oracle; member lists and word-pair counts are
-still drawn from the stream.  Both the stream and the tables keep the same
-budgets.
+The generators stream every member of one kind at one n and classify it
+while they build it: the private streams yield each member with its
+statistic d (descents for ballot permutations, cyclic weight for odd order
+permutations) and the two neighbors (i, j) of the largest letter, read as
+the factor i n j (cyclic inside the decomposition's cycles).  Member lists,
+word-pair counts and the test suite's reference tables read those triples;
+``ballot_cell`` and ``odd_cell`` classify a finished member from scratch, and
+the tests hold the streams to them.  The count tables are counted by exact
+dynamic programs rather than by classifying each member: a subset DP over
+ballot prefixes and suffixes, and the exponential formula over odd cycles
+for odd order permutations.  The test suite checks every table against the
+classified member stream, which stays the oracle.  Both the stream and the
+tables keep the same budgets.
 """
 
 from __future__ import annotations
@@ -64,70 +66,77 @@ def ballot_count_closed(n: int) -> int:
     return double_factorial(n) * double_factorial(n - 2)
 
 
-def enumerate_ballot(n: int):
-    """Yield the ballot permutations of [n] once each, in lexicographic order.
+def _ballot_stream(n: int):
+    """Yield (member, descents, neighbors of n) for the ballot permutations of [n],
+    once each, in lexicographic order; the neighbors are None when n is last.
 
     Backtracking over one-line prefixes, pruned as soon as a prefix height
-    would go negative.
+    would go negative.  A whole word of height h has (n - 1 - h) / 2 descents.
     """
     _check_budget("ballot", n)
-    prefix: list[int] = []
 
-    def rec(h, avail):
-        if not avail:
-            yield tuple(prefix)
+    def rec(prefix, h, last, avail):
+        if len(avail) == 1:  # the last letter completes the word
+            x = avail[0]
+            h += 1 if x > last else -1
+            if h >= 0:
+                p = prefix + (x,)
+                pos = p.index(n)
+                yield p, (n - 1 - h) // 2, None if pos == n - 1 else (p[pos - 1], p[pos + 1])
             return
-        if prefix:
-            last = prefix[-1]
-            for idx, x in enumerate(avail):
-                nh = h + 1 if x > last else h - 1
-                if nh < 0:
-                    continue
-                prefix.append(x)
-                yield from rec(nh, avail[:idx] + avail[idx + 1:])
-                prefix.pop()
-        else:
-            for idx, x in enumerate(avail):
-                prefix.append(x)
-                yield from rec(0, avail[:idx] + avail[idx + 1:])
-                prefix.pop()
+        for idx, x in enumerate(avail):
+            nh = h + 1 if x > last else h - 1
+            if nh >= 0:
+                yield from rec(prefix + (x,), nh, x, avail[:idx] + avail[idx + 1:])
 
-    yield from rec(0, tuple(range(1, n + 1)))
+    # a virtual letter 0 at height -1 makes the first letter an ascent to height 0
+    yield from rec((), -1, 0, tuple(range(1, n + 1)))
 
 
-def enumerate_odd_order(n: int):
-    """Yield the odd order permutations of [n] once each, as canonical decompositions.
+def _odd_stream(n: int):
+    """Yield (member, cyclic weight, cyclic neighbors of n) for the odd order
+    permutations of [n], once each, as canonical decompositions; the neighbors
+    are None when n is fixed.
 
     Cycles are built smallest available letter first; closing a cycle is
     offered before every extension, so the stream is lexicographic on the
-    canonical cycle encoding.
+    canonical cycle encoding.  The open cycle counts its descents as it grows;
+    closing it adds the wrap-around descent back to its smallest letter, and
+    the cycle's weight min(cdes, k - cdes) joins the total.
     """
     _check_budget("odd", n)
-    cycles: list[tuple[int, ...]] = []
-    cyc: list[int] = []
 
-    def rec(unused):
-        if not cyc:
+    def rec(done, cyc, unused, weight, des, nb):
+        k = len(cyc)
+        if k % 2 == 1:
+            cdes = des + (k > 1)
+            total = weight + min(cdes, k - cdes)
+            found = nb
+            if k > 1 and n in cyc:
+                t = cyc.index(n)
+                found = cyc[t - 1], cyc[(t + 1) % k]
             if not unused:
-                yield tuple(cycles)
-                return
-            cyc.append(unused[0])
-            yield from rec(unused[1:])
-            cyc.pop()
-            return
-        if len(cyc) % 2 == 1:
-            cycles.append(tuple(cyc))
-            saved = cyc[:]
-            cyc.clear()
-            yield from rec(unused)
-            cyc.extend(saved)
-            cycles.pop()
+                yield done + (cyc,), total, found
+            else:  # the next cycle opens at the smallest unused letter
+                yield from rec(done + (cyc,), unused[:1], unused[1:], total, 0, found)
+        last = cyc[-1]
         for idx, x in enumerate(unused):
-            cyc.append(x)
-            yield from rec(unused[:idx] + unused[idx + 1:])
-            cyc.pop()
+            yield from rec(done, cyc + (x,), unused[:idx] + unused[idx + 1:], weight, des + (last > x), nb)
 
-    yield from rec(tuple(range(1, n + 1)))
+    yield from rec((), (1,), tuple(range(2, n + 1)), 0, 0, None)
+
+
+def enumerate_ballot(n: int):
+    """Yield the ballot permutations of [n] once each, in lexicographic order."""
+    for member, _, _ in _ballot_stream(n):
+        yield member
+
+
+def enumerate_odd_order(n: int):
+    """Yield the odd order permutations of [n] once each, as canonical decompositions,
+    in lexicographic order of the cycle encoding."""
+    for member, _, _ in _odd_stream(n):
+        yield member
 
 
 def ballot_cell(p: Word) -> tuple[int, tuple[int, int] | None]:
@@ -141,10 +150,6 @@ def ballot_cell(p: Word) -> tuple[int, tuple[int, int] | None]:
 def odd_cell(cycles: CycleDecomposition) -> tuple[int, tuple[int, int] | None]:
     """(cyclic weight, cyclic neighbors of n) for a decomposition; None when n is fixed."""
     return perm_weight(cycles), max_letter_neighbors(cycles)
-
-
-_CELL_FN = {"ballot": ballot_cell, "odd": odd_cell}
-_STREAM_FN = {"ballot": enumerate_ballot, "odd": enumerate_odd_order}
 
 
 @dataclass(frozen=True)
@@ -460,11 +465,12 @@ def count_word_pair(n: int, d: int, u, v) -> int:
     key = (n, u, v)
     vector = _WORD_PAIRS.get(key)
     if vector is None:
-        needle = u + (n,) + v
+        needle, anchor = u + (n,) + v, (u[-1], v[0])
         counts = [0] * ((n - 1) // 2 + 1)
-        for p in enumerate_ballot(n):
-            if find_factor(p, needle) is not None:
-                counts[descents(p)] += 1
+        # n occurs once, so only members whose n sits between u[-1] and v[0] can hold u n v
+        for p, stat, nb in _ballot_stream(n):
+            if nb == anchor and find_factor(p, needle) is not None:
+                counts[stat] += 1
         vector = tuple(counts)
         _WORD_PAIRS[key] = vector
     return vector[d]
@@ -482,9 +488,7 @@ class MemberIndex:
         self.n = n
         by_d: dict[int, list] = {}
         by_cell: dict[tuple[int, int, int], list] = {}
-        cell_fn = _CELL_FN[kind]
-        for member in _STREAM_FN[kind](n):
-            d, nb = cell_fn(member)
+        for member, d, nb in (_ballot_stream if kind == "ballot" else _odd_stream)(n):
             by_d.setdefault(d, []).append(member)
             if nb is not None:
                 by_cell.setdefault((d, nb[0], nb[1]), []).append(member)

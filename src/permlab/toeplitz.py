@@ -7,18 +7,23 @@ cycle's length and cyclic descent number (cycle form).
 
 One routine serves both directions.  It finds the core at one end of the
 interval [m, M+1]: the widest run of "discretely continuous" letters anchored
-next to n.  It then writes the core of the same width at the other end and
-relabels the interval letters displaced by the rewrite in the
-order-preserving way.  The shift reads the core at the lower end (neighbors
-i, j) and writes it at the upper end (neighbors i+1, j+1); its inverse reads
-and writes the other way round.  The two cores are mirror images under
-x -> m + M + 1 - x, and the whole rewrite is one letter bijection, so the
-cycle structure is carried along for free.
+next to n.  The search walks positions: one map from letter to index in the
+host, and the factor i n j, the run's width and the core's start are each
+read by stepping from one position (around the cycle for decompositions),
+never by scanning the host for each candidate length.  It then writes the
+core of the same width at the other end and relabels the interval letters
+displaced by the rewrite in the order-preserving way.  The shift reads the
+core at the lower end (neighbors i, j) and writes it at the upper end
+(neighbors i+1, j+1); its inverse reads and writes the other way round.
+The two cores are mirror images under x -> m + M + 1 - x, and the whole
+rewrite is one letter bijection, so the cycle structure is carried along for
+free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .cycles import (
     canonicalize_cycles,
@@ -27,9 +32,10 @@ from .cycles import (
     is_odd_order,
 )
 from .errors import DomainError
-from .words import Word, adjacent_in, check_permutation, is_ballot, locate_factor
+from .words import Word, check_permutation, is_ballot
 
 
+@cache
 def _run(m: int, M: int, length: int, upper: bool) -> Word:
     """Run of the given length at one end of [m, M+1]: m, m+1, ... writing M+1
     in place of M at the lower end, or its mirror image M+1, M, ... writing m
@@ -39,6 +45,7 @@ def _run(m: int, M: int, length: int, upper: bool) -> Word:
     return tuple(M + 1 if x == M else x for x in range(m, m + length))
 
 
+@cache
 def _core_word(n: int, i: int, j: int, width: int, upper: bool) -> Word:
     """The core of the given width next to n, at neighbors (i, j) on the lower
     end or (i+1, j+1) on the upper end."""
@@ -75,6 +82,24 @@ def _host(p, cyclic: bool):
     return word, word, None
 
 
+def _walk(pos: dict[int, int], letters: Word, step: int, wrap: int | None) -> int:
+    """How many leading ``letters`` sit at consecutive positions of the host,
+    read from the first one in the direction of ``step`` (+1 or -1); positions
+    are taken modulo ``wrap`` on a cycle.  0 when the first letter is absent."""
+    t = pos.get(letters[0])
+    if t is None:
+        return 0
+    count = 1
+    for x in letters[1:]:
+        t += step
+        if wrap:
+            t %= wrap
+        if pos.get(x) != t:
+            break
+        count += 1
+    return count
+
+
 def _find_core(host: Word, k: int | None, i: int, j: int, cyclic: bool, upper: bool) -> CoreData:
     """The core at the lower (upper=False) or upper end of [m, M+1] in the host."""
     n = max(host)
@@ -82,22 +107,26 @@ def _find_core(host: Word, k: int | None, i: int, j: int, cyclic: bool, upper: b
         raise DomainError(f"shift letters must satisfy 1 <= i != j <= n-2 = {n - 2}, got ({i}, {j})")
     m, M = min(i, j), max(i, j)
     left, right = (i + 1, j + 1) if upper else (i, j)
-    if locate_factor(host, (left, n, right), cyclic) is None:
+    # Letters are distinct, so a factor occurs exactly when its letters sit at
+    # consecutive positions; every test below is a walk over one position map.
+    pos = {x: t for t, x in enumerate(host)}
+    wrap = len(host) if cyclic else None
+    if _walk(pos, (left, n, right), 1, wrap) < 3:
         kind = "cyclic factor" if cyclic else "factor"
         raise DomainError(f"input does not contain the {kind} {left} {n} {right}")
     # The width is the largest length whose run (or its reversal) occurs in the
-    # host, or 0 when M, M+1 (m, m+1 at the upper end) sit together.
+    # host, or 0 when M, M+1 (m, m+1 at the upper end) sit together.  Runs of
+    # every length are prefixes of the full run, so the width is the longest
+    # prefix of it that sits at consecutive positions, forwards or backwards.
+    pair = (m, m + 1) if upper else (M, M + 1)
     width = 0
-    if not adjacent_in(host, *((m, m + 1) if upper else (M, M + 1)), cyclic):
-        for length in range(1, M - m + 2):
-            run = _run(m, M, length, upper)
-            if locate_factor(host, run, cyclic) is None and locate_factor(host, run[::-1], cyclic) is None:
-                break
-            width = length
+    if max(_walk(pos, pair, 1, wrap), _walk(pos, pair, -1, wrap)) < 2:
+        run = _run(m, M, M - m + 1, upper)
+        width = max(_walk(pos, run, 1, wrap), _walk(pos, run, -1, wrap))
     core = _core_word(n, i, j, width, upper)
-    start = locate_factor(host, core, cyclic)
-    if start is None:
+    if _walk(pos, core, 1, wrap) < len(core):
         raise DomainError(f"widest run is not anchored at the largest letter in {host}")
+    start = pos[core[0]] + 1
     return CoreData(m=m, M=M, width=width, core=core, position=start if k is None else (k + 1, start))
 
 

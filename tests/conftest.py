@@ -3,12 +3,7 @@ import itertools
 import pytest
 from hypothesis import HealthCheck, settings
 
-from permlab.enumeration import (
-    ballot_cell,
-    enumerate_ballot,
-    enumerate_odd_order,
-    odd_cell,
-)
+from permlab.enumeration import _ballot_stream, _odd_stream
 from permlab.words import is_ballot
 
 settings.register_profile(
@@ -82,15 +77,15 @@ def reference_table(kind, n):
     """(totals, cells) of one count table, by classifying every streamed member.
 
     The exhaustive builder the exact counting DP replaced, kept as its oracle:
-    one pass over the pruned generator, one (d, i, j) cell per member.
+    one pass over the pruned generator, which yields each member with its
+    statistic and neighbor cell; test_enumeration holds those to the
+    standalone classifiers ballot_cell and odd_cell.
     """
-    stream, cell_fn = {"ballot": (enumerate_ballot, ballot_cell),
-                       "odd": (enumerate_odd_order, odd_cell)}[kind]
+    stream = {"ballot": _ballot_stream, "odd": _odd_stream}[kind]
     d_max = (n - 1) // 2
     totals = [0] * (d_max + 1)
     cells = [[[0] * (n - 1) for _ in range(n - 1)] for _ in range(d_max + 1)]
-    for member in stream(n):
-        d, nb = cell_fn(member)
+    for _, d, nb in stream(n):
         totals[d] += 1
         if nb is not None:
             cells[d][nb[0] - 1][nb[1] - 1] += 1

@@ -310,6 +310,20 @@ def test_unusable_cache_dir_exits_2_without_traceback(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+def test_closed_stdout_exits_141_without_traceback():
+    # the reader stops after one line, as `permlab enumerate ... | head -1` does
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "permlab.cli", "enumerate", "--kind", "ballot", "--n", "9"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    status = proc.wait(timeout=60)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert first == b"1 2 3 4 5 6 7 8 9\n"
+    assert (status, err) == (141, b"")
+
+
 def test_cache_dir_flag_writes_and_reuses(tmp_path, capsys):
     enumeration.clear_memo()
     code, first, _ = run_cli(capsys, "--cache-dir", str(tmp_path),

@@ -3,6 +3,8 @@ import pytest
 from permlab.cycles import format_cycles
 from permlab.enumeration import (
     CountKey,
+    _ballot_stream,
+    _odd_stream,
     ballot_cell,
     ballot_count_closed,
     build_matrix,
@@ -152,6 +154,17 @@ def test_count_tables_match_enumeration_reference(kind, enumeration_reference):
         table = count_table(kind, n)
         assert (table.kind, table.n) == (kind, n)
         assert (table.totals, table.cells) == enumeration_reference(kind, n), (kind, n)
+
+
+@pytest.mark.parametrize("stream, members, cell_fn", [
+    (_ballot_stream, enumerate_ballot, ballot_cell),
+    (_odd_stream, enumerate_odd_order, odd_cell),
+], ids=["ballot", "odd"])
+def test_fused_streams_match_the_standalone_classifier(stream, members, cell_fn):
+    # the statistic and neighbor cell counted while streaming, against
+    # classifying each finished member from scratch
+    for n in range(1, 10):
+        assert list(stream(n)) == [(m, *cell_fn(m)) for m in members(n)], n
 
 
 def test_odd_table_at_11():

@@ -1,10 +1,10 @@
 import pytest
 
 from permlab.cycles import cycle_stats, parse_cycles, perm_weight
-from permlab.enumeration import member_index
+from permlab.enumeration import ballot_cell, enumerate_ballot, enumerate_odd_order, member_index, odd_cell
 from permlab.errors import DomainError
-from permlab.toeplitz import lower_core, shift, shift_inv, upper_core
-from permlab.words import descents, is_ballot
+from permlab.toeplitz import _run, lower_core, shift, shift_inv, upper_core
+from permlab.words import adjacent_in, descents, is_ballot, locate_factor
 
 PI_CYCLIC = parse_cycles("(1 6 8 2 10)(3 12 9 11 7 5 4)")
 SIGMA_CYCLIC = parse_cycles("(1 3 6 2 7)(10 9 8 11 5 4 12)")
@@ -150,3 +150,48 @@ def test_shift_domain_errors():
         with pytest.raises(DomainError) as exc:
             call()
         assert str(exc.value) == message
+
+
+def scan_core(host, i, j, cyclic, upper):
+    """(width, core, 1-based start) by the definition: try every run length in
+    turn, searching the whole host for the run and its reversal."""
+    n = max(host)
+    m, M = min(i, j), max(i, j)
+    left, right = (i + 1, j + 1) if upper else (i, j)
+    width = 0
+    if not adjacent_in(host, *((m, m + 1) if upper else (M, M + 1)), cyclic):
+        for length in range(1, M - m + 2):
+            run = _run(m, M, length, upper)
+            if locate_factor(host, run, cyclic) is None and locate_factor(host, run[::-1], cyclic) is None:
+                break
+            width = length
+    run = _run(m, M, width, upper)
+    core = (left, n) + run if (i < j) == upper else run[::-1] + (n, right)
+    return width, core, locate_factor(host, core, cyclic)
+
+
+def test_core_search_matches_the_per_length_scan():
+    # every member of both kinds for n <= 7, at its own cell for lower_core and
+    # one cell down for upper_core, wherever the maps accept the letters
+    seen = {"whole cycle": 0, "adjacent pair": 0, "calls": 0}
+    for n in range(4, 8):
+        for members, cyclic in ((enumerate_ballot(n), False), (enumerate_odd_order(n), True)):
+            for p in members:
+                _, nb = (odd_cell if cyclic else ballot_cell)(p)
+                if nb is None:
+                    continue
+                host = next(c for c in p if n in c) if cyclic else p
+                a, b = nb
+                for core_fn, i, j, upper in ((lower_core, a, b, False), (upper_core, a - 1, b - 1, True)):
+                    if i == 0 or j == 0 or max(i, j) > n - 2:
+                        continue
+                    cd = core_fn(p, i, j, cyclic=cyclic)
+                    width, core, start = scan_core(host, i, j, cyclic, upper)
+                    if cyclic:
+                        start = (next(t for t, c in enumerate(p) if n in c) + 1, start)
+                    assert (cd.width, cd.core, cd.position) == (width, core, start), (p, i, j, upper)
+                    m, M = min(i, j), max(i, j)
+                    seen["calls"] += 1
+                    seen["whole cycle"] += cyclic and len(core) == len(host)
+                    seen["adjacent pair"] += adjacent_in(host, *((m, m + 1) if upper else (M, M + 1)), cyclic)
+    assert min(seen.values()) > 0, seen
