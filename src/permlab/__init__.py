@@ -18,10 +18,8 @@ from .cycles import (
     cycle_stats,
     cycles_from_one_line,
     format_cycles,
-    one_line_from_cycles,
     parse_cycles,
     perm_weight,
-    reverse_cycles,
 )
 from .enumeration import (
     CountKey,
@@ -42,11 +40,8 @@ from .words import (
     format_word,
     height,
     is_ballot,
-    locate_factor,
     parse_word,
     reversal,
-    signature,
-    standard_form,
 )
 
 __version__ = "0.1.0"

@@ -107,7 +107,7 @@ class DiskCache:
                 totals=tuple(payload["totals"]),
                 cells=tuple(tuple(tuple(row) for row in layer) for layer in payload["cells"]),
             )
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError, RecursionError):
             return None
 
     def save(self, table: CountTable) -> None:
@@ -212,19 +212,23 @@ def _report_text(report: verify.VerificationReport) -> str:
 def _verify_bounds(args) -> dict[str, int | None]:
     """The bound each requested check runs at, all resolved before the first one starts.
 
-    Under ``--check all`` a blanket ``--max-n`` is brought into each check's
-    range ``[min_n, budget_cap]``, where the cap is the smallest budget the
-    check reads.  Each check bounded below ``--max-n`` is named on stderr.
+    Under ``--check all`` a blanket ``--max-n`` of at least 1 is brought into
+    each check's range ``[min_n, budget_cap]``, where the cap is the smallest
+    budget the check reads.  Each check bounded below or raised above
+    ``--max-n`` is named on stderr.
     """
     if args.check != "all":
         return {args.check: args.max_n}
+    if args.max_n is not None and args.max_n < 1:
+        raise DomainError(f"--max-n must be at least 1, got {args.max_n}")
     bounds = {}
     for info in verify.CHECKS.values():
         max_n = args.max_n
         if max_n is not None:
             max_n = max(info.min_n, min(max_n, info.budget_cap))
-            if max_n < args.max_n:
-                print(f"permlab: {info.name} runs at max_n={max_n}, below --max-n {args.max_n}",
+            if max_n != args.max_n:
+                side = "below" if max_n < args.max_n else "above"
+                print(f"permlab: {info.name} runs at max_n={max_n}, {side} --max-n {args.max_n}",
                       file=sys.stderr)
         bounds[info.name] = max_n
     return bounds

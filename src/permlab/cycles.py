@@ -64,17 +64,6 @@ def cycles_from_one_line(p: Word) -> CycleDecomposition:
     return tuple(cycles)
 
 
-def one_line_from_cycles(cycles: CycleDecomposition) -> Word:
-    """One-line form of the permutation mapping each cycle letter to its successor."""
-    cycles = canonicalize_cycles(cycles)
-    n = decomposition_size(cycles)
-    image = [0] * (n + 1)
-    for c in cycles:
-        for t, x in enumerate(c):
-            image[x] = c[(t + 1) % len(c)]
-    return tuple(image[1:])
-
-
 def cycle_stats(c: Cycle) -> tuple[int, int, int]:
     """(cyclic descents, cyclic ascents, weight) of one cycle.
 
@@ -88,18 +77,9 @@ def cycle_stats(c: Cycle) -> tuple[int, int, int]:
     return cdes, casc, min(cdes, casc)
 
 
-def cycle_weight(c: Cycle) -> int:
-    return cycle_stats(c)[2]
-
-
 def perm_weight(cycles: CycleDecomposition) -> int:
     """Total cyclic weight: the sum of min(cdes, casc) over all cycles."""
-    return sum(cycle_weight(c) for c in cycles)
-
-
-def reverse_cycles(cycles: CycleDecomposition) -> CycleDecomposition:
-    """Reverse every cycle word; exchanges cyclic descents and ascents per cycle."""
-    return canonicalize_cycles([tuple(reversed(c)) for c in cycles])
+    return sum(cycle_stats(c)[2] for c in cycles)
 
 
 def is_odd_order(cycles: CycleDecomposition) -> bool:

@@ -484,7 +484,6 @@ class MemberIndex:
     """
 
     def __init__(self, kind: str, n: int):
-        self.kind = kind
         self.n = n
         by_d: dict[int, list] = {}
         by_cell: dict[tuple[int, int, int], list] = {}

@@ -59,27 +59,24 @@ class CoreData:
     """Width and core of one permutation at one neighbor cell.
 
     ``core`` is a factor of the host (cyclic for decompositions) of length
-    ``width + 2`` containing the largest letter; ``position`` is its 1-based
-    start index, or (cycle index, offset) for the cyclic form.  ``m`` and
-    ``M`` are min(i, j) and max(i, j).
+    ``width + 2`` containing the largest letter.  ``m`` and ``M`` are
+    min(i, j) and max(i, j).
     """
 
     m: int
     M: int
     width: int
     core: Word
-    position: int | tuple[int, int]
 
 
 def _host(p, cyclic: bool):
-    """(normalized input, host word, cycle index of host) where the host is
-    the whole word, or the cycle containing n for decompositions."""
+    """(normalized input, host word) where the host is the whole word, or the
+    cycle containing n for decompositions."""
     if cyclic:
         cycles = canonicalize_cycles(p)
-        k, c = cycle_containing(cycles, decomposition_size(cycles))
-        return cycles, c, k
+        return cycles, cycle_containing(cycles, decomposition_size(cycles))[1]
     word = check_permutation(p)
-    return word, word, None
+    return word, word
 
 
 def _walk(pos: dict[int, int], letters: Word, step: int, wrap: int | None) -> int:
@@ -100,7 +97,7 @@ def _walk(pos: dict[int, int], letters: Word, step: int, wrap: int | None) -> in
     return count
 
 
-def _find_core(host: Word, k: int | None, i: int, j: int, cyclic: bool, upper: bool) -> CoreData:
+def _find_core(host: Word, i: int, j: int, cyclic: bool, upper: bool) -> CoreData:
     """The core at the lower (upper=False) or upper end of [m, M+1] in the host."""
     n = max(host)
     if i == j or not (1 <= i <= n - 2 and 1 <= j <= n - 2):
@@ -126,32 +123,29 @@ def _find_core(host: Word, k: int | None, i: int, j: int, cyclic: bool, upper: b
     core = _core_word(n, i, j, width, upper)
     if _walk(pos, core, 1, wrap) < len(core):
         raise DomainError(f"widest run is not anchored at the largest letter in {host}")
-    start = pos[core[0]] + 1
-    return CoreData(m=m, M=M, width=width, core=core, position=start if k is None else (k + 1, start))
+    return CoreData(m=m, M=M, width=width, core=core)
 
 
 def lower_core(p, i: int, j: int, *, cyclic: bool = False) -> CoreData:
     """Core anchored at the lower end of [m, M+1], for inputs with neighbor cell (i, j)."""
-    _, host, k = _host(p, cyclic)
-    return _find_core(host, k, i, j, cyclic, upper=False)
+    return _find_core(_host(p, cyclic)[1], i, j, cyclic, upper=False)
 
 
 def upper_core(s, i: int, j: int, *, cyclic: bool = False) -> CoreData:
     """Core anchored at the upper end of [m, M+1], for inputs with neighbor cell (i+1, j+1)."""
-    _, host, k = _host(s, cyclic)
-    return _find_core(host, k, i, j, cyclic, upper=True)
+    return _find_core(_host(s, cyclic)[1], i, j, cyclic, upper=True)
 
 
 def _move(p, i: int, j: int, cyclic: bool, upper: bool):
     """Replace the core at one end of [m, M+1] by the core of the same width at
     the other end, relabeling the rest of the interval in order."""
-    normalized, host, k = _host(p, cyclic)
+    normalized, host = _host(p, cyclic)
     if cyclic:
         if not is_odd_order(normalized):
             raise DomainError("cyclic shift needs an odd order permutation")
     elif not is_ballot(normalized):
         raise DomainError("linear shift needs a ballot permutation")
-    cd = _find_core(host, k, i, j, cyclic, upper)
+    cd = _find_core(host, i, j, cyclic, upper)
     new_core = _core_word(max(host), i, j, cd.width, not upper)
     interval = set(range(cd.m, cd.M + 2))
     mapping = dict(zip(cd.core, new_core))

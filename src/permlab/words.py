@@ -12,7 +12,6 @@ from __future__ import annotations
 from .errors import DomainError
 
 Word = tuple[int, ...]
-Signature = tuple[int, ...]
 
 
 def check_word(letters) -> Word:
@@ -56,17 +55,6 @@ def height(w: Word) -> int:
     return asc - des
 
 
-def prefix_heights(w: Word) -> tuple[int, ...]:
-    """Heights of the nonempty prefixes of ``w``, in order."""
-    out = []
-    h = 0
-    for k in range(len(w)):
-        if k:
-            h += 1 if w[k - 1] < w[k] else -1
-        out.append(h)
-    return tuple(out)
-
-
 def is_ballot(w) -> bool:
     """True iff every prefix of ``w`` has nonnegative height (true for the empty word)."""
     h = 0
@@ -82,21 +70,6 @@ def reversal(w: Word) -> Word:
     return tuple(reversed(w))
 
 
-def signature(w: Word) -> Signature:
-    """The +-1 sequence with -1 at each descent and +1 at each ascent."""
-    if not w:
-        raise DomainError("signature needs a nonempty word")
-    return tuple(1 if a < b else -1 for a, b in zip(w, w[1:]))
-
-
-def standard_form(w: Word) -> Word:
-    """The unique relabeling of ``w`` onto {1, ..., len(w)} with the same relative order."""
-    if not w:
-        raise DomainError("standard form of the empty word is undefined")
-    rank = {letter: k for k, letter in enumerate(sorted(w), start=1)}
-    return tuple(rank[letter] for letter in w)
-
-
 def find_factor(host: Word, needle: Word) -> int | None:
     """1-based start of the leftmost occurrence of ``needle`` as a contiguous factor, or None."""
     if not needle:
@@ -106,39 +79,6 @@ def find_factor(host: Word, needle: Word) -> int | None:
         if host[s:s + k] == needle:
             return s + 1
     return None
-
-
-def find_cyclic_factor(host: Word, needle: Word) -> int | None:
-    """1-based start of ``needle`` read cyclically around ``host``, or None.
-
-    The host is treated as a cyclic word: matches may wrap past the end.  A
-    needle longer than the host never occurs.
-    """
-    if not needle:
-        raise DomainError("factor search needs a nonempty word")
-    k, t = len(host), len(needle)
-    if t > k:
-        return None
-    doubled = host + host
-    for s in range(k):
-        if doubled[s:s + t] == needle:
-            return s + 1
-    return None
-
-
-def locate_factor(host: Word, needle: Word, cyclic: bool = False) -> int | None:
-    """Factor search in a word (cyclic=False) or around a cyclic word (cyclic=True)."""
-    return find_cyclic_factor(host, needle) if cyclic else find_factor(host, needle)
-
-
-def adjacent_in(host: Word, x: int, y: int, cyclic: bool = False) -> bool:
-    """Whether the letters x and y occupy neighboring positions of ``host``."""
-    try:
-        px, py = host.index(x), host.index(y)
-    except ValueError:
-        return False
-    diff = abs(px - py)
-    return diff == 1 or (cyclic and len(host) > 1 and diff == len(host) - 1)
 
 
 def swap_letters(w: Word, a: int, b: int) -> Word:

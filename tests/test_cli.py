@@ -202,6 +202,25 @@ def test_verify_all_clamps_max_n_to_each_cap(capsys, monkeypatch):
     # every lowered bound is named on stderr before the first check runs
     notes = err_at_first_call[0].splitlines()
     assert {line.split()[1] for line in notes} == member_checks
+    assert all(line.endswith(", below --max-n 10") for line in notes)
+
+    # a bound under a check's min_n raises it to that floor, and each raised
+    # check is named on stderr before the first check runs
+    calls.clear()
+    err_at_first_call.clear()
+    code, out, _ = run_cli(capsys, "verify", "--check", "all", "--max-n", "2")
+    raised = {name: info.min_n for name, info in verify.CHECKS.items() if info.min_n > 2}
+    assert code == 0 and len(out.splitlines()) == 18
+    assert calls == [(name, raised.get(name, 2)) for name in verify.CHECKS]
+    assert sorted(err_at_first_call[0].splitlines()) == sorted(
+        f"permlab: {name} runs at max_n={floor}, above --max-n 2" for name, floor in raised.items())
+
+    # a bound below 1 is refused before any check runs
+    for bad in ("0", "-1"):
+        calls.clear()
+        code, out, err = run_cli(capsys, "verify", "--check", "all", "--max-n", bad)
+        assert (code, out, calls) == (2, "", [])
+        assert err == f"permlab: --max-n must be at least 1, got {bad}\n"
 
     # without --max-n each check keeps its default bound
     calls.clear()
@@ -288,13 +307,14 @@ def test_forged_cache_file_is_recomputed(tmp_path, capsys):
 
 def test_cache_file_that_is_not_a_json_object_is_recomputed(tmp_path, capsys):
     cache = DiskCache(tmp_path)
-    for blob in ("[]", "null", "5", '"x"'):
+    # the last blob is nested too deeply for the JSON parser to read
+    for blob in ("[]", "null", "5", '"x"', "[" * 200_000 + "]" * 200_000):
         cache._path("ballot", 5).write_text(blob)
         assert cache.load("ballot", 5) is None, blob
         enumeration.clear_memo()
         code, out, err = run_cli(capsys, "--cache-dir", str(tmp_path),
                                  "count", "--kind", "ballot", "--n", "5")
-        assert (code, out.strip(), err) == (0, "45", ""), blob
+        assert (code, out.strip(), err) == (0, "45", ""), blob[:8]
 
 
 def test_unusable_cache_dir_exits_2_without_traceback(tmp_path):

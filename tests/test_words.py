@@ -4,24 +4,17 @@ from hypothesis import strategies as st
 
 from permlab.errors import DomainError
 from permlab.words import (
-    adjacent_in,
     ascent_descent,
-    find_cyclic_factor,
     find_factor,
     format_word,
     height,
     is_ballot,
-    locate_factor,
     parse_word,
-    prefix_heights,
     reversal,
-    signature,
-    standard_form,
     swap_letters,
 )
 
 words = st.lists(st.integers(1, 200), max_size=12, unique=True).map(tuple)
-nonempty_words = st.lists(st.integers(1, 200), min_size=1, max_size=12, unique=True).map(tuple)
 
 
 def test_height_examples():
@@ -38,15 +31,6 @@ def test_descent_stats_examples():
     assert ascent_descent(()) == (0, 0)
 
 
-def test_signature_examples():
-    assert signature((1, 3, 2)) == (1, -1)
-    assert signature(tuple(range(1, 6))) == (1, 1, 1, 1)
-    assert signature((3, 8, 2, 5, 4, 9, 6, 7, 1)) == (1, -1, 1, -1, 1, -1, 1, -1)
-    assert signature((7,)) == ()
-    with pytest.raises(DomainError):
-        signature(())
-
-
 def test_is_ballot_examples():
     assert is_ballot((2, 3, 4, 1))
     assert not is_ballot((2, 1, 3))
@@ -61,14 +45,6 @@ def test_reversal():
     assert reversal((7, 5, 9, 6)) == (6, 9, 5, 7)
 
 
-def test_standard_form_examples():
-    assert standard_form((2, 7, 5)) == (1, 3, 2)
-    assert standard_form((1, 2, 3)) == (1, 2, 3)
-    assert standard_form((8, 4, 9)) == (2, 1, 3)
-    with pytest.raises(DomainError):
-        standard_form(())
-
-
 def test_find_factor():
     host = (3, 8, 2, 5, 4, 9, 6, 7, 1)
     assert find_factor(host, (9, 6)) == 6
@@ -76,28 +52,6 @@ def test_find_factor():
     assert find_factor((1, 2, 3), (2, 1)) is None
     with pytest.raises(DomainError):
         find_factor(host, ())
-
-
-def test_find_cyclic_factor():
-    cycle = (2, 6, 8, 3, 7)
-    assert find_cyclic_factor(cycle, (3, 7, 2)) == 4
-    assert find_cyclic_factor(cycle, (2, 6)) == 1
-    assert find_cyclic_factor(cycle, (6, 2)) is None
-    assert find_cyclic_factor((5,), (5, 1)) is None
-
-
-def test_locate_factor_dispatch():
-    assert locate_factor((2, 6, 8, 3, 7), (3, 7, 2), cyclic=True) == 4
-    assert locate_factor((2, 6, 8, 3, 7), (3, 7, 2), cyclic=False) is None
-
-
-def test_adjacent_in():
-    host = (3, 8, 2, 5, 4)
-    assert adjacent_in(host, 8, 2)
-    assert adjacent_in(host, 2, 8)
-    assert not adjacent_in(host, 3, 4)
-    assert adjacent_in(host, 3, 4, cyclic=True)
-    assert not adjacent_in(host, 3, 9)
 
 
 def test_swap_letters():
@@ -128,22 +82,9 @@ def test_reversal_negates_height(w):
     assert reversal(reversal(w)) == w
 
 
-@given(nonempty_words)
-def test_standard_form_preserves_signature(w):
-    s = standard_form(w)
-    assert sorted(s) == list(range(1, len(w) + 1))
-    assert signature(s) == signature(w)
-
-
 @given(words)
 def test_ballot_matches_prefix_scan(w):
-    assert is_ballot(w) == all(h >= 0 for h in prefix_heights(w))
-
-
-@given(nonempty_words)
-def test_prefix_heights_consistent(w):
-    assert prefix_heights(w)[-1] == height(w)
-    assert len(prefix_heights(w)) == len(w)
+    assert is_ballot(w) == all(height(w[:k]) >= 0 for k in range(1, len(w) + 1))
 
 
 def test_reversal_on_ten_thousand_random_words():
