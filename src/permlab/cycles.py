@@ -33,11 +33,13 @@ def canonicalize_cycles(raw) -> CycleDecomposition:
     incomplete letter sets are rejected.  Two inputs describing the same
     permutation yield identical output.
     """
-    cycles = [rotate_min_first(c) for c in raw]
+    cycles = [c if c and c[0] == min(c) else rotate_min_first(c) for c in map(tuple, raw)]
     letters = [x for c in cycles for x in c]
     if sorted(letters) != list(range(1, len(letters) + 1)):
         raise DomainError(f"cycles must partition {{1, ..., n}}, got letters {sorted(letters)}")
-    return tuple(sorted(cycles, key=lambda c: c[0]))
+    # the minima are distinct once the letters partition [n], so plain tuple
+    # order is the order by minimum
+    return tuple(sorted(cycles))
 
 
 def decomposition_size(cycles: CycleDecomposition) -> int:

@@ -23,7 +23,7 @@ from math import comb
 
 from .cycles import CycleDecomposition, max_letter_neighbors, perm_weight
 from .errors import BudgetError, DomainError
-from .words import Word, descents, find_factor
+from .words import Word, check_word, descents, find_factor
 
 KINDS = ("ballot", "odd")
 
@@ -93,7 +93,7 @@ def _ballot_stream(n: int):
     yield from rec((), -1, 0, tuple(range(1, n + 1)))
 
 
-def _odd_stream(n: int):
+def _odd_stream(n: int, head: Word = (1,)):
     """Yield (member, cyclic weight, cyclic neighbors of n) for the odd order
     permutations of [n], once each, as canonical decompositions; the neighbors
     are None when n is fixed.
@@ -103,6 +103,11 @@ def _odd_stream(n: int):
     canonical cycle encoding.  The open cycle counts its descents as it grows;
     closing it adds the wrap-around descent back to its smallest letter, and
     the cycle's weight min(cdes, k - cdes) joins the total.
+
+    ``head`` is the opening of the first cycle, which starts with 1: only the
+    members whose canonical first cycle opens with these letters are yielded,
+    in the same order as in the whole stream.  The members whose n has cyclic
+    neighbors (1, s) are exactly those with head (1, n, s).
     """
     _check_budget("odd", n)
 
@@ -123,7 +128,8 @@ def _odd_stream(n: int):
         for idx, x in enumerate(unused):
             yield from rec(done, cyc + (x,), unused[:idx] + unused[idx + 1:], weight, des + (last > x), nb)
 
-    yield from rec((), (1,), tuple(range(2, n + 1)), 0, 0, None)
+    rest = tuple(x for x in range(1, n + 1) if x not in head)
+    yield from rec((), head, rest, 0, descents(head), None)
 
 
 def enumerate_ballot(n: int):
@@ -450,16 +456,17 @@ _WORD_PAIRS: dict[tuple[int, Word, Word], tuple[int, ...]] = {}
 
 
 def count_word_pair(n: int, d: int, u, v) -> int:
-    """Ballot permutations of [n] with statistic d containing the factor u n v."""
+    """Ballot permutations of [n] with statistic d containing the factor u n v.
+
+    The letters of u and v must be pairwise distinct integers in [1, n-1]; any
+    other pair could never occur, and is refused before any member is streamed.
+    """
     u, v = tuple(u), tuple(v)
     if not u or not v:
         raise DomainError("word-pair counts need nonempty words on both sides")
-    if set(u) & set(v):
-        raise DomainError(f"word pair letters overlap: {u} and {v}")
-    if n in u or n in v:
-        raise DomainError(f"word pair letters must not contain n={n}")
-    if len(u) + len(v) + 1 > n:
-        return 0
+    check_word(u + v)
+    if max(u + v) > n - 1:
+        raise DomainError(f"word pair letters must lie in [1, n-1] = [1, {n - 1}]: {u} and {v}")
     if d < 0 or d > (n - 1) // 2:
         return 0
     key = (n, u, v)

@@ -7,14 +7,16 @@ cycle's length and cyclic descent number (cycle form).
 
 One routine serves both directions.  It finds the core at one end of the
 interval [m, M+1]: the widest run of "discretely continuous" letters anchored
-next to n.  The search walks positions: one map from letter to index in the
-host, and the factor i n j, the run's width and the core's start are each
-read by stepping from one position (around the cycle for decompositions),
-never by scanning the host for each candidate length.  It then writes the
-core of the same width at the other end and relabels the interval letters
-displaced by the rewrite in the order-preserving way.  The shift reads the
-core at the lower end (neighbors i, j) and writes it at the upper end
-(neighbors i+1, j+1); its inverse reads and writes the other way round.
+next to n.  The search is index arithmetic on the host (around the cycle for
+decompositions): the factor i n j and the core are read at fixed offsets
+from the position of n, and the adjacent pair test and the run's width walk
+each way from where their first letter sits, never scanning the host for
+each candidate length.  It then writes the core of the same width at the
+other end and relabels the interval letters displaced by the rewrite in the
+order-preserving way.  That relabeling depends only on (n, i, j, width, end),
+so it is built once per key as a table from letter to image.  The shift
+reads the core at the lower end (neighbors i, j) and writes it at the upper
+end (neighbors i+1, j+1); its inverse reads and writes the other way round.
 The two cores are mirror images under x -> m + M + 1 - x, and the whole
 rewrite is one letter bijection, so the cycle structure is carried along for
 free.
@@ -79,80 +81,109 @@ def _host(p, cyclic: bool):
     return word, word
 
 
-def _walk(pos: dict[int, int], letters: Word, step: int, wrap: int | None) -> int:
-    """How many leading ``letters`` sit at consecutive positions of the host,
-    read from the first one in the direction of ``step`` (+1 or -1); positions
-    are taken modulo ``wrap`` on a cycle.  0 when the first letter is absent."""
-    t = pos.get(letters[0])
-    if t is None:
+def _run_from(host: Word, letters: Word, cyclic: bool) -> int:
+    """The longest prefix of ``letters`` that sits at consecutive positions of
+    the host, read forwards or backwards from the first letter (around the
+    cycle for decompositions); 0 when the first letter is absent."""
+    if letters[0] not in host:
         return 0
-    count = 1
-    for x in letters[1:]:
-        t += step
-        if wrap:
-            t %= wrap
-        if pos.get(x) != t:
-            break
-        count += 1
-    return count
+    start, size, longest = host.index(letters[0]), len(host), 1
+    for step in (1, -1):
+        count, t = 1, start + step
+        for x in letters[1:]:
+            if cyclic:
+                t %= size
+            elif not 0 <= t < size:
+                break
+            if host[t] != x:
+                break
+            count += 1
+            t += step
+        if count > longest:
+            longest = count
+    return longest
 
 
-def _find_core(host: Word, i: int, j: int, cyclic: bool, upper: bool) -> CoreData:
-    """The core at the lower (upper=False) or upper end of [m, M+1] in the host."""
+def _find_core(host: Word, i: int, j: int, cyclic: bool, upper: bool) -> int:
+    """The width of the core at the lower (upper=False) or upper end of [m, M+1] in the host."""
     n = max(host)
     if i == j or not (1 <= i <= n - 2 and 1 <= j <= n - 2):
         raise DomainError(f"shift letters must satisfy 1 <= i != j <= n-2 = {n - 2}, got ({i}, {j})")
     m, M = min(i, j), max(i, j)
     left, right = (i + 1, j + 1) if upper else (i, j)
     # Letters are distinct, so a factor occurs exactly when its letters sit at
-    # consecutive positions; every test below is a walk over one position map.
-    pos = {x: t for t, x in enumerate(host)}
-    wrap = len(host) if cyclic else None
-    if _walk(pos, (left, n, right), 1, wrap) < 3:
+    # consecutive positions.  The factor and the core both hold n, so both are
+    # read at fixed offsets from n's position t in a ring: the cycle written
+    # twice, or the word padded with a letter 0 that matches nothing.
+    t = host.index(n)
+    if cyclic:
+        ring = host + host
+    else:
+        ring, t = (0,) + host + (0,), t + 1
+    if ring[t - 1] != left or ring[t + 1] != right:
         kind = "cyclic factor" if cyclic else "factor"
         raise DomainError(f"input does not contain the {kind} {left} {n} {right}")
     # The width is the largest length whose run (or its reversal) occurs in the
     # host, or 0 when M, M+1 (m, m+1 at the upper end) sit together.  Runs of
     # every length are prefixes of the full run, so the width is the longest
     # prefix of it that sits at consecutive positions, forwards or backwards.
-    pair = (m, m + 1) if upper else (M, M + 1)
     width = 0
-    if max(_walk(pos, pair, 1, wrap), _walk(pos, pair, -1, wrap)) < 2:
-        run = _run(m, M, M - m + 1, upper)
-        width = max(_walk(pos, run, 1, wrap), _walk(pos, run, -1, wrap))
+    if _run_from(host, (m, m + 1) if upper else (M, M + 1), cyclic) < 2:
+        width = _run_from(host, _run(m, M, M - m + 1, upper), cyclic)
     core = _core_word(n, i, j, width, upper)
-    if _walk(pos, core, 1, wrap) < len(core):
+    start = t - core.index(n)
+    if cyclic:
+        start %= len(host)
+    if start < 0 or ring[start:start + len(core)] != core:
         raise DomainError(f"widest run is not anchored at the largest letter in {host}")
-    return CoreData(m=m, M=M, width=width, core=core)
+    return width
+
+
+def _core_data(p, i: int, j: int, cyclic: bool, upper: bool) -> CoreData:
+    """The core at the lower (upper=False) or upper end of [m, M+1] in the input."""
+    host = _host(p, cyclic)[1]
+    width = _find_core(host, i, j, cyclic, upper)
+    return CoreData(m=min(i, j), M=max(i, j), width=width, core=_core_word(max(host), i, j, width, upper))
 
 
 def lower_core(p, i: int, j: int, *, cyclic: bool = False) -> CoreData:
     """Core anchored at the lower end of [m, M+1], for inputs with neighbor cell (i, j)."""
-    return _find_core(_host(p, cyclic)[1], i, j, cyclic, upper=False)
+    return _core_data(p, i, j, cyclic, upper=False)
 
 
 def upper_core(s, i: int, j: int, *, cyclic: bool = False) -> CoreData:
     """Core anchored at the upper end of [m, M+1], for inputs with neighbor cell (i+1, j+1)."""
-    return _find_core(_host(s, cyclic)[1], i, j, cyclic, upper=True)
+    return _core_data(s, i, j, cyclic, upper=True)
+
+
+@cache
+def _relabel(n: int, i: int, j: int, width: int, upper: bool) -> Word:
+    """Letter images, indexed by letter, of the rewrite that replaces the core at
+    one end of [m, M+1] by the core of the same width at the other end and
+    relabels the rest of the interval in order.  The core's letters are the
+    interval's and n, which may change places with one of them; every other
+    letter is fixed."""
+    core, new_core = _core_word(n, i, j, width, upper), _core_word(n, i, j, width, not upper)
+    interval = set(range(min(i, j), max(i, j) + 2))
+    table = list(range(n + 1))
+    for x, y in (*zip(core, new_core),
+                 *zip(sorted(interval - set(core)), sorted(interval - set(new_core)))):
+        table[x] = y
+    return tuple(table)
 
 
 def _move(p, i: int, j: int, cyclic: bool, upper: bool):
-    """Replace the core at one end of [m, M+1] by the core of the same width at
-    the other end, relabeling the rest of the interval in order."""
+    """Rewrite the core at one end of [m, M+1] as the core of the same width at the other end."""
     normalized, host = _host(p, cyclic)
     if cyclic:
         if not is_odd_order(normalized):
             raise DomainError("cyclic shift needs an odd order permutation")
     elif not is_ballot(normalized):
         raise DomainError("linear shift needs a ballot permutation")
-    cd = _find_core(host, i, j, cyclic, upper)
-    new_core = _core_word(max(host), i, j, cd.width, not upper)
-    interval = set(range(cd.m, cd.M + 2))
-    mapping = dict(zip(cd.core, new_core))
-    mapping.update(zip(sorted(interval - set(cd.core)), sorted(interval - set(new_core))))
+    image = _relabel(max(host), i, j, _find_core(host, i, j, cyclic, upper), upper).__getitem__
     if cyclic:
-        return canonicalize_cycles([tuple(mapping.get(x, x) for x in c) for c in normalized])
-    return tuple(mapping.get(x, x) for x in normalized)
+        return canonicalize_cycles([tuple(map(image, c)) for c in normalized])
+    return tuple(map(image, normalized))
 
 
 def shift(p, i: int, j: int, *, cyclic: bool = False):

@@ -33,6 +33,7 @@ from .cycles import cycle_stats, format_cycles
 from .enumeration import (
     BUDGETS,
     KINDS,
+    _odd_stream,
     ballot_count_closed,
     count_table,
     count_word_pair,
@@ -276,9 +277,14 @@ def _lemma42(n: int):
     def lengths(p, q):
         return None if sorted(map(len, p)) == sorted(map(len, q)) else (_fmt(p), _fmt(q))
 
-    idx = member_index("odd", n)
+    # the cells (d, 1, s) hold the members whose first cycle opens with 1 n s,
+    # so only those are streamed, never the whole member list
+    cells: dict[int, dict[int, list]] = {2: {}, 3: {}}
+    for s, by_d in cells.items():
+        for member, d, _ in _odd_stream(n, (1, n, s)):
+            by_d.setdefault(d, []).append(member)
     for d in range((n - 1) // 2 + 1):
-        yield _bijection({"n": n, "d": d}, idx.cell(d, 1, 2), idx.cell(d, 1, 3),
+        yield _bijection({"n": n, "d": d}, cells[2].get(d, ()), cells[3].get(d, ()),
                          cycle_flip, cycle_flip, (("cycle_lengths", lengths),))
 
 

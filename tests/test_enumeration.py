@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+from permlab import enumeration
 from permlab.cycles import format_cycles
 from permlab.enumeration import (
     CountKey,
@@ -167,6 +170,20 @@ def test_fused_streams_match_the_standalone_classifier(stream, members, cell_fn)
         assert list(stream(n)) == [(m, *cell_fn(m)) for m in members(n)], n
 
 
+@pytest.mark.parametrize("s", [2, 3])
+def test_seeded_odd_stream_is_the_index_cell(s):
+    # opening the first cycle with 1 n s streams exactly the members whose n
+    # has cyclic neighbors (1, s), each with its weight, in index order
+    for n in range(4, 10):
+        by_d = {}
+        for member, d, nb in _odd_stream(n, (1, n, s)):
+            assert nb == (1, s) and odd_cell(member) == (d, (1, s)), (n, member)
+            by_d.setdefault(d, []).append(member)
+        idx = member_index("odd", n)
+        assert {d: tuple(ms) for d, ms in by_d.items()} == \
+            {d: idx.cell(d, 1, s) for d in range((n - 1) // 2 + 1) if idx.cell(d, 1, s)}, n
+
+
 def test_odd_table_at_11():
     p = [count_table("odd", n).grand_total for n in (9, 10, 11)]
     assert p[2] == ballot_count_closed(11) == 893025 * 11
@@ -233,8 +250,28 @@ def test_count_word_pair_validation():
         count_word_pair(6, 1, (1,), (6,))
     with pytest.raises(DomainError):
         count_word_pair(6, 1, (), (2,))
-    assert count_word_pair(4, 1, (5, 6), (1, 2)) == 0  # factor longer than host
+    with pytest.raises(DomainError):
+        count_word_pair(4, 1, (5, 6), (1, 2))  # letters above n, so longer than the host
     assert count_word_pair(6, -1, (1,), (2, 3)) == 0
+
+
+@pytest.mark.parametrize("u, v, message", [
+    ((1, 1), (2,), "pairwise distinct"),
+    ((1,), (2, 2), "pairwise distinct"),
+    ((1,), (0,), "positive integers"),
+    ((-3,), (1,), "positive integers"),
+    ((1.5,), (2,), "positive integers"),
+    ((1,), (9,), "[1, 4]"),
+    ((1,), (5,), "[1, 4]"),
+])
+def test_count_word_pair_refuses_words_it_can_never_find(monkeypatch, u, v, message):
+    # refused before any member is streamed, so nothing drains the ballot stream
+    def no_stream(n):
+        raise AssertionError("the ballot stream was drained")
+
+    monkeypatch.setattr(enumeration, "_ballot_stream", no_stream)
+    with pytest.raises(DomainError, match=re.escape(message)):
+        count_word_pair(5, 1, u, v)
 
 
 def test_member_index_consistent_with_tables():

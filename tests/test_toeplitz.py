@@ -1,9 +1,12 @@
+from collections import Counter
+from itertools import permutations
+
 import pytest
 
-from permlab.cycles import cycle_stats, parse_cycles, perm_weight
+from permlab.cycles import cycle_stats, cycles_from_one_line, parse_cycles, perm_weight
 from permlab.enumeration import ballot_cell, enumerate_ballot, enumerate_odd_order, member_index, odd_cell
 from permlab.errors import DomainError
-from permlab.toeplitz import _run, lower_core, shift, shift_inv, upper_core
+from permlab.toeplitz import _core_word, _relabel, _run, lower_core, shift, shift_inv, upper_core
 from permlab.words import descents, find_factor, is_ballot
 
 PI_CYCLIC = parse_cycles("(1 6 8 2 10)(3 12 9 11 7 5 4)")
@@ -163,6 +166,13 @@ def adjacent(host, x, y, cyclic):
 def scan_core(host, i, j, cyclic, upper):
     """(width, core) by the definition: try every run length in turn,
     searching the whole host for the run and its reversal."""
+    width, core = scan_width(host, i, j, cyclic, upper)
+    assert occurs(host, core, cyclic), (host, core)
+    return width, core
+
+
+def scan_width(host, i, j, cyclic, upper):
+    """(width, core) as in scan_core, whether or not the core occurs."""
     n = max(host)
     m, M = min(i, j), max(i, j)
     left, right = (i + 1, j + 1) if upper else (i, j)
@@ -174,9 +184,7 @@ def scan_core(host, i, j, cyclic, upper):
                 break
             width = length
     run = _run(m, M, width, upper)
-    core = (left, n) + run if (i < j) == upper else run[::-1] + (n, right)
-    assert occurs(host, core, cyclic), (host, core)
-    return width, core
+    return width, (left, n) + run if (i < j) == upper else run[::-1] + (n, right)
 
 
 def test_core_search_matches_the_per_length_scan():
@@ -202,3 +210,64 @@ def test_core_search_matches_the_per_length_scan():
                     seen["whole cycle"] += cyclic and len(core) == len(host)
                     seen["adjacent pair"] += adjacent(host, *((m, m + 1) if upper else (M, M + 1)), cyclic)
     assert min(seen.values()) > 0, seen
+
+
+def scan_outcome(host, i, j, cyclic, upper):
+    """(width, core) by the per-length scan, or the DomainError message of the
+    first precondition that fails: bad letters, absent factor, unanchored run."""
+    n = max(host)
+    if i == j or not (1 <= i <= n - 2 and 1 <= j <= n - 2):
+        return f"shift letters must satisfy 1 <= i != j <= n-2 = {n - 2}, got ({i}, {j})"
+    left, right = (i + 1, j + 1) if upper else (i, j)
+    if not occurs(host, (left, n, right), cyclic):
+        return f"input does not contain the {'cyclic factor' if cyclic else 'factor'} {left} {n} {right}"
+    width, core = scan_width(host, i, j, cyclic, upper)
+    if not occurs(host, core, cyclic):
+        return f"widest run is not anchored at the largest letter in {host}"
+    return width, core
+
+
+def test_core_search_matches_the_scan_on_every_input():
+    # every permutation of [n] for n <= 6, in one-line and cycle form, at every
+    # i, j in [0, n-1]: each call equals the scan or raises its precondition.
+    # The unanchored-run guard is held to the scan too, but no permutation
+    # reaches it: once i n j is a factor, the run can only grow away from n.
+    seen = Counter()  # by outcome: a core, or the first word of the message
+    for n in range(1, 7):
+        for line in permutations(range(1, n + 1)):
+            cycles = cycles_from_one_line(line)
+            for p, host, cyclic in ((line, line, False), (cycles, next(c for c in cycles if n in c), True)):
+                for i in range(n):
+                    for j in range(n):
+                        for core_fn, upper in ((lower_core, False), (upper_core, True)):
+                            expected = scan_outcome(host, i, j, cyclic, upper)
+                            try:
+                                cd = core_fn(p, i, j, cyclic=cyclic)
+                            except DomainError as exc:
+                                assert str(exc) == expected, (p, i, j, upper)
+                                seen[str(exc).split()[0]] += 1
+                            else:
+                                assert (cd.width, cd.core) == expected, (p, i, j, upper)
+                                assert (cd.m, cd.M) == (min(i, j), max(i, j))
+                                seen["core"] += 1
+    assert set(seen) == {"shift", "input", "core"}, seen
+
+
+def test_relabel_tables_are_the_order_preserving_rewrite():
+    # the parent formula: the core's letters map in place onto the other core,
+    # and the rest of [m, M+1] maps onto the rest in increasing order
+    for n in range(4, 10):
+        for i, j in permutations(range(1, n - 1), 2):
+            m, M = min(i, j), max(i, j)
+            interval = set(range(m, M + 2))
+            for width in range(M - m + 2):
+                for upper in (False, True):
+                    table = _relabel(n, i, j, width, upper)
+                    assert sorted(table) == list(range(n + 1)) and table[0] == 0
+                    core, new_core = (_core_word(n, i, j, width, end) for end in (upper, not upper))
+                    mapping = dict(zip(core, new_core))
+                    mapping.update(zip(sorted(interval - set(core)), sorted(interval - set(new_core))))
+                    assert table[1:] == tuple(mapping.get(x, x) for x in range(1, n + 1))
+                    # n trades places with a core letter; every other letter
+                    # outside the interval is fixed
+                    assert all(table[x] == x for x in range(1, n) if x not in interval)
