@@ -30,10 +30,14 @@ def canonicalize_cycles(raw) -> CycleDecomposition:
     """Normalize a list of cycle words: min-first rotations, sorted by minimum.
 
     The cycles' letter sets must partition {1, ..., n}; overlapping or
-    incomplete letter sets are rejected.  Two inputs describing the same
-    permutation yield identical output.
+    incomplete letter sets are rejected, and so are items that are not
+    cycles, such as the letters of a one-line word.  Two inputs describing
+    the same permutation yield identical output.
     """
-    cycles = [c if c and c[0] == min(c) else rotate_min_first(c) for c in map(tuple, raw)]
+    try:
+        cycles = [c if c and c[0] == min(c) else rotate_min_first(c) for c in map(tuple, raw)]
+    except TypeError:
+        raise DomainError(f"not a cycle decomposition: {raw}") from None
     letters = [x for c in cycles for x in c]
     if sorted(letters) != list(range(1, len(letters) + 1)):
         raise DomainError(f"cycles must partition {{1, ..., n}}, got letters {sorted(letters)}")

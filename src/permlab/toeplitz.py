@@ -8,11 +8,13 @@ cycle's length and cyclic descent number (cycle form).
 One routine serves both directions.  It finds the core at one end of the
 interval [m, M+1]: the widest run of "discretely continuous" letters anchored
 next to n.  The search is index arithmetic on the host (around the cycle for
-decompositions): the factor i n j and the core are read at fixed offsets
-from the position of n, and the adjacent pair test and the run's width walk
-each way from where their first letter sits, never scanning the host for
-each candidate length.  It then writes the core of the same width at the
-other end and relabels the interval letters displaced by the rewrite in the
+decompositions), all read at fixed offsets from the position of n: the
+factor i n j, the adjacent pair test, and one walk outward from n on the
+core's side that counts how many letters of the full run follow in order.
+Once i n j is a factor, the run's first letter is n's neighbor on that side,
+so the run can only grow away from n and the walk finds its whole width.
+The routine then writes the core of the same width at the other end and
+relabels the interval letters displaced by the rewrite in the
 order-preserving way.  That relabeling depends only on (n, i, j, width, end),
 so it is built once per key as a table from letter to image.  The shift
 reads the core at the lower end (neighbors i, j) and writes it at the upper
@@ -61,12 +63,9 @@ class CoreData:
     """Width and core of one permutation at one neighbor cell.
 
     ``core`` is a factor of the host (cyclic for decompositions) of length
-    ``width + 2`` containing the largest letter.  ``m`` and ``M`` are
-    min(i, j) and max(i, j).
+    ``width + 2`` containing the largest letter.
     """
 
-    m: int
-    M: int
     width: int
     core: Word
 
@@ -79,29 +78,6 @@ def _host(p, cyclic: bool):
         return cycles, cycle_containing(cycles, decomposition_size(cycles))[1]
     word = check_permutation(p)
     return word, word
-
-
-def _run_from(host: Word, letters: Word, cyclic: bool) -> int:
-    """The longest prefix of ``letters`` that sits at consecutive positions of
-    the host, read forwards or backwards from the first letter (around the
-    cycle for decompositions); 0 when the first letter is absent."""
-    if letters[0] not in host:
-        return 0
-    start, size, longest = host.index(letters[0]), len(host), 1
-    for step in (1, -1):
-        count, t = 1, start + step
-        for x in letters[1:]:
-            if cyclic:
-                t %= size
-            elif not 0 <= t < size:
-                break
-            if host[t] != x:
-                break
-            count += 1
-            t += step
-        if count > longest:
-            longest = count
-    return longest
 
 
 def _find_core(host: Word, i: int, j: int, cyclic: bool, upper: bool) -> int:
@@ -123,19 +99,21 @@ def _find_core(host: Word, i: int, j: int, cyclic: bool, upper: bool) -> int:
     if ring[t - 1] != left or ring[t + 1] != right:
         kind = "cyclic factor" if cyclic else "factor"
         raise DomainError(f"input does not contain the {kind} {left} {n} {right}")
-    # The width is the largest length whose run (or its reversal) occurs in the
-    # host, or 0 when M, M+1 (m, m+1 at the upper end) sit together.  Runs of
-    # every length are prefixes of the full run, so the width is the longest
-    # prefix of it that sits at consecutive positions, forwards or backwards.
+    # The run's first letter is n's neighbor on the core's side, so the run
+    # is read outward from n, one step at a time in the direction `step`.
+    # M, M+1 (m, m+1 at the upper end) sit together exactly when the letter
+    # beyond n's neighbor on the other side is M+1 (m); the width is then 0.
+    step = 1 if (i < j) == upper else -1
+    if ring[t - 2 * step] == (m if upper else M + 1):
+        return 0
+    # Otherwise the width is the longest prefix of the full run that follows n
+    # in order.  The walk stays on the ring: it stops at the padding, or at
+    # the latest where it comes round to n.
     width = 0
-    if _run_from(host, (m, m + 1) if upper else (M, M + 1), cyclic) < 2:
-        width = _run_from(host, _run(m, M, M - m + 1, upper), cyclic)
-    core = _core_word(n, i, j, width, upper)
-    start = t - core.index(n)
-    if cyclic:
-        start %= len(host)
-    if start < 0 or ring[start:start + len(core)] != core:
-        raise DomainError(f"widest run is not anchored at the largest letter in {host}")
+    for x in _run(m, M, M - m + 1, upper):
+        if ring[t + step * (width + 1)] != x:
+            break
+        width += 1
     return width
 
 
@@ -143,7 +121,7 @@ def _core_data(p, i: int, j: int, cyclic: bool, upper: bool) -> CoreData:
     """The core at the lower (upper=False) or upper end of [m, M+1] in the input."""
     host = _host(p, cyclic)[1]
     width = _find_core(host, i, j, cyclic, upper)
-    return CoreData(m=min(i, j), M=max(i, j), width=width, core=_core_word(max(host), i, j, width, upper))
+    return CoreData(width=width, core=_core_word(max(host), i, j, width, upper))
 
 
 def lower_core(p, i: int, j: int, *, cyclic: bool = False) -> CoreData:

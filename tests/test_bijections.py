@@ -43,6 +43,9 @@ def test_anchor_decompose_examples():
     assert anchor_decompose((1, 2, 3), (2, 1)) is None
     with pytest.raises(DomainError):
         anchor_decompose((1, 2, 3), ())
+    with pytest.raises(DomainError) as exc:
+        is_anchor_decomposable((1, 2), ())
+    assert str(exc.value) == "anchor must be a nonempty word"
 
 
 def test_anchor_decompose_satisfies_definition():
@@ -103,6 +106,9 @@ def test_flank_swap_domain_errors():
         flank_swap((1, 5, 2, 3, 4), 1, 2)  # letters too close
     with pytest.raises(DomainError):
         flank_swap((1, 5, 2, 3, 4), 1, 3, "sideways")
+    with pytest.raises(DomainError) as exc:
+        flank_swap((2, 1, 3, 4, 5), 1, 3)
+    assert str(exc.value) == "(2, 1, 3, 4, 5) is not ballot, so not in the anchor class of (1, 5, 2, 3)"
 
 
 def test_exchange_letters_examples():
@@ -203,6 +209,9 @@ def test_cycle_flip_domain_errors():
         cycle_flip(((1, 2, 5, 3, 4),))  # neighbors not (1,2)/(1,3)
     with pytest.raises(DomainError):
         cycle_flip(((1, 3, 2),))  # n too small
+    with pytest.raises(DomainError) as exc:
+        cycle_flip(((1, 2), (3,), (4,)))
+    assert str(exc.value) == "cycle flip is defined on odd order permutations, got ((1, 2), (3,), (4,))"
 
 
 def test_tail_of_pivot_decomposition_is_ballot():

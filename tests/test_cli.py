@@ -130,6 +130,11 @@ def test_map_errors(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "map", "--op", "T", "--perm", "1 5 2 3 4")
     assert code == 2  # missing --i/--j
+    code, out, err = run_cli(capsys, "map", "--op", "phi", "--kind", "cyclic", "--i", "1", "--j", "3",
+                             "--perm", "(1 5 2 3 4)")
+    assert (code, out, err) == (2, "", "permlab: map --op phi is defined on one-line permutations only\n")
+    code, out, err = run_cli(capsys, "map", "--op", "flip", "--perm", "1 4 2 3")
+    assert (code, out, err) == (2, "", "permlab: map --op flip is defined on cycle decompositions only\n")
 
 
 def test_usage_error_exit_2(capsys):

@@ -14,7 +14,9 @@ from permlab.cycles import (
     perm_weight,
     rotate_min_first,
 )
+from permlab.bijections import cycle_flip
 from permlab.errors import DomainError
+from permlab.toeplitz import lower_core, shift
 
 cycle_words = st.lists(st.integers(1, 100), min_size=1, max_size=9, unique=True).map(tuple)
 
@@ -46,6 +48,19 @@ def test_canonicalize_rejects_bad_partitions():
         canonicalize_cycles([(1,), (3,)])
     with pytest.raises(DomainError):
         canonicalize_cycles([(1,), ()])
+
+
+def test_a_word_given_for_cycles_is_a_domain_error():
+    # a one-line word where a decomposition is expected: its letters are not cycles
+    for call, word in (
+        (lambda: canonicalize_cycles((1, 2, 3)), (1, 2, 3)),
+        (lambda: shift((1, 2, 3, 4), 1, 2, cyclic=True), (1, 2, 3, 4)),
+        (lambda: lower_core((3, 1, 4, 2), 1, 2, cyclic=True), (3, 1, 4, 2)),
+        (lambda: cycle_flip((1, 4, 2, 3)), (1, 4, 2, 3)),
+    ):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == f"not a cycle decomposition: {word}"
 
 
 def test_one_line_round_trip():

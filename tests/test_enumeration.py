@@ -124,6 +124,15 @@ def test_totals_split_over_cells(small_ballot):
                 )
 
 
+def test_count_table_cell_bounds():
+    table = count_table("ballot", 5)
+    with pytest.raises(DomainError) as exc:
+        table.cell(1, 2, 2)
+    assert str(exc.value) == "cell letters must satisfy 1 <= i != j <= 4, got (2, 2)"
+    # a descent number outside [0, d_max] holds no member
+    assert table.cell(3, 1, 2) == 0 and table.cell(-1, 1, 2) == 0
+
+
 def test_count_tables_match_oracle(small_ballot, small_odd):
     for n in range(2, 8):
         table = count_table("ballot", n)

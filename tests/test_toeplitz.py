@@ -37,15 +37,15 @@ def test_upper_core_examples():
 
 
 def test_core_data_invariants():
-    for cd in (
-        lower_core((3, 8, 2, 5, 4, 9, 6, 7, 1), 4, 6),
-        lower_core((1, 3, 4, 8, 7, 5, 9, 6, 2), 5, 6),
-        upper_core((1, 3, 4, 8, 6, 9, 7, 5, 2), 5, 6),
-        lower_core(PI_CYCLIC, 3, 9, cyclic=True),
+    for (m, M), cd in (
+        ((4, 6), lower_core((3, 8, 2, 5, 4, 9, 6, 7, 1), 4, 6)),
+        ((5, 6), lower_core((1, 3, 4, 8, 7, 5, 9, 6, 2), 5, 6)),
+        ((5, 6), upper_core((1, 3, 4, 8, 6, 9, 7, 5, 2), 5, 6)),
+        ((3, 9), lower_core(PI_CYCLIC, 3, 9, cyclic=True)),
     ):
         assert len(cd.core) == cd.width + 2
-        assert 0 <= cd.width <= cd.M - cd.m + 1
-        assert max(cd.core) > cd.M + 1  # the largest letter sits inside the core
+        assert 0 <= cd.width <= M - m + 1
+        assert max(cd.core) > M + 1  # the largest letter sits inside the core
 
 
 def test_shift_printed_examples():
@@ -122,7 +122,7 @@ def test_cyclic_width_bounds_when_core_is_whole_cycle():
                     cd = lower_core(p, i, j, cyclic=True)
                     cycle = next(c for c in p if max(c) == n)
                     if len(cd.core) == len(cycle):
-                        assert 1 <= cd.width <= cd.M - cd.m
+                        assert 1 <= cd.width <= max(i, j) - min(i, j)
 
 
 def test_shift_domain_errors():
@@ -222,6 +222,9 @@ def scan_outcome(host, i, j, cyclic, upper):
     if not occurs(host, (left, n, right), cyclic):
         return f"input does not contain the {'cyclic factor' if cyclic else 'factor'} {left} {n} {right}"
     width, core = scan_width(host, i, j, cyclic, upper)
+    # The core search in src has no such guard: it reads the run outward from
+    # n.  Any input reaching this branch would fail the test below, so the
+    # branch is what shows that reading outward is enough.
     if not occurs(host, core, cyclic):
         return f"widest run is not anchored at the largest letter in {host}"
     return width, core
@@ -230,8 +233,8 @@ def scan_outcome(host, i, j, cyclic, upper):
 def test_core_search_matches_the_scan_on_every_input():
     # every permutation of [n] for n <= 6, in one-line and cycle form, at every
     # i, j in [0, n-1]: each call equals the scan or raises its precondition.
-    # The unanchored-run guard is held to the scan too, but no permutation
-    # reaches it: once i n j is a factor, the run can only grow away from n.
+    # The scan's unanchored-run branch is never reached: once i n j is a
+    # factor, the run can only grow away from n.
     seen = Counter()  # by outcome: a core, or the first word of the message
     for n in range(1, 7):
         for line in permutations(range(1, n + 1)):
@@ -248,7 +251,6 @@ def test_core_search_matches_the_scan_on_every_input():
                                 seen[str(exc).split()[0]] += 1
                             else:
                                 assert (cd.width, cd.core) == expected, (p, i, j, upper)
-                                assert (cd.m, cd.M) == (min(i, j), max(i, j))
                                 seen["core"] += 1
     assert set(seen) == {"shift", "input", "core"}, seen
 
