@@ -18,6 +18,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .cycles import (
     CycleDecomposition,
@@ -173,13 +174,28 @@ def exchange_letters(p: Word, i: int, j: int) -> Word:
     return swap_letters(p, j - 1, j)
 
 
+@cache
+def _contract_tables(n: int, j: int) -> tuple[Word, Word]:
+    """(kept, rank) for contracting [n] by the letters j and n.
+
+    ``kept`` lists the other letters in increasing order after a leading 0,
+    so ``kept[r]`` is the letter of rank r; ``rank`` is indexed by letter and
+    holds each kept letter's rank, and 0 for j and n.
+    """
+    kept = (0, *(x for x in range(1, n + 1) if x not in (j, n)))
+    rank = [0] * (n + 1)
+    for r, x in enumerate(kept[1:], start=1):
+        rank[x] = r
+    return kept, tuple(rank)
+
+
 def contract(p, i: int, j: int, inverse: bool = False):
     """Remove (or re-insert, with inverse=True) the letters j and n around i.
 
     Needs |i - j| = 1.  Forward input must contain the factor i n j (a cyclic
     factor for decompositions); the remaining letters are relabeled in the
-    order-preserving way.  Accepts a one-line permutation or a cycle
-    decomposition and returns the same kind.
+    order-preserving way, read from tables cached per (n, j).  Accepts a
+    one-line permutation or a cycle decomposition and returns the same kind.
     """
     if abs(i - j) != 1:
         raise DomainError(f"contract needs |i - j| = 1, got ({i}, {j})")
@@ -189,13 +205,13 @@ def contract(p, i: int, j: int, inverse: bool = False):
     # A word is one non-cyclic row; a decomposition is its cycles.
     rows = p if is_cycles else (p,)
     n = sum(map(len, rows)) + (2 if inverse else 0)
-    kept = sorted(set(range(1, n + 1)) - {j, n})
     out = []
     if inverse:
         if not (1 <= i <= n - 1 and 1 <= j <= n - 1):
             raise DomainError(f"letters must lie in [1, {n - 1}], got ({i}, {j})")
+        letter = _contract_tables(n, j)[0].__getitem__
         for row in rows:
-            row = tuple(kept[x - 1] for x in row)
+            row = tuple(map(letter, row))
             if i in row:
                 t = row.index(i) + 1
                 row = row[:t] + (n, j) + row[t:]
@@ -205,9 +221,10 @@ def contract(p, i: int, j: int, inverse: bool = False):
         if not found:
             kind = "cyclic factor" if is_cycles else "factor"
             raise DomainError(f"{p} does not contain the {kind} {i} {n} {j}")
-        # No row empties: j and n share their row with i.
-        rank = {x: r for r, x in enumerate(kept, start=1)}
-        out = [tuple(rank[x] for x in row if x not in (j, n)) for row in rows]
+        # No row empties: j and n share their row with i.  They rank 0, so
+        # dropping the zeros drops them.
+        rank = _contract_tables(n, j)[1].__getitem__
+        out = [tuple(filter(None, map(rank, row))) for row in rows]
     return canonicalize_cycles(out) if is_cycles else out[0]
 
 

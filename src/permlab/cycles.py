@@ -9,6 +9,7 @@ weight of a cycle is min(cyclic descents, cyclic ascents).
 
 from __future__ import annotations
 
+import operator
 import re
 
 from .errors import DomainError
@@ -75,11 +76,10 @@ def cycle_stats(c: Cycle) -> tuple[int, int, int]:
 
     A singleton cycle has one cyclic ascent, no descent, weight 0.
     """
-    k = len(c)
-    if k == 0:
+    if not c:
         raise DomainError("empty cycle")
-    cdes = sum(1 for t in range(k) if c[t] > c[(t + 1) % k])
-    casc = k - cdes
+    cdes = sum(map(operator.gt, c, c[1:] + c[:1]))
+    casc = len(c) - cdes
     return cdes, casc, min(cdes, casc)
 
 

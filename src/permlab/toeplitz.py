@@ -21,7 +21,8 @@ reads the core at the lower end (neighbors i, j) and writes it at the upper
 end (neighbors i+1, j+1); its inverse reads and writes the other way round.
 The two cores are mirror images under x -> m + M + 1 - x, and the whole
 rewrite is one letter bijection, so the cycle structure is carried along for
-free.
+free.  The routine returns the image together with the width of the core it
+read, so a check of the width invariant needs no second core search.
 """
 
 from __future__ import annotations
@@ -151,17 +152,24 @@ def _relabel(n: int, i: int, j: int, width: int, upper: bool) -> Word:
 
 
 def _move(p, i: int, j: int, cyclic: bool, upper: bool):
-    """Rewrite the core at one end of [m, M+1] as the core of the same width at the other end."""
+    """(image, width): rewrite the core at one end of [m, M+1] as the core of
+    the same width at the other end, and return the width of the core read.
+
+    The width is ``lower_core(p).width`` for the shift (upper=False) and
+    ``upper_core(p).width`` for its inverse, so a caller that needs both the
+    image and the width searches the core once.
+    """
     normalized, host = _host(p, cyclic)
     if cyclic:
         if not is_odd_order(normalized):
             raise DomainError("cyclic shift needs an odd order permutation")
     elif not is_ballot(normalized):
         raise DomainError("linear shift needs a ballot permutation")
-    image = _relabel(max(host), i, j, _find_core(host, i, j, cyclic, upper), upper).__getitem__
+    width = _find_core(host, i, j, cyclic, upper)
+    image = _relabel(max(host), i, j, width, upper).__getitem__
     if cyclic:
-        return canonicalize_cycles([tuple(map(image, c)) for c in normalized])
-    return tuple(map(image, normalized))
+        return canonicalize_cycles([tuple(map(image, c)) for c in normalized]), width
+    return tuple(map(image, normalized)), width
 
 
 def shift(p, i: int, j: int, *, cyclic: bool = False):
@@ -171,9 +179,9 @@ def shift(p, i: int, j: int, *, cyclic: bool = False):
     contain the (cyclic) factor i n j with 1 <= i != j <= n-2.  The statistic
     (descent number, or cyclic weight and all cycle lengths) is preserved.
     """
-    return _move(p, i, j, cyclic, upper=False)
+    return _move(p, i, j, cyclic, upper=False)[0]
 
 
 def shift_inv(s, i: int, j: int, *, cyclic: bool = False):
     """Inverse of :func:`shift`: move neighbor cell (i+1, j+1) back to (i, j)."""
-    return _move(s, i, j, cyclic, upper=True)
+    return _move(s, i, j, cyclic, upper=True)[0]

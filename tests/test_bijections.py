@@ -3,6 +3,7 @@ import pytest
 from permlab.bijections import (
     AnchorDecomposition,
     ShiftAnchors,
+    _contract_tables,
     anchor_decompose,
     contract,
     cycle_flip,
@@ -144,6 +145,20 @@ def test_contract_cycles():
     reduced = contract(((1, 4, 2), (3,)), 1, 2)
     assert reduced == ((1,), (2,))
     assert contract(reduced, 1, 2, inverse=True) == ((1, 4, 2), (3,))
+
+
+def test_contract_tables_are_the_sorted_set_and_rank_dict():
+    # by the definition: the letters of [n] other than j and n in increasing
+    # order, and the rank of each among them
+    for n in range(1, 13):
+        for j in range(1, n + 1):
+            kept, rank = _contract_tables(n, j)
+            old_kept = sorted(set(range(1, n + 1)) - {j, n})
+            old_rank = {x: r for r, x in enumerate(old_kept, start=1)}
+            assert kept == (0, *old_kept)
+            assert len(rank) == n + 1
+            assert {x: rank[x] for x in range(1, n + 1) if rank[x]} == old_rank
+            assert rank[0] == rank[j] == rank[n] == 0
 
 
 def test_contract_round_trip_exhaustive():

@@ -55,6 +55,20 @@ def test_matrix_json(capsys):
     assert obj == {"kind": "odd", "n": 4, "d": 1, "entries": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}
 
 
+def test_matrix_at_a_fixed_statistic_for_both_kinds(capsys):
+    # d = 2 first occurs at n = 5, where the two kinds share their matrix
+    for kind in ("ballot", "odd"):
+        code, out, err = run_cli(capsys, "matrix", "--kind", kind, "--n", "5", "--d", "2")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["0 2 2 1", "2 0 2 2", "2 2 0 2", "1 2 2 0"]
+
+
+def test_matrix_refuses_sizes_past_the_budget(capsys):
+    code, out, err = run_cli(capsys, "matrix", "--kind", "ballot", "--n", "11")
+    assert (code, out) == (2, "")
+    assert err == "permlab: budget error: exhaustive ballot enumeration is budgeted up to n=10, got n=11\n"
+
+
 def test_matrix_csv(capsys):
     code, out, _ = run_cli(capsys, "matrix", "--kind", "ballot", "--n", "3",
                            "--format", "csv")

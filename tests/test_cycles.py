@@ -27,6 +27,21 @@ def test_cycle_stats_examples():
     assert cycle_stats((1, 4, 5)) == (1, 2, 1)
 
 
+def test_cycle_stats_matches_the_definition_exhaustive():
+    # every cycle of every permutation of [n] for n <= 7, in each rotation:
+    # descents c[t] > c[t+1] read around the cycle with the wrap-around pair
+    seen = set()
+    for n in range(1, 8):
+        for p in itertools.permutations(range(1, n + 1)):
+            for c in cycles_from_one_line(p):
+                for form in (c[r:] + c[:r] for r in range(len(c))):
+                    k = len(form)
+                    cdes = sum(1 for t in range(k) if form[t] > form[(t + 1) % k])
+                    assert cycle_stats(form) == (cdes, k - cdes, min(cdes, k - cdes)), form
+                    seen.add((k, cdes))
+    assert {(1, 0), (2, 1), (7, 1), (7, 6)} <= seen
+
+
 def test_perm_weight_examples():
     identity = tuple((x,) for x in range(1, 7))
     assert perm_weight(identity) == 0

@@ -6,7 +6,7 @@ import pytest
 from permlab.cycles import cycle_stats, cycles_from_one_line, parse_cycles, perm_weight
 from permlab.enumeration import ballot_cell, enumerate_ballot, enumerate_odd_order, member_index, odd_cell
 from permlab.errors import DomainError
-from permlab.toeplitz import _core_word, _relabel, _run, lower_core, shift, shift_inv, upper_core
+from permlab.toeplitz import _core_word, _move, _relabel, _run, lower_core, shift, shift_inv, upper_core
 from permlab.words import descents, find_factor, is_ballot
 
 PI_CYCLIC = parse_cycles("(1 6 8 2 10)(3 12 9 11 7 5 4)")
@@ -273,3 +273,35 @@ def test_relabel_tables_are_the_order_preserving_rewrite():
                     # n trades places with a core letter; every other letter
                     # outside the interval is fixed
                     assert all(table[x] == x for x in range(1, n) if x not in interval)
+
+
+def call_outcome(fn, *args, **kwargs):
+    """The value of a call, or the type and message of the error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # any refusal must match in type and message
+        return type(exc), str(exc)
+
+
+def test_move_returns_the_image_and_the_width_it_read():
+    # every permutation of [n] for n <= 6, in one-line and cycle form, at every
+    # i, j in [0, n-1], both directions: the image is the public map's, and
+    # the width is the one lower_core (upper_core) finds on the same input
+    seen = Counter()
+    for n in range(1, 7):
+        for line in permutations(range(1, n + 1)):
+            for p, cyclic in ((line, False), (cycles_from_one_line(line), True)):
+                for i in range(n):
+                    for j in range(n):
+                        for public, core_fn, upper in ((shift, lower_core, False),
+                                                       (shift_inv, upper_core, True)):
+                            expected = call_outcome(public, p, i, j, cyclic=cyclic)
+                            got = call_outcome(_move, p, i, j, cyclic, upper)
+                            if isinstance(expected, tuple) and isinstance(expected[0], type):
+                                assert got == expected, (p, i, j, upper)
+                                seen["refused"] += 1
+                            else:
+                                assert got == (expected, core_fn(p, i, j, cyclic=cyclic).width), (p, i, j, upper)
+                                seen["moved", cyclic, got[1] > 0] += 1
+    assert {("moved", c, w) for c in (False, True) for w in (False, True)} <= set(seen), seen
+    assert seen["refused"] > 0
