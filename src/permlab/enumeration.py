@@ -452,14 +452,12 @@ def build_matrix(kind: str, n: int, d: int | None = None, store=None) -> CountMa
     return CountMatrix(kind=kind, n=n, d=d, entries=entries)
 
 
-_WORD_PAIRS: dict[tuple[int, Word, Word], tuple[int, ...]] = {}
-
-
 def count_word_pair(n: int, d: int, u, v) -> int:
     """Ballot permutations of [n] with statistic d containing the factor u n v.
 
     The letters of u and v must be pairwise distinct integers in [1, n-1]; any
     other pair could never occur, and is refused before any member is streamed.
+    An n past the "ballot" budget is refused whatever d is.
     """
     u, v = tuple(u), tuple(v)
     if not u or not v:
@@ -467,20 +465,22 @@ def count_word_pair(n: int, d: int, u, v) -> int:
     check_word(u + v)
     if max(u + v) > n - 1:
         raise DomainError(f"word pair letters must lie in [1, n-1] = [1, {n - 1}]: {u} and {v}")
+    _check_budget("ballot", n)
     if d < 0 or d > (n - 1) // 2:
         return 0
-    key = (n, u, v)
-    vector = _WORD_PAIRS.get(key)
-    if vector is None:
-        needle, anchor = u + (n,) + v, (u[-1], v[0])
-        counts = [0] * ((n - 1) // 2 + 1)
-        # n occurs once, so only members whose n sits between u[-1] and v[0] can hold u n v
-        for p, stat, nb in _ballot_stream(n):
-            if nb == anchor and find_factor(p, needle) is not None:
-                counts[stat] += 1
-        vector = tuple(counts)
-        _WORD_PAIRS[key] = vector
-    return vector[d]
+    return _word_pair_vector(n, u, v)[d]
+
+
+@cache
+def _word_pair_vector(n: int, u: Word, v: Word) -> tuple[int, ...]:
+    """Counts of the ballot permutations of [n] containing u n v, by statistic."""
+    needle, anchor = u + (n,) + v, (u[-1], v[0])
+    counts = [0] * ((n - 1) // 2 + 1)
+    # n occurs once, so only members whose n sits between u[-1] and v[0] can hold u n v
+    for p, stat, nb in _ballot_stream(n):
+        if nb == anchor and find_factor(p, needle) is not None:
+            counts[stat] += 1
+    return tuple(counts)
 
 
 class MemberIndex:
@@ -515,22 +515,15 @@ class MemberIndex:
         return tuple(out)
 
 
-_INDEXES: dict[tuple[str, int], MemberIndex] = {}
-
-
+@cache
 def member_index(kind: str, n: int) -> MemberIndex:
     _check_kind(kind)
     _check_budget("members", n)
-    key = (kind, n)
-    index = _INDEXES.get(key)
-    if index is None:
-        index = MemberIndex(kind, n)
-        _INDEXES[key] = index
-    return index
+    return MemberIndex(kind, n)
 
 
 def clear_memo() -> None:
-    """Drop all in-memory tables, indexes, and word-pair vectors (mainly for tests)."""
+    """Clear the memos ``_TABLES``, ``member_index`` and ``_word_pair_vector`` (mainly for tests)."""
     _TABLES.clear()
-    _INDEXES.clear()
-    _WORD_PAIRS.clear()
+    member_index.cache_clear()
+    _word_pair_vector.cache_clear()

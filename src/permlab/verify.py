@@ -5,13 +5,14 @@ list of counterexamples it found.  ``run_check`` owns the one sweep, from the
 check's ``min_n`` up to the requested bound, and counts the cells.  A cell is
 one of two kinds: ``_same`` compares the two sides of an identity between
 table cells (or class sizes) exactly, and ``_bijection`` certifies a map
-between member cells by round trip, per-member invariants, and image-set
-equality against exhaustive enumeration.  ``T_roundtrip`` shifts each member
-once forward and each image once back, and takes both core widths of its
-width invariant from those two moves.  Every violated cell is recorded, so
-conjecture-style checks report counterexamples instead of raising and the
-harness doubles as a counterexample search at larger budgets.  Reports are
-deterministic apart from wall time.
+between member cells by round trip through its inverse (so the map is
+injective), per-member invariants, and image-set equality against exhaustive
+enumeration; a member that either map refuses is a counterexample of its cell.
+``T_roundtrip`` shifts each member once forward and each image once back, and
+takes both core widths of its width invariant from those two moves.  Every
+violated cell is recorded, so conjecture-style checks report counterexamples
+instead of raising and the harness doubles as a counterexample search at
+larger budgets.  Reports are deterministic apart from wall time.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .errors import BudgetError, DomainError
 # image.  shift, shift_inv, lower_core and upper_core stay bound here because
 # perfbench's traced catalog run rebinds each of them on this module by name.
 from .toeplitz import _move, lower_core, shift, shift_inv, upper_core  # noqa: F401
-from .words import format_word, height, is_ballot
+from .words import format_word, height, is_ballot, swap_letters
 
 
 @dataclass(frozen=True)
@@ -79,35 +80,37 @@ def _same(params: dict, lhs, rhs) -> list:
     return [] if lhs == rhs else [_ce(params, lhs, rhs)]
 
 
-def _bijection(params: dict, domain, target, fwd, inv=None, invariants=()) -> list:
+def _bijection(params: dict, domain, target, fwd, inv, invariants=()) -> list:
     """One cell of a bijection: counterexamples unless ``fwd`` maps ``domain`` onto ``target``.
 
-    Each member p is mapped once to q = fwd(p).  ``inv`` (when given) must send
-    q back to p.  Each invariant is a (property, broken) pair, where
-    ``broken(p, q)`` returns None while the invariant holds and otherwise the
-    (lhs, rhs) pair to report for p.  The image must have no repeats and equal
-    the target as a set.
+    Each member p is mapped once to q = fwd(p), and ``inv`` must send q back
+    to p, which proves fwd injective; the image must then equal the target as
+    a set.  Each invariant is a (property, broken) pair, where ``broken(p, q)``
+    returns None while the invariant holds and otherwise the (lhs, rhs) pair
+    to report for p.  A member that fwd or inv refuses with a DomainError is
+    reported with the message, and the cell goes on to the next member.
     """
-    bad, image, roundtrip = [], [], True
+    bad, image, roundtrip = [], set(), True
     for p in domain:
-        q = fwd(p)
-        if inv is not None and inv(q) != p:
-            roundtrip = False
+        try:
+            q = fwd(p)
+            roundtrip &= inv(q) == p
+        except DomainError as exc:
+            bad.append(_ce(dict(params, property="refused", perm=_fmt(p)), str(exc), "mapped"))
+            continue
         for prop, broken in invariants:
             sides = broken(p, q)
             if sides is not None:
                 bad.append(_ce(dict(params, property=prop, perm=_fmt(p)), *sides))
-        image.append(q)
+        image.add(q)
     if not roundtrip:
         bad.append(_ce(dict(params, property="roundtrip"), "round trip", "identity"))
-    seen, wanted = set(image), set(target)
-    if len(image) != len(seen):
-        bad.append(_ce(dict(params, property="injective"), len(image), len(seen)))
-    if seen != wanted:
+    wanted = set(target)
+    if image != wanted:
         bad.append(_ce(
             dict(params, property="image"),
-            "missing " + "; ".join(_fmt(x) for x in sorted(wanted - seen)[:3]),
-            "extra " + "; ".join(_fmt(x) for x in sorted(seen - wanted)[:3]),
+            "missing " + "; ".join(_fmt(x) for x in sorted(wanted - image)[:3]),
+            "extra " + "; ".join(_fmt(x) for x in sorted(image - wanted)[:3]),
         ))
     return bad
 
@@ -199,8 +202,9 @@ def _phi(n: int):
     for i, j in _spread_pairs(n):
         word = ShiftAnchors(i=i, j=j, n=n).forward_word
         complement = [p for p in idx.cell_union(i, j - 1) if not is_anchor_decomposable(p, word)]
+        # on its domain exchange_letters is the swap of j-1 and j, its own inverse
         yield _bijection({"n": n, "i": i, "j": j}, complement, idx.cell_union(i, j),
-                         lambda p: exchange_letters(p, i, j))
+                         lambda p: exchange_letters(p, i, j), lambda q: swap_letters(q, j - 1, j))
 
 
 def _toeplitz(kind: str, n: int):

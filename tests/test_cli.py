@@ -8,6 +8,7 @@ import pytest
 
 from permlab import enumeration, verify
 from permlab.cli import DiskCache, main
+from permlab.errors import DomainError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -191,6 +192,30 @@ def test_verify_all_small(capsys):
     # everything passes at this bound except the word-pair reduction check
     assert code == 1
     assert sum("FAIL" in line for line in lines) == 1
+
+
+def test_verify_reports_a_refused_member_red(capsys, monkeypatch):
+    # a contraction that refuses one member is one red cell, not a crash
+    code, out, _ = run_cli(capsys, "verify", "--check", "lemma21", "--max-n", "5", "--format", "json")
+    assert code == 0
+    cells = json.loads(out)["cells_checked"]
+    real = verify.contract
+
+    def contract(p, i, j, inverse=False):
+        if p == (1, 4, 2, 3):
+            raise DomainError("refused for the test")
+        return real(p, i, j, inverse=inverse)
+
+    monkeypatch.setattr(verify, "contract", contract)
+    code, out, err = run_cli(capsys, "verify", "--check", "lemma21", "--max-n", "5", "--format", "json")
+    report = json.loads(out)
+    assert (code, err, report["status"], report["cells_checked"]) == (1, "", "fail", cells)
+    params = {"kind": "ballot", "n": 4, "d": 1, "i": 1, "j": 2}
+    assert report["counterexamples"] == [
+        {"params": dict(params, property="refused", perm="1 4 2 3"), "lhs": "refused for the test",
+         "rhs": "mapped"},
+        {"params": dict(params, property="image"), "lhs": "missing 1 2", "rhs": "extra "},
+    ]
 
 
 def test_budget_override_is_a_usage_error(capsys):

@@ -262,6 +262,10 @@ def test_count_word_pair_validation():
     with pytest.raises(DomainError):
         count_word_pair(4, 1, (5, 6), (1, 2))  # letters above n, so longer than the host
     assert count_word_pair(6, -1, (1,), (2, 3)) == 0
+    # an n past the ballot budget is refused whatever d is, as count refuses it
+    for d in (1, 9, -1):
+        with pytest.raises(BudgetError, match="budgeted up to n=10, got n=12"):
+            count_word_pair(12, d, (1,), (2,))
 
 
 @pytest.mark.parametrize("u, v, message", [

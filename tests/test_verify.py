@@ -50,7 +50,8 @@ def test_budget_caps_are_pinned():
 
 
 def _memos_empty():
-    return enumeration._TABLES == enumeration._INDEXES == enumeration._WORD_PAIRS == {}
+    cached = (enumeration.member_index, enumeration._word_pair_vector)
+    return enumeration._TABLES == {} and all(fn.cache_info().currsize == 0 for fn in cached)
 
 
 def test_every_check_refuses_past_its_cap_before_any_work(capsys):
@@ -136,12 +137,16 @@ def _reverse(p):
 def test_bijection_cell_passes():
     words = [(1, 2, 3), (2, 1, 3)]
     assert _bijection({"n": 3}, words, [(3, 2, 1), (3, 1, 2)], _reverse, _reverse) == []
-    assert _bijection({"n": 3}, [], [], _reverse) == []
+    assert _bijection({"n": 3}, [], [], _reverse, _reverse) == []
 
 
 def test_bijection_cell_reports_a_map_that_is_not_injective():
-    bad = _bijection({"n": 3, "d": 0}, [(1, 2, 3), (2, 1, 3)], [(1, 2, 3)], lambda p: (1, 2, 3))
-    assert bad == [{"params": {"n": 3, "d": 0, "property": "injective"}, "lhs": 2, "rhs": 1}]
+    # a constant map hits the whole one-member target, and no inverse can
+    # send its one image back to both members
+    for inv in (lambda q: q, lambda q: (2, 1, 3)):
+        bad = _bijection({"n": 3, "d": 0}, [(1, 2, 3), (2, 1, 3)], [(1, 2, 3)], lambda p: (1, 2, 3), inv)
+        assert bad == [{"params": {"n": 3, "d": 0, "property": "roundtrip"},
+                        "lhs": "round trip", "rhs": "identity"}]
 
 
 def test_bijection_cell_reports_a_broken_inverse():
@@ -152,11 +157,11 @@ def test_bijection_cell_reports_a_broken_inverse():
 
 def test_bijection_cell_reports_a_map_that_misses_the_target():
     identity = [((1,), (2,), (3,)), ((1, 2, 3),)]
-    bad = _bijection({"n": 3, "d": 1}, identity, [((1, 3, 2),), ((1, 2, 3),)], lambda p: p)
+    bad = _bijection({"n": 3, "d": 1}, identity, [((1, 3, 2),), ((1, 2, 3),)], lambda p: p, lambda q: q)
     assert bad == [{"params": {"n": 3, "d": 1, "property": "image"},
                     "lhs": "missing (1 3 2)", "rhs": "extra (1)(2)(3)"}]
     # at most three members are listed on each side, in sorted order
-    bad = _bijection({"n": 3}, [], [(3, 2, 1), (2, 3, 1), (1, 3, 2), (1, 2, 3)], _reverse)
+    bad = _bijection({"n": 3}, [], [(3, 2, 1), (2, 3, 1), (1, 3, 2), (1, 2, 3)], _reverse, _reverse)
     assert bad == [{"params": {"n": 3, "property": "image"},
                     "lhs": "missing 1 2 3; 1 3 2; 2 3 1", "rhs": "extra "}]
 
@@ -171,4 +176,40 @@ def test_bijection_cell_reports_each_member_that_breaks_an_invariant():
     assert bad == [
         {"params": {"kind": "ballot", "n": 3, "property": "width", "perm": "3 1 2"}, "lhs": 3, "rhs": 2},
         {"params": {"kind": "ballot", "n": 3, "property": "width", "perm": "2 3 1"}, "lhs": 2, "rhs": 1},
+    ]
+
+
+def _refuse(word):
+    """A map that reverses every member but ``word``, which it refuses."""
+    def reverse_or_refuse(p):
+        if p == word:
+            raise DomainError(f"{p} is outside the domain")
+        return p[::-1]
+    return reverse_or_refuse
+
+
+def test_bijection_cell_reports_a_member_the_map_refuses():
+    words = [(1, 2, 3), (2, 1, 3), (2, 3, 1)]
+    bad = _bijection({"n": 3}, words, [(3, 2, 1), (3, 1, 2), (1, 3, 2)], _refuse((2, 1, 3)), _reverse,
+                     (("width", lambda p, q: (p, q)),))
+    # the refused member is reported once, skips its invariants, and leaves its image missing;
+    # the members after it still run
+    assert bad == [
+        {"params": {"n": 3, "property": "width", "perm": "1 2 3"}, "lhs": (1, 2, 3), "rhs": (3, 2, 1)},
+        {"params": {"n": 3, "property": "refused", "perm": "2 1 3"},
+         "lhs": "(2, 1, 3) is outside the domain", "rhs": "mapped"},
+        {"params": {"n": 3, "property": "width", "perm": "2 3 1"}, "lhs": (2, 3, 1), "rhs": (1, 3, 2)},
+        {"params": {"n": 3, "property": "image"}, "lhs": "missing 3 1 2", "rhs": "extra "},
+    ]
+
+
+def test_bijection_cell_reports_a_member_the_inverse_refuses():
+    words = [(1, 2, 3), (2, 1, 3), (2, 3, 1)]
+    bad = _bijection({"kind": "ballot", "n": 3, "d": 0}, words, [(3, 2, 1), (3, 1, 2), (1, 3, 2)],
+                     _reverse, _refuse((1, 3, 2)))
+    assert bad == [
+        {"params": {"kind": "ballot", "n": 3, "d": 0, "property": "refused", "perm": "2 3 1"},
+         "lhs": "(1, 3, 2) is outside the domain", "rhs": "mapped"},
+        {"params": {"kind": "ballot", "n": 3, "d": 0, "property": "image"},
+         "lhs": "missing 1 3 2", "rhs": "extra "},
     ]
