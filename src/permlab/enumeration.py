@@ -4,15 +4,15 @@ The generators stream every member of one kind at one n and classify it
 while they build it: the private streams yield each member with its
 statistic d (descents for ballot permutations, cyclic weight for odd order
 permutations) and the two neighbors (i, j) of the largest letter, read as
-the factor i n j (cyclic inside the decomposition's cycles).  Member lists,
-word-pair counts and the test suite's reference tables read those triples;
-``ballot_cell`` and ``odd_cell`` classify a finished member from scratch, and
-the tests hold the streams to them.  The count tables are counted by exact
-dynamic programs rather than by classifying each member: a subset DP over
-ballot prefixes and suffixes, and the exponential formula over odd cycles
-for odd order permutations.  The test suite checks every table against the
-classified member stream, which stays the oracle.  Both the stream and the
-tables keep the same budgets.
+the factor i n j (cyclic inside the decomposition's cycles).  Member lists
+and the test suite's reference tables read those triples; ``ballot_cell`` and
+``odd_cell`` classify a finished member from scratch, and the tests hold the
+streams to them.  Nothing else is counted by classifying members: one subset
+DP over ballot prefixes and suffixes counts the ballot tables and the
+word-pair counts, and the exponential formula over odd cycles counts the
+odd order tables.  The test suite checks every table against the classified
+member stream, which stays the oracle, and the word pairs against a factor
+search over the members.  Both the stream and the counts keep the same budgets.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from math import comb
 
 from .cycles import CycleDecomposition, max_letter_neighbors, perm_weight
 from .errors import BudgetError, DomainError
-from .words import Word, check_word, descents, find_factor
+from .words import Word, check_word, descents
 
 KINDS = ("ballot", "odd")
 
@@ -221,31 +221,28 @@ def _letters(mask: int):
 
 
 def _freeze(kind: str, n: int, totals, by_pair) -> CountTable:
-    """A CountTable from totals and per-(i, j) statistic vectors."""
+    """A CountTable from totals and the statistic vectors ``by_pair[i, j]`` of the cells."""
     cells = tuple(
-        tuple(tuple(by_pair[i][j][d] for j in range(n - 1)) for i in range(n - 1))
+        tuple(tuple(0 if i == j else by_pair[i, j][d] for j in range(1, n)) for i in range(1, n))
         for d in range(len(totals))
     )
     return CountTable(kind=kind, n=n, totals=tuple(totals), cells=cells)
 
 
-def _ballot_table(n: int) -> CountTable:
-    """B(n, .) by subset DP over ballot prefixes and suffixes.
-
-    A ballot permutation with n inside reads u i n j v: the prefix u i is a
-    ballot word of height h on a subset of [n-1], n climbs to h + 1, the
-    descent n j comes back to h, and j v uses the rest of [n-1] and must not
-    dip below height 0 when started at h.  The totals come from the same
-    forward DP run over whole words on [n], not from the cells.
+def _ballot_dp(n: int, pairs) -> tuple[list[int], list[list[int]]]:
+    """Descent vectors of the ballot permutations of [n] and, for each word pair
+    (u, v), of those holding u n v: they read w u n v x.  A forward DP over the
+    letter sets of prefixes counts w u[0] and the whole words; u[1:] n v steps on
+    from the height of u[0], and a suffix DP counts x after v[-1].  One pass over
+    the prefixes serves every pair, grouped by u[0].
     """
     size = (n - 1) // 2 + 1
     full = (1 << n) - 1
     # forward[mask][(last, h)]: descent vector of the ballot words on the
     # letters of mask that end with last at height h
     forward: list[dict[tuple[int, int], list[int]]] = [{} for _ in range(full + 1)]
-    for x in range(1, n + 1):
-        forward[1 << (x - 1)][x, 0] = [1] + [0] * (size - 1)
-    for mask in range(1, full):
+    forward[0][0, -1] = [1] + [0] * (size - 1)  # the first letter climbs from a virtual 0 at -1
+    for mask in range(full):
         for (last, h), vec in forward[mask].items():
             for y in _letters(full & ~mask):
                 if y > last:
@@ -274,15 +271,33 @@ def _ballot_table(n: int) -> CountTable:
                 _add(vec, suffix(after, y, h - 1), 1)
         return vec
 
-    by_pair = [[[0] * size for _ in range(n - 1)] for _ in range(n - 1)]
-    low = (1 << (n - 1)) - 1
-    for mask in range(1, low):
-        rest = low & ~mask
-        for (i, h), vec in forward[mask].items():
-            for j in _letters(rest):
-                # the descent n j adds one to the descents of u i and j v
-                _add(by_pair[i - 1][j - 1], _convolve(vec, suffix(rest, j, h), size), 1)
-    return _freeze("ballot", n, totals, by_pair)
+    vectors = [[0] * size for _ in pairs]
+    by_u0: dict[int, list] = {}
+    for acc, (u, v) in zip(vectors, pairs):
+        steps = u[1:] + (n,) + v
+        by_u0.setdefault(u[0], []).append((acc, steps, sum(1 << (x - 1) for x in steps)))
+    for mask in range(1 << (n - 1)):  # n is pinned, so no prefix holds it
+        for (u0, h0), vec in forward[mask].items():
+            for acc, steps, pinned in by_u0.get(u0, ()):
+                if mask & pinned:
+                    continue
+                last, h, shift = u0, h0, 0
+                for y in steps:
+                    h, shift = (h + 1, shift) if y > last else (h - 1, shift + 1)
+                    last = y
+                    if h < 0:
+                        break
+                else:
+                    rest = full & ~mask & ~pinned | 1 << (last - 1)
+                    _add(acc, _convolve(vec, suffix(rest, last, h), size), shift)
+    return totals, vectors
+
+
+def _ballot_table(n: int) -> CountTable:
+    """B(n, .): the neighbor cell (i, j) counts the ballot permutations holding i n j."""
+    cells = [(i, j) for i in range(1, n) for j in range(1, n) if i != j]
+    totals, vectors = _ballot_dp(n, [((i,), (j,)) for i, j in cells])
+    return _freeze("ballot", n, totals, dict(zip(cells, vectors)))
 
 
 def _odd_table(n: int) -> CountTable:
@@ -335,13 +350,13 @@ def _odd_table(n: int) -> CountTable:
         """Weight vector of n's k-cycle, with a -> n -> b by rank, times any rest."""
         return _convolve(weights(k, ends[k - 1][b, a]), classes[n - k], size)
 
-    by_pair = [[[0] * size for _ in range(n - 1)] for _ in range(n - 1)]
+    by_pair = {}
     for i in range(1, n):
         for j in range(1, n):
             if i == j:
                 continue
             lo, hi = min(i, j), max(i, j)
-            acc = by_pair[i - 1][j - 1]
+            acc = by_pair[i, j] = [0] * size
             for k in range(3, n + 1, 2):
                 for x in range(k - 2):
                     for y in range(k - 2 - x):
@@ -456,7 +471,7 @@ def count_word_pair(n: int, d: int, u, v) -> int:
     """Ballot permutations of [n] with statistic d containing the factor u n v.
 
     The letters of u and v must be pairwise distinct integers in [1, n-1]; any
-    other pair could never occur, and is refused before any member is streamed.
+    other pair could never occur, and is refused before anything is counted.
     An n past the "ballot" budget is refused whatever d is.
     """
     u, v = tuple(u), tuple(v)
@@ -474,13 +489,7 @@ def count_word_pair(n: int, d: int, u, v) -> int:
 @cache
 def _word_pair_vector(n: int, u: Word, v: Word) -> tuple[int, ...]:
     """Counts of the ballot permutations of [n] containing u n v, by statistic."""
-    needle, anchor = u + (n,) + v, (u[-1], v[0])
-    counts = [0] * ((n - 1) // 2 + 1)
-    # n occurs once, so only members whose n sits between u[-1] and v[0] can hold u n v
-    for p, stat, nb in _ballot_stream(n):
-        if nb == anchor and find_factor(p, needle) is not None:
-            counts[stat] += 1
-    return tuple(counts)
+    return tuple(_ballot_dp(n, [(u, v)])[1][0])
 
 
 class MemberIndex:

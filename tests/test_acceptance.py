@@ -141,7 +141,7 @@ def test_criterion_6_prop43_words(ballot_factor_oracle):
     #     and b(d,3,1) - b(d,2,1) = N(23,1) - N(32,1) hold in every cell;
     # (b) every counterexample is a refuted reduction cell whose two sides
     #     match a brute-force factor search over S_n, and none is missing;
-    # (c) N is symmetric under swapping u and v, hence
+    # (c) N is symmetric under swapping u and v at every n <= 10, hence
     #     b(d,1,2) + b(d,2,1) = b(d,1,3) + b(d,3,1), the j = 2, 3 link that
     #     Lemma 4.2 needs for the refined conjecture.
     r = check("prop43_words", 8)
@@ -175,7 +175,7 @@ def test_criterion_6_prop43_words(ballot_factor_oracle):
     )
 
     side_swap = True
-    for n in range(4, 9):
+    for n in range(4, 11):
         bt = count_table("ballot", n)
         for d in range((n - 1) // 2 + 1):
             side_swap = side_swap and all(

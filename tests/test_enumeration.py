@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import pytest
@@ -21,7 +22,7 @@ from permlab.enumeration import (
     odd_cell,
 )
 from permlab.errors import BudgetError, DomainError
-from permlab.words import descents, find_factor
+from permlab.words import find_factor
 
 CLOSED = [1, 1, 3, 9, 45, 225, 1575, 11025, 99225, 893025]
 
@@ -240,16 +241,43 @@ def test_count_word_pair_examples(small_ballot):
     assert count_word_pair(6, 1, (4, 2), (1, 3, 5)) == 0
 
 
-def test_count_word_pair_matches_oracle(small_ballot):
-    for n in range(4, 8):
-        for d in range((n - 1) // 2 + 1):
-            for u, v in (((1,), (2, 3)), ((2, 3), (1,)), ((1,), (3, 2)), ((3, 2), (1,))):
-                needle = u + (n,) + v
-                expected = sum(
-                    1 for p in small_ballot[n]
-                    if descents(p) == d and find_factor(p, needle) is not None
-                )
-                assert count_word_pair(n, d, u, v) == expected
+# every word pair on the letters 1, 2, 3: six of one letter a side and twelve
+# of three letters, then the two pinned pairs with larger letters
+ORACLE_PAIRS = [
+    (w[:c], w[c:]) for k in (2, 3) for w in itertools.permutations((1, 2, 3), k) for c in range(1, k)
+] + [((1,), (2, 3, 4)), ((4, 2), (1, 3, 5))]
+
+
+def stream_word_pair_vectors(n, pairs):
+    """{(u, v): counts by statistic} by streaming the ballot members of [n].
+
+    The enumerating counter the subset DP replaced, kept as its oracle: n
+    occurs once, so only members whose n sits between u[-1] and v[0] are
+    searched for the factor u n v.
+    """
+    by_anchor, counts = {}, {}
+    for u, v in pairs:
+        by_anchor.setdefault((u[-1], v[0]), []).append((u, v))
+        counts[u, v] = [0] * ((n - 1) // 2 + 1)
+    for p, stat, nb in _ballot_stream(n):
+        for u, v in by_anchor.get(nb, ()):
+            if find_factor(p, u + (n,) + v) is not None:
+                counts[u, v][stat] += 1
+    return counts
+
+
+def test_count_word_pair_matches_oracle(ballot_factor_oracle):
+    assert len(ORACLE_PAIRS) == 20 and len(set(ORACLE_PAIRS)) == 20
+    for n in range(4, 10):
+        pairs = [(u, v) for u, v in ORACLE_PAIRS if max(u + v) < n]
+        if n == 9:  # past the filtered S_n, the pruned stream searched member by member
+            expected = stream_word_pair_vectors(n, pairs)
+        else:
+            expected = {(u, v): [len(ballot_factor_oracle(n, u + (n,) + v).get(d, ()))
+                                 for d in range((n - 1) // 2 + 1)] for u, v in pairs}
+        for u, v in pairs:
+            got = [count_word_pair(n, d, u, v) for d in range((n - 1) // 2 + 1)]
+            assert got == expected[u, v], (n, u, v)
 
 
 def test_count_word_pair_validation():
@@ -278,13 +306,22 @@ def test_count_word_pair_validation():
     ((1,), (5,), "[1, 4]"),
 ])
 def test_count_word_pair_refuses_words_it_can_never_find(monkeypatch, u, v, message):
-    # refused before any member is streamed, so nothing drains the ballot stream
+    # refused before anything is counted, so the subset DP never runs
+    def no_dp(n, pairs):
+        raise AssertionError("the subset DP ran")
+
+    monkeypatch.setattr(enumeration, "_ballot_dp", no_dp)
+    with pytest.raises(DomainError, match=re.escape(message)):
+        count_word_pair(5, 1, u, v)
+
+
+def test_count_word_pair_reads_no_member_stream(monkeypatch):
     def no_stream(n):
         raise AssertionError("the ballot stream was drained")
 
     monkeypatch.setattr(enumeration, "_ballot_stream", no_stream)
-    with pytest.raises(DomainError, match=re.escape(message)):
-        count_word_pair(5, 1, u, v)
+    enumeration._word_pair_vector.cache_clear()  # so the pair is counted afresh
+    assert count_word_pair(7, 3, (1,), (2, 3)) == 1  # the one witness 1 7 2 3 6 5 4
 
 
 def test_member_index_consistent_with_tables():
