@@ -33,7 +33,7 @@ from .enumeration import (
     enumerate_odd_order,
 )
 from .errors import BudgetError, DomainError
-from .toeplitz import CoreData, lower_core, shift, shift_inv, upper_core
+from .toeplitz import lower_core, shift, shift_inv, upper_core
 from .verify import VerificationReport, list_checks, run_check
 from .words import (
     ascent_descent,

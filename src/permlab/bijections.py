@@ -48,9 +48,6 @@ class AnchorDecomposition:
     carry: Word
     tail: Word
 
-    def word(self) -> Word:
-        return self.head + self.anchor + self.carry + self.tail
-
     @property
     def carry_last(self) -> int:
         """Last letter of the carry, falling back to the anchor's when the carry is empty."""
@@ -58,24 +55,24 @@ class AnchorDecomposition:
 
 
 def _carry_candidates(p: Word, anchor: Word):
-    """Start index of the leftmost anchor occurrence and the carry lengths satisfying
-    the height condition, or None when the anchor does not occur."""
+    """(start, split, lengths): the start index of the leftmost anchor occurrence,
+    the index just past it, and the carry lengths satisfying the height
+    condition; None when the anchor does not occur."""
+    if not anchor:
+        raise DomainError("anchor must be a nonempty word")
     pos = find_factor(p, anchor)
     if pos is None:
         return None
-    split = pos - 1 + len(anchor)
+    start, split = pos - 1, pos - 1 + len(anchor)
     target = height(anchor)
-    lengths = [g for g in range(len(p) - split + 1) if height(p[:split + g]) == target]
-    return pos, lengths
+    return start, split, [g for g in range(len(p) - split + 1) if height(p[:split + g]) == target]
 
 
 def is_anchor_decomposable(p: Word, anchor: Word) -> bool:
     """Whether some factorization head + anchor + carry + tail of ``p`` gives
     head+anchor+carry the same height as the anchor."""
-    if not anchor:
-        raise DomainError("anchor must be a nonempty word")
     found = _carry_candidates(tuple(p), tuple(anchor))
-    return found is not None and bool(found[1])
+    return found is not None and bool(found[2])
 
 
 def anchor_decompose(p: Word, anchor: Word) -> AnchorDecomposition | None:
@@ -87,27 +84,16 @@ def anchor_decompose(p: Word, anchor: Word) -> AnchorDecomposition | None:
     once.  Absence (no occurrence, or no carry passing both filters) is a
     value, not an error.
     """
-    if not anchor:
-        raise DomainError("anchor must be a nonempty word")
     p, anchor = tuple(p), tuple(anchor)
     found = _carry_candidates(p, anchor)
     if found is None:
         return None
-    pos, lengths = found
-    split = pos - 1 + len(anchor)
-    best = None
-    for g in lengths:
-        carry = p[split:split + g]
-        if is_ballot(carry[::-1] + (anchor[-1],)):
-            best = g
+    start, split, lengths = found
+    best = max((g for g in lengths if is_ballot(p[split:split + g][::-1] + (anchor[-1],))), default=None)
     if best is None:
         return None
-    return AnchorDecomposition(
-        head=p[:pos - 1],
-        anchor=anchor,
-        carry=p[split:split + best],
-        tail=p[split + best:],
-    )
+    return AnchorDecomposition(head=p[:start], anchor=anchor,
+                               carry=p[split:split + best], tail=p[split + best:])
 
 
 @dataclass(frozen=True)

@@ -472,7 +472,8 @@ def count_word_pair(n: int, d: int, u, v) -> int:
 
     The letters of u and v must be pairwise distinct integers in [1, n-1]; any
     other pair could never occur, and is refused before anything is counted.
-    An n past the "ballot" budget is refused whatever d is.
+    An n past the "ballot" budget is refused whatever d is.  The count is read
+    from ``_word_pair_vectors`` as a batch of one pair.
     """
     u, v = tuple(u), tuple(v)
     if not u or not v:
@@ -483,13 +484,13 @@ def count_word_pair(n: int, d: int, u, v) -> int:
     _check_budget("ballot", n)
     if d < 0 or d > (n - 1) // 2:
         return 0
-    return _word_pair_vector(n, u, v)[d]
+    return _word_pair_vectors(n, ((u, v),))[0][d]
 
 
 @cache
-def _word_pair_vector(n: int, u: Word, v: Word) -> tuple[int, ...]:
-    """Counts of the ballot permutations of [n] containing u n v, by statistic."""
-    return tuple(_ballot_dp(n, [(u, v)])[1][0])
+def _word_pair_vectors(n: int, pairs: tuple[tuple[Word, Word], ...]) -> tuple[tuple[int, ...], ...]:
+    """Per word pair (u, v), the ballot permutations of [n] holding u n v by statistic."""
+    return tuple(map(tuple, _ballot_dp(n, pairs)[1]))
 
 
 class MemberIndex:
@@ -532,7 +533,7 @@ def member_index(kind: str, n: int) -> MemberIndex:
 
 
 def clear_memo() -> None:
-    """Clear the memos ``_TABLES``, ``member_index`` and ``_word_pair_vector`` (mainly for tests)."""
+    """Clear the memos ``_TABLES``, ``member_index`` and ``_word_pair_vectors`` (mainly for tests)."""
     _TABLES.clear()
     member_index.cache_clear()
-    _word_pair_vector.cache_clear()
+    _word_pair_vectors.cache_clear()

@@ -27,7 +27,6 @@ read, so a check of the width invariant needs no second core search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .cycles import (
@@ -57,18 +56,6 @@ def _core_word(n: int, i: int, j: int, width: int, upper: bool) -> Word:
     left, right = (i + 1, j + 1) if upper else (i, j)
     run = _run(min(i, j), max(i, j), width, upper)
     return (left, n) + run if (i < j) == upper else run[::-1] + (n, right)
-
-
-@dataclass(frozen=True)
-class CoreData:
-    """Width and core of one permutation at one neighbor cell.
-
-    ``core`` is a factor of the host (cyclic for decompositions) of length
-    ``width + 2`` containing the largest letter.
-    """
-
-    width: int
-    core: Word
 
 
 def _host(p, cyclic: bool):
@@ -118,21 +105,23 @@ def _find_core(host: Word, i: int, j: int, cyclic: bool, upper: bool) -> int:
     return width
 
 
-def _core_data(p, i: int, j: int, cyclic: bool, upper: bool) -> CoreData:
-    """The core at the lower (upper=False) or upper end of [m, M+1] in the input."""
+def _core(p, i: int, j: int, cyclic: bool, upper: bool) -> Word:
+    """The core at the lower (upper=False) or upper end of [m, M+1]: the factor
+    of the host (cyclic for decompositions) that holds the largest letter."""
     host = _host(p, cyclic)[1]
-    width = _find_core(host, i, j, cyclic, upper)
-    return CoreData(width=width, core=_core_word(max(host), i, j, width, upper))
+    return _core_word(max(host), i, j, _find_core(host, i, j, cyclic, upper), upper)
 
 
-def lower_core(p, i: int, j: int, *, cyclic: bool = False) -> CoreData:
-    """Core anchored at the lower end of [m, M+1], for inputs with neighbor cell (i, j)."""
-    return _core_data(p, i, j, cyclic, upper=False)
+def lower_core(p, i: int, j: int, *, cyclic: bool = False) -> Word:
+    """Core anchored at the lower end of [m, M+1], for inputs with neighbor cell
+    (i, j); the core's width is its length minus 2."""
+    return _core(p, i, j, cyclic, upper=False)
 
 
-def upper_core(s, i: int, j: int, *, cyclic: bool = False) -> CoreData:
-    """Core anchored at the upper end of [m, M+1], for inputs with neighbor cell (i+1, j+1)."""
-    return _core_data(s, i, j, cyclic, upper=True)
+def upper_core(s, i: int, j: int, *, cyclic: bool = False) -> Word:
+    """Core anchored at the upper end of [m, M+1], for inputs with neighbor cell
+    (i+1, j+1); the core's width is its length minus 2."""
+    return _core(s, i, j, cyclic, upper=True)
 
 
 @cache
@@ -155,9 +144,9 @@ def _move(p, i: int, j: int, cyclic: bool, upper: bool):
     """(image, width): rewrite the core at one end of [m, M+1] as the core of
     the same width at the other end, and return the width of the core read.
 
-    The width is ``lower_core(p).width`` for the shift (upper=False) and
-    ``upper_core(p).width`` for its inverse, so a caller that needs both the
-    image and the width searches the core once.
+    The width is ``len(lower_core(p)) - 2`` for the shift (upper=False) and
+    ``len(upper_core(p)) - 2`` for its inverse, so a caller that needs both
+    the image and the width searches the core once.
     """
     normalized, host = _host(p, cyclic)
     if cyclic:

@@ -37,15 +37,16 @@ from .enumeration import (
     BUDGETS,
     KINDS,
     _odd_stream,
+    _word_pair_vectors,
     ballot_count_closed,
     count_table,
-    count_word_pair,
+    count_word_pair,  # noqa: F401
     member_index,
 )
 from .errors import BudgetError, DomainError
 # T_roundtrip calls _move, which returns each move's core width with its
-# image.  shift, shift_inv, lower_core and upper_core stay bound here because
-# perfbench's traced catalog run rebinds each of them on this module by name.
+# image.  count_word_pair, shift, shift_inv, lower_core and upper_core stay
+# bound here because perfbench's traced catalog run rebinds each by name.
 from .toeplitz import _move, lower_core, shift, shift_inv, upper_core  # noqa: F401
 from .words import format_word, height, is_ballot, swap_letters
 
@@ -312,21 +313,25 @@ def _lemma42(n: int):
                          cycle_flip, cycle_flip, (("cycle_lengths", lengths),))
 
 
+# The word pairs (u, v) of prop43_words by label: two ascending, each equated
+# with the class total of [n-3] one statistic down, then two descending, two down.
+_PROP43_PAIRS = {"u=1 v=23": ((1,), (2, 3)), "u=23 v=1": ((2, 3), (1,)),
+                 "u=1 v=32": ((1,), (3, 2)), "u=32 v=1": ((3, 2), (1,))}
+
+
 def _prop43(n: int):
     bt = count_table("ballot", n)
     small = count_table("ballot", n - 3)
+    vectors = _word_pair_vectors(n, tuple(_PROP43_PAIRS.values()))
     for d in range((n - 1) // 2 + 1):
-        ascending = {"u=1 v=23": count_word_pair(n, d, (1,), (2, 3)),
-                     "u=23 v=1": count_word_pair(n, d, (2, 3), (1,))}
-        descending = {"u=1 v=32": count_word_pair(n, d, (1,), (3, 2)),
-                      "u=32 v=1": count_word_pair(n, d, (3, 2), (1,))}
-        for pairs, rhs in ((ascending, small.total(d - 1)), (descending, small.total(d - 2))):
-            for label, lhs in pairs.items():
-                yield _same({"n": n, "d": d, "pair": label}, lhs, rhs)
+        counts = [vec[d] for vec in vectors]
+        for k, (label, lhs) in enumerate(zip(_PROP43_PAIRS, counts)):
+            yield _same({"n": n, "d": d, "pair": label}, lhs, small.total(d - 1 - k // 2))
+        right_up, left_up, right_down, left_down = counts
         yield _same({"n": n, "d": d, "identity": "right pairs"}, bt.cell(d, 1, 2) - bt.cell(d, 1, 3),
-                    ascending["u=1 v=23"] - descending["u=1 v=32"])
+                    right_up - right_down)
         yield _same({"n": n, "d": d, "identity": "left pairs"}, bt.cell(d, 3, 1) - bt.cell(d, 2, 1),
-                    ascending["u=23 v=1"] - descending["u=32 v=1"])
+                    left_up - left_down)
 
 
 def _eq_bnd_pnd(n: int):

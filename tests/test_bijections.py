@@ -24,7 +24,7 @@ def spread_pairs(n):
 def assert_decomposition_definition(p, anchor, dec):
     """Definition-level oracle: the returned split satisfies every clause and
     no longer carry passes both filters."""
-    assert dec.word() == p
+    assert dec.head + dec.anchor + dec.carry + dec.tail == p
     assert dec.anchor == anchor
     assert height(dec.head + dec.anchor + dec.carry) == height(anchor)
     assert is_ballot(dec.carry[::-1] + (anchor[-1],))

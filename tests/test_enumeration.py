@@ -320,7 +320,7 @@ def test_count_word_pair_reads_no_member_stream(monkeypatch):
         raise AssertionError("the ballot stream was drained")
 
     monkeypatch.setattr(enumeration, "_ballot_stream", no_stream)
-    enumeration._word_pair_vector.cache_clear()  # so the pair is counted afresh
+    enumeration._word_pair_vectors.cache_clear()  # so the pair is counted afresh
     assert count_word_pair(7, 3, (1,), (2, 3)) == 1  # the one witness 1 7 2 3 6 5 4
 
 

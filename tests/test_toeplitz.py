@@ -17,35 +17,39 @@ def shift_pairs(n):
     return [(i, j) for i in range(1, n - 1) for j in range(1, n - 1) if i != j]
 
 
+def width_and_core(core):
+    """(width, core): a core's width is its length minus 2."""
+    return len(core) - 2, core
+
+
 def test_lower_core_examples():
-    cd = lower_core((3, 8, 2, 5, 4, 9, 6, 7, 1), 4, 6)
-    assert (cd.width, cd.core) == (0, (9, 6))
-    cd = lower_core((1, 3, 4, 8, 7, 5, 9, 6, 2), 5, 6)
-    assert (cd.width, cd.core) == (2, (7, 5, 9, 6))
-    cd = lower_core(PI_CYCLIC, 3, 9, cyclic=True)
-    assert (cd.width, cd.core) == (3, (5, 4, 3, 12, 9))
+    core = lower_core((3, 8, 2, 5, 4, 9, 6, 7, 1), 4, 6)
+    assert width_and_core(core) == (0, (9, 6))
+    core = lower_core((1, 3, 4, 8, 7, 5, 9, 6, 2), 5, 6)
+    assert width_and_core(core) == (2, (7, 5, 9, 6))
+    core = lower_core(PI_CYCLIC, 3, 9, cyclic=True)
+    assert width_and_core(core) == (3, (5, 4, 3, 12, 9))
 
 
 def test_upper_core_examples():
-    cd = upper_core((1, 3, 4, 8, 6, 9, 7, 5, 2), 5, 6)
-    assert (cd.width, cd.core) == (2, (6, 9, 7, 5))
+    core = upper_core((1, 3, 4, 8, 6, 9, 7, 5, 2), 5, 6)
+    assert width_and_core(core) == (2, (6, 9, 7, 5))
     # width 0: the core is the two-letter factor (i+1) n
-    cd = upper_core((3, 8, 2, 6, 4, 5, 9, 7, 1), 4, 6)
-    assert (cd.width, cd.core) == (0, (5, 9))
-    cd = upper_core(SIGMA_CYCLIC, 3, 9, cyclic=True)
-    assert (cd.width, cd.core) == (3, (4, 12, 10, 9, 8))
+    core = upper_core((3, 8, 2, 6, 4, 5, 9, 7, 1), 4, 6)
+    assert width_and_core(core) == (0, (5, 9))
+    core = upper_core(SIGMA_CYCLIC, 3, 9, cyclic=True)
+    assert width_and_core(core) == (3, (4, 12, 10, 9, 8))
 
 
 def test_core_data_invariants():
-    for (m, M), cd in (
+    for (m, M), core in (
         ((4, 6), lower_core((3, 8, 2, 5, 4, 9, 6, 7, 1), 4, 6)),
         ((5, 6), lower_core((1, 3, 4, 8, 7, 5, 9, 6, 2), 5, 6)),
         ((5, 6), upper_core((1, 3, 4, 8, 6, 9, 7, 5, 2), 5, 6)),
         ((3, 9), lower_core(PI_CYCLIC, 3, 9, cyclic=True)),
     ):
-        assert len(cd.core) == cd.width + 2
-        assert 0 <= cd.width <= M - m + 1
-        assert max(cd.core) > M + 1  # the largest letter sits inside the core
+        assert 0 <= len(core) - 2 <= M - m + 1
+        assert max(core) > M + 1  # the largest letter sits inside the core
 
 
 def test_shift_printed_examples():
@@ -66,9 +70,9 @@ def test_width_equality_on_examples():
         ((1, 3, 4, 8, 7, 5, 9, 6, 2), (5, 6)),
     ):
         q = shift(p, i, j)
-        assert lower_core(p, i, j).width == upper_core(q, i, j).width
-    assert lower_core(PI_CYCLIC, 3, 9, cyclic=True).width == \
-        upper_core(SIGMA_CYCLIC, 3, 9, cyclic=True).width
+        assert len(lower_core(p, i, j)) == len(upper_core(q, i, j))
+    assert len(lower_core(PI_CYCLIC, 3, 9, cyclic=True)) == \
+        len(upper_core(SIGMA_CYCLIC, 3, 9, cyclic=True))
 
 
 def test_linear_shift_exhaustive_small():
@@ -119,10 +123,10 @@ def test_cyclic_width_bounds_when_core_is_whole_cycle():
         for d in range((n - 1) // 2 + 1):
             for i, j in shift_pairs(n):
                 for p in idx.cell(d, i, j):
-                    cd = lower_core(p, i, j, cyclic=True)
+                    core = lower_core(p, i, j, cyclic=True)
                     cycle = next(c for c in p if max(c) == n)
-                    if len(cd.core) == len(cycle):
-                        assert 1 <= cd.width <= max(i, j) - min(i, j)
+                    if len(core) == len(cycle):
+                        assert 1 <= len(core) - 2 <= max(i, j) - min(i, j)
 
 
 def test_shift_domain_errors():
@@ -202,9 +206,9 @@ def test_core_search_matches_the_per_length_scan():
                 for core_fn, i, j, upper in ((lower_core, a, b, False), (upper_core, a - 1, b - 1, True)):
                     if i == 0 or j == 0 or max(i, j) > n - 2:
                         continue
-                    cd = core_fn(p, i, j, cyclic=cyclic)
+                    got = core_fn(p, i, j, cyclic=cyclic)
                     width, core = scan_core(host, i, j, cyclic, upper)
-                    assert (cd.width, cd.core) == (width, core), (p, i, j, upper)
+                    assert width_and_core(got) == (width, core), (p, i, j, upper)
                     m, M = min(i, j), max(i, j)
                     seen["calls"] += 1
                     seen["whole cycle"] += cyclic and len(core) == len(host)
@@ -245,12 +249,12 @@ def test_core_search_matches_the_scan_on_every_input():
                         for core_fn, upper in ((lower_core, False), (upper_core, True)):
                             expected = scan_outcome(host, i, j, cyclic, upper)
                             try:
-                                cd = core_fn(p, i, j, cyclic=cyclic)
+                                core = core_fn(p, i, j, cyclic=cyclic)
                             except DomainError as exc:
                                 assert str(exc) == expected, (p, i, j, upper)
                                 seen[str(exc).split()[0]] += 1
                             else:
-                                assert (cd.width, cd.core) == expected, (p, i, j, upper)
+                                assert width_and_core(core) == expected, (p, i, j, upper)
                                 seen["core"] += 1
     assert set(seen) == {"shift", "input", "core"}, seen
 
@@ -301,7 +305,7 @@ def test_move_returns_the_image_and_the_width_it_read():
                                 assert got == expected, (p, i, j, upper)
                                 seen["refused"] += 1
                             else:
-                                assert got == (expected, core_fn(p, i, j, cyclic=cyclic).width), (p, i, j, upper)
+                                assert got == (expected, len(core_fn(p, i, j, cyclic=cyclic)) - 2), (p, i, j, upper)
                                 seen["moved", cyclic, got[1] > 0] += 1
     assert {("moved", c, w) for c in (False, True) for w in (False, True)} <= set(seen), seen
     assert seen["refused"] > 0

@@ -50,7 +50,7 @@ def test_budget_caps_are_pinned():
 
 
 def _memos_empty():
-    cached = (enumeration.member_index, enumeration._word_pair_vector)
+    cached = (enumeration.member_index, enumeration._word_pair_vectors)
     return enumeration._TABLES == {} and all(fn.cache_info().currsize == 0 for fn in cached)
 
 
@@ -114,6 +114,22 @@ def test_counterexamples_carry_params_lhs_rhs():
         assert ce["lhs"] != ce["rhs"]
     cells = {(ce["params"]["n"], ce["params"]["d"]) for ce in report.counterexamples}
     assert cells == {(5, 2), (6, 2)}
+
+
+def test_prop43_words_runs_one_word_pair_dp_per_size(monkeypatch):
+    # the four word pairs of one size share one pass of the subset DP; the
+    # table builds also run the DP, on one-letter pairs only, so they are
+    # told apart from the word-pair passes
+    dp, calls = enumeration._ballot_dp, []
+
+    def counted(n, pairs):
+        calls.append((n, all(len(u) == len(v) == 1 for u, v in pairs)))
+        return dp(n, pairs)
+
+    monkeypatch.setattr(enumeration, "_ballot_dp", counted)
+    enumeration.clear_memo()
+    run_check("prop43_words", 8)
+    assert [n for n, table in calls if not table] == [4, 5, 6, 7, 8]
 
 
 def test_fail_report_construction_direct():
