@@ -32,9 +32,10 @@ CACHE_FORMAT_VERSION = 1
 class DiskCache:
     """Count tables persisted as checksummed JSON files, one per (kind, n).
 
-    Files are written atomically (temp file, then rename).  A file whose
-    checksum does not match its payload, or whose content is not shaped like
-    a table of its (kind, n), is ignored and recomputed, never trusted.
+    Files are written atomically (temp file, then rename).  A file is trusted
+    only if its content equals what ``save`` would write for a well-formed
+    table at its (kind, n): the table's payload plus that payload's checksum,
+    and no other key.  Any other file is ignored and recomputed, never trusted.
     """
 
     def __init__(self, root: Path):
@@ -44,19 +45,21 @@ class DiskCache:
         return self.root / f"{kind}-n{n}.v{CACHE_FORMAT_VERSION}.json"
 
     @staticmethod
-    def _payload(table: CountTable) -> dict:
-        return {
+    def _checksum(payload: dict) -> str:
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode()).hexdigest()
+
+    @staticmethod
+    def _blob(table: CountTable) -> dict:
+        """What ``save`` writes for a table: its payload and the payload's checksum."""
+        payload = {
             "format_version": CACHE_FORMAT_VERSION,
             "kind": table.kind,
             "n": table.n,
             "totals": list(table.totals),
             "cells": [[list(row) for row in layer] for layer in table.cells],
         }
-
-    @staticmethod
-    def _checksum(payload: dict) -> str:
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        return dict(payload, checksum=DiskCache._checksum(payload))
 
     @staticmethod
     def _well_formed(n: int, totals, cells) -> bool:
@@ -86,34 +89,22 @@ class DiskCache:
         return sum(totals) == enumeration.ballot_count_closed(n)
 
     def load(self, kind: str, n: int) -> CountTable | None:
-        path = self._path(kind, n)
+        """The table cached at (kind, n), or None unless the file equals what ``save`` writes for it."""
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(self._path(kind, n), encoding="utf-8") as fh:
                 blob = json.load(fh)
-            if not isinstance(blob, dict):
+            totals, cells = blob["totals"], blob["cells"]
+            if not self._well_formed(n, totals, cells):
                 return None
-            payload = {k: v for k, v in blob.items() if k != "checksum"}
-            if blob.get("checksum") != self._checksum(payload):
-                return None
-            if payload.get("format_version") != CACHE_FORMAT_VERSION:
-                return None
-            if payload.get("kind") != kind or payload.get("n") != n:
-                return None
-            if not self._well_formed(n, payload["totals"], payload["cells"]):
-                return None
-            return CountTable(
-                kind=kind,
-                n=n,
-                totals=tuple(payload["totals"]),
-                cells=tuple(tuple(tuple(row) for row in layer) for layer in payload["cells"]),
-            )
+            table = CountTable(kind=kind, n=n, totals=tuple(totals),
+                               cells=tuple(tuple(map(tuple, layer)) for layer in cells))
+            return table if blob == self._blob(table) else None
         except (OSError, ValueError, KeyError, TypeError, RecursionError):
             return None
 
     def save(self, table: CountTable) -> None:
         """Write one table; a cache directory that cannot be written is a DomainError."""
-        payload = self._payload(table)
-        blob = dict(payload, checksum=self._checksum(payload))
+        blob = self._blob(table)
         tmp = None
         try:
             self.root.mkdir(parents=True, exist_ok=True)
@@ -133,9 +124,8 @@ def _store(args) -> DiskCache | None:
 
 
 def _cmd_count(args) -> int:
-    store = _store(args)
     key = CountKey(n=args.n, d=args.d, i=args.i, j=args.j)
-    print(enumeration.count(args.kind, key, store=store))
+    print(enumeration.count(args.kind, key, store=_store(args)))
     return 0
 
 
@@ -148,8 +138,7 @@ def _matrix_text(matrix: CountMatrix, fmt: str) -> str:
 
 
 def _cmd_matrix(args) -> int:
-    store = _store(args)
-    matrix = enumeration.build_matrix(args.kind, args.n, args.d, store=store)
+    matrix = enumeration.build_matrix(args.kind, args.n, args.d, store=_store(args))
     print(_matrix_text(matrix, args.format))
     return 0
 
@@ -164,38 +153,32 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _require_letters(args) -> tuple[int, int]:
-    if args.i is None or args.j is None:
-        raise DomainError(f"map --op {args.op} needs --i and --j")
-    return args.i, args.j
+_FORMS = {"linear": "one-line permutations", "cyclic": "cycle decompositions"}
+_BOTH = tuple(_FORMS)
+
+# Every `map` op: the forms it accepts, whether it needs --i and --j, and its
+# call on (perm, i, j, cyclic).
+_MAP_OPS = {
+    "T": (_BOTH, True, lambda p, i, j, cyclic: toeplitz.shift(p, i, j, cyclic=cyclic)),
+    "Tinv": (_BOTH, True, lambda p, i, j, cyclic: toeplitz.shift_inv(p, i, j, cyclic=cyclic)),
+    "f": (("linear",), True, lambda p, i, j, _: bijections.flank_swap(p, i, j, "forward")),
+    "g": (("linear",), True, lambda p, i, j, _: bijections.flank_swap(p, i, j, "backward")),
+    "phi": (("linear",), True, lambda p, i, j, _: bijections.exchange_letters(p, i, j)),
+    "contract": (_BOTH, True, lambda p, i, j, _: bijections.contract(p, i, j)),
+    "expand": (_BOTH, True, lambda p, i, j, _: bijections.contract(p, i, j, inverse=True)),
+    "flip": (("cyclic",), False, lambda p, i, j, _: bijections.cycle_flip(p)),
+}
 
 
 def _cmd_map(args) -> int:
+    forms, needs_letters, call = _MAP_OPS[args.op]
     cyclic = args.kind == "cyclic"
     perm = parse_cycles(args.perm) if cyclic else parse_word(args.perm)
-    op = args.op
-    if op in ("T", "Tinv"):
-        i, j = _require_letters(args)
-        fn = toeplitz.shift if op == "T" else toeplitz.shift_inv
-        result = fn(perm, i, j, cyclic=cyclic)
-    elif op in ("f", "g"):
-        if cyclic:
-            raise DomainError(f"map --op {op} is defined on one-line permutations only")
-        i, j = _require_letters(args)
-        direction = "forward" if op == "f" else "backward"
-        result = bijections.flank_swap(perm, i, j, direction)
-    elif op == "phi":
-        if cyclic:
-            raise DomainError("map --op phi is defined on one-line permutations only")
-        i, j = _require_letters(args)
-        result = bijections.exchange_letters(perm, i, j)
-    elif op == "contract":
-        i, j = _require_letters(args)
-        result = bijections.contract(perm, i, j, inverse=args.inverse)
-    else:  # flip
-        if not cyclic:
-            raise DomainError("map --op flip is defined on cycle decompositions only")
-        result = bijections.cycle_flip(perm)
+    if args.kind not in forms:
+        raise DomainError(f"map --op {args.op} is defined on {_FORMS[forms[0]]} only")
+    if needs_letters and (args.i is None or args.j is None):
+        raise DomainError(f"map --op {args.op} needs --i and --j")
+    result = call(perm, args.i, args.j, cyclic)
     print(format_cycles(result) if cyclic else format_word(result))
     return 0
 
@@ -276,13 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
     enum.set_defaults(fn=_cmd_enumerate)
 
     map_cmd = sub.add_parser("map", help="apply one of the structure-preserving maps")
-    map_cmd.add_argument("--op", choices=("T", "Tinv", "f", "g", "phi", "contract", "flip"),
-                         required=True)
-    map_cmd.add_argument("--kind", choices=("linear", "cyclic"), default="linear")
+    map_cmd.add_argument("--op", choices=tuple(_MAP_OPS), required=True)
+    map_cmd.add_argument("--kind", choices=_BOTH, default="linear")
     map_cmd.add_argument("--i", type=int, default=None)
     map_cmd.add_argument("--j", type=int, default=None)
-    map_cmd.add_argument("--inverse", action="store_true",
-                         help="apply the inverse direction (contract only)")
     map_cmd.add_argument("--perm", required=True,
                          help='one-line form "3 8 2 ..." or cycle form "(1 3)(2)"')
     map_cmd.set_defaults(fn=_cmd_map)

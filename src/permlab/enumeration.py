@@ -33,10 +33,9 @@ KINDS = ("ballot", "odd")
 BUDGETS = {"ballot": 10, "odd": 11, "members": 9}
 
 
-def _check_kind(kind: str) -> str:
+def _check_kind(kind: str) -> None:
     if kind not in KINDS:
         raise DomainError(f"kind must be one of {KINDS}, got {kind!r}")
-    return kind
 
 
 def _check_budget(resource: str, n: int) -> None:
@@ -419,7 +418,7 @@ class CountKey:
 
 def count(kind: str, key: CountKey, store=None) -> int:
     """Refined count for ``key``: total, by statistic, by neighbor cell, or both."""
-    table = count_table(_check_kind(kind), key.n, store=store)
+    table = count_table(kind, key.n, store=store)
     if key.i is None:
         return table.total(key.d)
     return table.cell(key.d, key.i, key.j)
@@ -459,11 +458,9 @@ def build_matrix(kind: str, n: int, d: int | None = None, store=None) -> CountMa
         raise DomainError(f"count matrices need n >= 3, got {n}")
     if d is not None and not 0 <= d <= (n - 1) // 2:
         raise DomainError(f"d must satisfy 0 <= d <= {(n - 1) // 2}, got {d}")
-    table = count_table(_check_kind(kind), n, store=store)
-    entries = tuple(
-        tuple(0 if i == j else table.cell(d, i, j) for j in range(1, n))
-        for i in range(1, n)
-    )
+    cells = count_table(kind, n, store=store).cells
+    # every layer is zero on its diagonal, so the layers are the matrices
+    entries = cells[d] if d is not None else tuple(tuple(map(sum, zip(*rows))) for rows in zip(*cells))
     return CountMatrix(kind=kind, n=n, d=d, entries=entries)
 
 

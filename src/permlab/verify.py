@@ -348,9 +348,9 @@ class CheckInfo:
     """One catalog entry.
 
     ``reads`` names the budgets in ``enumeration.BUDGETS`` that the cells draw
-    on: "ballot" or "odd" for count tables and word-pair counts of that kind,
-    "members" for member lists.  The cells at size n read no size above n, so
-    the check's cap is the smallest budget it reads.
+    on: "ballot" or "odd" for the streams, count tables and word-pair counts
+    of that kind, "members" for whole member lists.  The cells at size n read
+    no size above n, so the check's cap is the smallest budget it reads.
     """
 
     name: str
@@ -413,7 +413,7 @@ _CATALOG: tuple[CheckInfo, ...] = (
               10, 4, _prop41, ("ballot", "odd")),
     CheckInfo("lemma42",
               "the weight-preserving cycle flip gives p(n,d,1,2) = p(n,d,1,3)",
-              9, 4, _lemma42, ("members",)),
+              9, 4, _lemma42, ("odd",)),
     CheckInfo("prop43_words",
               "word-pair counts reduce to whole-class totals three letters down",
               8, 4, _prop43, ("ballot",)),

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -125,9 +126,21 @@ def test_map_contract_and_inverse(capsys):
     code, out, _ = run_cli(capsys, "map", "--op", "contract", "--i", "1", "--j", "2",
                            "--perm", "1 5 2 3 4")
     assert (code, out.strip()) == (0, "1 2 3")
-    code, out, _ = run_cli(capsys, "map", "--op", "contract", "--inverse",
+    code, out, _ = run_cli(capsys, "map", "--op", "expand",
                            "--i", "1", "--j", "2", "--perm", "1 2 3")
     assert (code, out.strip()) == (0, "1 5 2 3 4")
+
+
+def test_map_expand_is_its_own_op(capsys):
+    # the contraction's inverse is the op `expand`, and `--inverse` is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["map", "--op", "contract", "--inverse", "--i", "1", "--j", "2", "--perm", "1 2 3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    for kind, perm, expected in (("linear", "1 2 3", "1 5 2 3 4"), ("cyclic", "(1 2)(3)", "(1 5 2 3)(4)")):
+        code, out, err = run_cli(capsys, "map", "--op", "expand", "--kind", kind,
+                                 "--i", "1", "--j", "2", "--perm", perm)
+        assert (code, out, err) == (0, expected + "\n", "")
 
 
 def test_map_flip(capsys):
@@ -150,6 +163,28 @@ def test_map_errors(capsys):
     assert (code, out, err) == (2, "", "permlab: map --op phi is defined on one-line permutations only\n")
     code, out, err = run_cli(capsys, "map", "--op", "flip", "--perm", "1 4 2 3")
     assert (code, out, err) == (2, "", "permlab: map --op flip is defined on cycle decompositions only\n")
+
+
+def _readme_cli_lines():
+    """(argv, expected stdout or None) for each `permlab` line of README's CLI block."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    for line in block.splitlines():
+        if line.startswith("permlab "):
+            command, _, note = line.partition("#")
+            yield shlex.split(command)[1:], note.strip() or None
+
+
+def test_readme_cli_examples_run(capsys, monkeypatch):
+    monkeypatch.delenv("PERMLAB_CACHE", raising=False)
+    lines = list(_readme_cli_lines())
+    assert ["map", "--op", "expand"] in [argv[:3] for argv, _ in lines]
+    for argv, expected in lines:
+        code, out, err = run_cli(capsys, *argv)
+        # the whole catalog exits 1 because prop43_words is red by design
+        assert code == (1 if argv[:3] == ["verify", "--check", "all"] else 0), (argv, err)
+        if expected is not None:
+            assert out == expected + "\n", argv
 
 
 def test_usage_error_exit_2(capsys):
@@ -324,6 +359,7 @@ def test_disk_cache_rejects_wrong_content_with_valid_checksum(tmp_path):
         {"cells": diagonal},
         {"cells": negative},
         {"cells": overfull},
+        {"note": "an extra key"},                  # a well-formed table with one key too many
     )
     for content in forgeries:
         cache.save(table)

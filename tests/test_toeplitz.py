@@ -41,7 +41,7 @@ def test_upper_core_examples():
     assert width_and_core(core) == (3, (4, 12, 10, 9, 8))
 
 
-def test_core_data_invariants():
+def test_core_invariants():
     for (m, M), core in (
         ((4, 6), lower_core((3, 8, 2, 5, 4, 9, 6, 7, 1), 4, 6)),
         ((5, 6), lower_core((1, 3, 4, 8, 7, 5, 9, 6, 2), 5, 6)),

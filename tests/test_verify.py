@@ -45,7 +45,7 @@ def test_budget_caps_are_pinned():
         "closed_form": 10, "recurrence_b": 10, "recurrence_p": 11, "lemma21": 9, "lemma22": 9,
         "thm23_bijection": 9, "x_lambda_identity": 9, "phi_bijection": 9, "toeplitz_B": 10,
         "toeplitz_P": 11, "symmetry_P": 11, "T_roundtrip": 9, "conj_spiro": 10, "conj_refined": 10,
-        "prop41": 10, "lemma42": 9, "prop43_words": 10, "eq_bnd_pnd": 10,
+        "prop41": 10, "lemma42": 11, "prop43_words": 10, "eq_bnd_pnd": 10,
     }
 
 
