@@ -5,13 +5,13 @@ counting classes, with a verification harness for every identity."""
 
 from .bijections import (
     AnchorDecomposition,
-    ShiftAnchors,
     anchor_decompose,
     contract,
     cycle_flip,
     exchange_letters,
     flank_swap,
     is_anchor_decomposable,
+    pivot_words,
 )
 from .cycles import (
     canonicalize_cycles,
@@ -22,7 +22,6 @@ from .cycles import (
     perm_weight,
 )
 from .enumeration import (
-    CountKey,
     CountMatrix,
     CountTable,
     ballot_count_closed,

@@ -4,11 +4,11 @@
   factor into head, anchor, carry, tail so that head+anchor+carry has the
   anchor's height and the carry is as long as possible subject to a ballot
   side condition;
-* flank swap: for the pivot words i n (j-1) j and (j-1) j n i, exchange the
-  reversed head and carry around the new pivot (a bijection between the two
-  anchor classes);
-* letter exchange: swap the letters j-1 and j on the complement of the
-  anchor class, moving the neighbor cell (i, j-1) to (i, j);
+* flank swap: for the pivot words i n (j-1) j and (j-1) j n i (``pivot_words``),
+  exchange the reversed head and carry around the other pivot word (a
+  bijection between the two anchor classes);
+* letter exchange: swap the letters j-1 and j on the complement of the first
+  pivot word's anchor class, moving the neighbor cell (i, j-1) to (i, j);
 * contract / expand: delete (re-insert) the letters j and n next to i when
   |i - j| = 1, dropping the statistic by one and the size by two;
 * cycle flip: toggle the cyclic neighbors of the largest letter between
@@ -96,28 +96,12 @@ def anchor_decompose(p: Word, anchor: Word) -> AnchorDecomposition | None:
                                carry=p[split:split + best], tail=p[split + best:])
 
 
-@dataclass(frozen=True)
-class ShiftAnchors:
-    """The pivot pair for the flank swap at letters (i, j) in [n]: the words
-    i n (j-1) j and (j-1) j n i."""
-
-    i: int
-    j: int
-    n: int
-
-    def __post_init__(self):
-        if not (1 <= self.i and self.i + 2 <= self.j <= self.n - 1):
-            raise DomainError(
-                f"flank swap needs 1 <= i, i+2 <= j <= n-1, got i={self.i}, j={self.j}, n={self.n}"
-            )
-
-    @property
-    def forward_word(self) -> Word:
-        return (self.i, self.n, self.j - 1, self.j)
-
-    @property
-    def backward_word(self) -> Word:
-        return (self.j - 1, self.j, self.n, self.i)
+def pivot_words(i: int, j: int, n: int) -> tuple[Word, Word]:
+    """The forward and backward pivot words i n (j-1) j and (j-1) j n i of the
+    flank swap and the letter exchange at letters (i, j) in [n]."""
+    if not (1 <= i and i + 2 <= j <= n - 1):
+        raise DomainError(f"pivot words need 1 <= i, i+2 <= j <= n-1, got i={i}, j={j}, n={n}")
+    return (i, n, j - 1, j), (j - 1, j, n, i)
 
 
 def flank_swap(p: Word, i: int, j: int, direction: str = "forward") -> Word:
@@ -127,11 +111,11 @@ def flank_swap(p: Word, i: int, j: int, direction: str = "forward") -> Word:
     anchored at (j-1) j n i; ``backward`` is the inverse.
     """
     p = check_permutation(p)
-    anchors = ShiftAnchors(i=i, j=j, n=len(p))
+    forward, backward = pivot_words(i, j, len(p))
     if direction == "forward":
-        src, dst = anchors.forward_word, anchors.backward_word
+        src, dst = forward, backward
     elif direction == "backward":
-        src, dst = anchors.backward_word, anchors.forward_word
+        src, dst = backward, forward
     else:
         raise DomainError(f"direction must be 'forward' or 'backward', got {direction!r}")
     if not is_ballot(p):
@@ -149,14 +133,14 @@ def exchange_letters(p: Word, i: int, j: int) -> Word:
     not anchor-decomposable for i n (j-1) j; the image contains i n j.
     """
     p = check_permutation(p)
-    anchors = ShiftAnchors(i=i, j=j, n=len(p))
     n = len(p)
+    forward, _ = pivot_words(i, j, n)
     if not is_ballot(p):
         raise DomainError(f"{p} is not ballot")
     if find_factor(p, (i, n, j - 1)) is None:
         raise DomainError(f"{p} does not contain the factor {i} {n} {j - 1}")
-    if is_anchor_decomposable(p, anchors.forward_word):
-        raise DomainError(f"{p} is anchor-decomposable for {anchors.forward_word}, outside the swap domain")
+    if is_anchor_decomposable(p, forward):
+        raise DomainError(f"{p} is anchor-decomposable for {forward}, outside the swap domain")
     return swap_letters(p, j - 1, j)
 
 

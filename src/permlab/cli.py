@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import bijections, enumeration, toeplitz, verify
 from .cycles import format_cycles, parse_cycles
-from .enumeration import CountKey, CountMatrix, CountTable
+from .enumeration import CountMatrix, CountTable
 from .errors import BudgetError, DomainError
 from .words import format_word, parse_word
 
@@ -124,8 +124,7 @@ def _store(args) -> DiskCache | None:
 
 
 def _cmd_count(args) -> int:
-    key = CountKey(n=args.n, d=args.d, i=args.i, j=args.j)
-    print(enumeration.count(args.kind, key, store=_store(args)))
+    print(enumeration.count(args.kind, args.n, args.d, args.i, args.j, store=_store(args)))
     return 0
 
 

@@ -41,10 +41,20 @@ def _check_kind(kind: str) -> None:
 def _check_budget(resource: str, n: int) -> None:
     if n < 1:
         raise DomainError(f"n must be at least 1, got {n}")
-    cap = BUDGETS[resource]
-    if n > cap:
-        what = "member lists are" if resource == "members" else f"exhaustive {resource} enumeration is"
-        raise BudgetError(f"{what} budgeted up to n={cap}, got n={n}")
+    if n > BUDGETS[resource]:
+        raise BudgetError(f"{resource!r} is budgeted up to n={BUDGETS[resource]}, got n={n}")
+
+
+def _check_d(n: int, d: int | None) -> None:
+    """A statistic d, when given, must lie in [0, (n-1)/2]."""
+    if d is not None and not 0 <= d <= (n - 1) // 2:
+        raise DomainError(f"d must satisfy 0 <= d <= {(n - 1) // 2}, got {d}")
+
+
+def _check_letters(n: int, i: int, j: int) -> None:
+    """The neighbors (i, j) of n must be two distinct letters of [n-1]."""
+    if not (1 <= i <= n - 1 and 1 <= j <= n - 1 and i != j):
+        raise DomainError(f"cell letters must satisfy 1 <= i != j <= {n - 1}, got ({i}, {j})")
 
 
 def double_factorial(k: int) -> int:
@@ -187,8 +197,7 @@ class CountTable:
         return self.totals[d]
 
     def cell(self, d: int | None, i: int, j: int) -> int:
-        if not (1 <= i <= self.n - 1 and 1 <= j <= self.n - 1 and i != j):
-            raise DomainError(f"cell letters must satisfy 1 <= i != j <= {self.n - 1}, got ({i}, {j})")
+        _check_letters(self.n, i, j)
         if d is None:
             return sum(layer[i - 1][j - 1] for layer in self.cells)
         if d < 0 or d > self.d_max:
@@ -393,35 +402,21 @@ def count_table(kind: str, n: int, store=None) -> CountTable:
     return table
 
 
-@dataclass(frozen=True)
-class CountKey:
-    """Query key for refined counts: n, optional statistic d, optional letters (i, j)."""
-
-    n: int
-    d: int | None = None
-    i: int | None = None
-    j: int | None = None
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"n must be at least 1, got {self.n}")
-        if self.d is not None and not 0 <= self.d <= (self.n - 1) // 2:
-            raise DomainError(f"d must satisfy 0 <= d <= {(self.n - 1) // 2}, got {self.d}")
-        if (self.i is None) != (self.j is None):
-            raise DomainError("letters i and j must be given together")
-        if self.i is not None:
-            if not (1 <= self.i <= self.n - 1 and 1 <= self.j <= self.n - 1):
-                raise DomainError(f"letters must lie in [1, {self.n - 1}], got ({self.i}, {self.j})")
-            if self.i == self.j:
-                raise DomainError("letters i and j must differ")
-
-
-def count(kind: str, key: CountKey, store=None) -> int:
-    """Refined count for ``key``: total, by statistic, by neighbor cell, or both."""
-    table = count_table(kind, key.n, store=store)
-    if key.i is None:
-        return table.total(key.d)
-    return table.cell(key.d, key.i, key.j)
+def count(kind: str, n: int, d: int | None = None, i: int | None = None, j: int | None = None,
+          store=None) -> int:
+    """Refined count b(n, d, i, j) or p(n, d, i, j): the class total when d and
+    the letters are None, else the members with statistic d, neighbor cell
+    (i, j), or both.  n, then d, then the letters are checked before any
+    table is built; ``count_table`` then checks the kind and the budget."""
+    if n < 1:
+        raise DomainError(f"n must be at least 1, got {n}")
+    _check_d(n, d)
+    if (i is None) != (j is None):
+        raise DomainError("letters i and j must be given together")
+    if i is not None:
+        _check_letters(n, i, j)
+    table = count_table(kind, n, store=store)
+    return table.total(d) if i is None else table.cell(d, i, j)
 
 
 @dataclass(frozen=True)
@@ -456,8 +451,7 @@ def build_matrix(kind: str, n: int, d: int | None = None, store=None) -> CountMa
     """Count matrix for one kind at one n; d=None sums over all statistics."""
     if n < 3:
         raise DomainError(f"count matrices need n >= 3, got {n}")
-    if d is not None and not 0 <= d <= (n - 1) // 2:
-        raise DomainError(f"d must satisfy 0 <= d <= {(n - 1) // 2}, got {d}")
+    _check_d(n, d)
     cells = count_table(kind, n, store=store).cells
     # every layer is zero on its diagonal, so the layers are the matrices
     entries = cells[d] if d is not None else tuple(tuple(map(sum, zip(*rows))) for rows in zip(*cells))

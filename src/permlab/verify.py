@@ -24,13 +24,13 @@ from itertools import permutations
 from typing import Callable, Iterable
 
 from .bijections import (
-    ShiftAnchors,
     anchor_decompose,
     contract,
     cycle_flip,
     exchange_letters,
     flank_swap,
     is_anchor_decomposable,
+    pivot_words,
 )
 from .cycles import cycle_stats, format_cycles
 from .enumeration import (
@@ -129,9 +129,9 @@ def _entry(table, d, i, j) -> int:
 
 def _anchor_classes(idx, n: int, i: int, j: int) -> tuple[list, list]:
     """The forward and backward pivot anchor classes, each drawn from its neighbor cell."""
-    anchors = ShiftAnchors(i=i, j=j, n=n)
-    return ([p for p in idx.cell_union(i, j - 1) if is_anchor_decomposable(p, anchors.forward_word)],
-            [p for p in idx.cell_union(j, i) if is_anchor_decomposable(p, anchors.backward_word)])
+    forward, backward = pivot_words(i, j, n)
+    return ([p for p in idx.cell_union(i, j - 1) if is_anchor_decomposable(p, forward)],
+            [p for p in idx.cell_union(j, i) if is_anchor_decomposable(p, backward)])
 
 
 def _closed_form(n: int):
@@ -164,9 +164,8 @@ def _lemma21(n: int):
 def _lemma22(n: int):
     idx = member_index("ballot", n)
     for i, j in _spread_pairs(n):
-        anchors = ShiftAnchors(i=i, j=j, n=n)
-        for word, cell in ((anchors.forward_word, (i, j - 1)),
-                           (anchors.backward_word, (j, i))):
+        forward, backward = pivot_words(i, j, n)
+        for word, cell in ((forward, (i, j - 1)), (backward, (j, i))):
             for p in idx.cell_union(*cell):
                 dec = anchor_decompose(p, word)
                 if dec is None:
@@ -201,7 +200,7 @@ def _x_lambda(n: int):
 def _phi(n: int):
     idx = member_index("ballot", n)
     for i, j in _spread_pairs(n):
-        word = ShiftAnchors(i=i, j=j, n=n).forward_word
+        word, _ = pivot_words(i, j, n)
         complement = [p for p in idx.cell_union(i, j - 1) if not is_anchor_decomposable(p, word)]
         # on its domain exchange_letters is the swap of j-1 and j, its own inverse
         yield _bijection({"n": n, "i": i, "j": j}, complement, idx.cell_union(i, j),

@@ -2,7 +2,6 @@ import pytest
 
 from permlab.bijections import (
     AnchorDecomposition,
-    ShiftAnchors,
     _contract_tables,
     anchor_decompose,
     contract,
@@ -10,6 +9,7 @@ from permlab.bijections import (
     exchange_letters,
     flank_swap,
     is_anchor_decomposable,
+    pivot_words,
 )
 from permlab.cycles import max_letter_neighbors, perm_weight
 from permlab.enumeration import member_index
@@ -53,9 +53,8 @@ def test_anchor_decompose_satisfies_definition():
     for n in range(4, 8):
         idx = member_index("ballot", n)
         for i, j in spread_pairs(n):
-            anchors = ShiftAnchors(i=i, j=j, n=n)
-            for word, cell in ((anchors.forward_word, (i, j - 1)),
-                               (anchors.backward_word, (j, i))):
+            forward_word, backward_word = pivot_words(i, j, n)
+            for word, cell in ((forward_word, (i, j - 1)), (backward_word, (j, i))):
                 for p in idx.cell_union(*cell):
                     dec = anchor_decompose(p, word)
                     if dec is not None:
@@ -87,11 +86,9 @@ def test_flank_swap_round_trip_exhaustive():
     for n in range(4, 8):
         idx = member_index("ballot", n)
         for i, j in spread_pairs(n):
-            anchors = ShiftAnchors(i=i, j=j, n=n)
-            forward = [p for p in idx.cell_union(i, j - 1)
-                       if is_anchor_decomposable(p, anchors.forward_word)]
-            backward = [p for p in idx.cell_union(j, i)
-                        if is_anchor_decomposable(p, anchors.backward_word)]
+            forward_word, backward_word = pivot_words(i, j, n)
+            forward = [p for p in idx.cell_union(i, j - 1) if is_anchor_decomposable(p, forward_word)]
+            backward = [p for p in idx.cell_union(j, i) if is_anchor_decomposable(p, backward_word)]
             image = []
             for p in forward:
                 q = flank_swap(p, i, j, "forward")
@@ -110,6 +107,23 @@ def test_flank_swap_domain_errors():
     with pytest.raises(DomainError) as exc:
         flank_swap((2, 1, 3, 4, 5), 1, 3)
     assert str(exc.value) == "(2, 1, 3, 4, 5) is not ballot, so not in the anchor class of (1, 5, 2, 3)"
+
+
+def test_pivot_words():
+    assert pivot_words(1, 3, 5) == ((1, 5, 2, 3), (2, 3, 5, 1))
+    assert pivot_words(2, 6, 7) == ((2, 7, 5, 6), (5, 6, 7, 2))
+
+
+@pytest.mark.parametrize("i, j", [(1, 2), (0, 3), (2, 1), (1, 5)])
+def test_pivot_letter_refusals_name_the_pivot_words(i, j):
+    # the flank swap and the letter exchange refuse the same letters with the same message
+    message = f"pivot words need 1 <= i, i+2 <= j <= n-1, got i={i}, j={j}, n=5"
+    p = (1, 5, 2, 3, 4)
+    for call in (lambda: pivot_words(i, j, 5), lambda: flank_swap(p, i, j),
+                 lambda: flank_swap(p, i, j, "backward"), lambda: exchange_letters(p, i, j)):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 def test_exchange_letters_examples():
@@ -234,9 +248,8 @@ def test_tail_of_pivot_decomposition_is_ballot():
     for n in range(4, 8):
         idx = member_index("ballot", n)
         for i, j in spread_pairs(n):
-            anchors = ShiftAnchors(i=i, j=j, n=n)
-            for word, cell in ((anchors.forward_word, (i, j - 1)),
-                               (anchors.backward_word, (j, i))):
+            forward_word, backward_word = pivot_words(i, j, n)
+            for word, cell in ((forward_word, (i, j - 1)), (backward_word, (j, i))):
                 for p in idx.cell_union(*cell):
                     dec = anchor_decompose(p, word)
                     if dec is not None and dec.tail and not is_ballot(dec.tail):

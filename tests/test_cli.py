@@ -68,7 +68,7 @@ def test_matrix_at_a_fixed_statistic_for_both_kinds(capsys):
 def test_matrix_refuses_sizes_past_the_budget(capsys):
     code, out, err = run_cli(capsys, "matrix", "--kind", "ballot", "--n", "11")
     assert (code, out) == (2, "")
-    assert err == "permlab: budget error: exhaustive ballot enumeration is budgeted up to n=10, got n=11\n"
+    assert err == "permlab: budget error: 'ballot' is budgeted up to n=10, got n=11\n"
 
 
 def test_matrix_csv(capsys):

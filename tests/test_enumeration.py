@@ -6,7 +6,6 @@ import pytest
 from permlab import enumeration
 from permlab.cycles import format_cycles
 from permlab.enumeration import (
-    CountKey,
     _ballot_stream,
     _odd_stream,
     ballot_cell,
@@ -93,25 +92,52 @@ def test_enumeration_budgets():
 
 
 def test_count_examples():
-    assert count("ballot", CountKey(n=4, d=1, i=3, j=1)) == 2
-    assert count("ballot", CountKey(n=4, d=1, i=1, j=3)) == 0
-    assert count("odd", CountKey(n=4, d=1, i=1, j=3)) == 1
-    assert count("ballot", CountKey(n=6)) == 225
+    assert count("ballot", 4, d=1, i=3, j=1) == 2
+    assert count("ballot", 4, d=1, i=1, j=3) == 0
+    assert count("odd", 4, d=1, i=1, j=3) == 1
+    assert count("ballot", 6) == 225
 
 
-def test_count_key_validation():
+def test_count_validation():
     with pytest.raises(DomainError):
-        CountKey(n=4, i=1, j=1)
+        count("ballot", 4, i=1, j=1)
     with pytest.raises(DomainError):
-        CountKey(n=4, i=1)
+        count("ballot", 4, i=1)
     with pytest.raises(DomainError):
-        CountKey(n=4, d=2)
+        count("ballot", 4, d=2)
     with pytest.raises(DomainError):
-        CountKey(n=4, i=4, j=1)
+        count("ballot", 4, i=4, j=1)
     with pytest.raises(DomainError):
-        CountKey(n=0)
+        count("ballot", 0)
     with pytest.raises(DomainError):
-        count("other", CountKey(n=4))
+        count("other", 4)
+
+
+def test_count_refuses_before_any_table_is_built(monkeypatch):
+    def unreachable(n):
+        raise AssertionError(f"a table was built for n={n}")
+
+    enumeration.clear_memo()
+    monkeypatch.setattr(enumeration, "_BUILDERS", {"ballot": unreachable, "odd": unreachable})
+    refusals = [
+        ((0,), {}, "n must be at least 1, got 0"),
+        ((4,), {"d": 2}, "d must satisfy 0 <= d <= 1, got 2"),
+        ((4,), {"d": -1}, "d must satisfy 0 <= d <= 1, got -1"),
+        ((4,), {"i": 1}, "letters i and j must be given together"),
+        ((4,), {"j": 2}, "letters i and j must be given together"),
+        ((4,), {"i": 4, "j": 1}, "cell letters must satisfy 1 <= i != j <= 3, got (4, 1)"),
+        ((4,), {"i": 0, "j": 1}, "cell letters must satisfy 1 <= i != j <= 3, got (0, 1)"),
+        ((4,), {"i": 2, "j": 2}, "cell letters must satisfy 1 <= i != j <= 3, got (2, 2)"),
+        # past the budget, and d or the letters out of range too: the query is refused first
+        ((11,), {"d": 6}, "d must satisfy 0 <= d <= 5, got 6"),
+        ((11,), {"i": 3, "j": 3}, "cell letters must satisfy 1 <= i != j <= 10, got (3, 3)"),
+    ]
+    for kind in ("ballot", "odd"):
+        for args, kwargs, message in refusals:
+            with pytest.raises(DomainError) as exc:
+                count(kind, *args, **kwargs)
+            assert str(exc.value) == message
+    assert enumeration._TABLES == {}
 
 
 def test_totals_split_over_cells(small_ballot):
@@ -339,6 +365,18 @@ def test_member_index_consistent_with_tables():
 def test_member_index_budget():
     with pytest.raises(BudgetError):
         member_index("ballot", 10)
+
+
+def test_budget_refusals_name_the_budget():
+    # one wording for every budget, whether it bounds a stream, a table, a word pair or member lists
+    for call, message in ((lambda: next(enumerate_ballot(11)), "'ballot' is budgeted up to n=10, got n=11"),
+                          (lambda: count_table("ballot", 11), "'ballot' is budgeted up to n=10, got n=11"),
+                          (lambda: count_word_pair(11, 1, (1,), (2,)), "'ballot' is budgeted up to n=10, got n=11"),
+                          (lambda: build_matrix("odd", 12), "'odd' is budgeted up to n=11, got n=12"),
+                          (lambda: member_index("odd", 10), "'members' is budgeted up to n=9, got n=10")):
+        with pytest.raises(BudgetError) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 def test_odd_stream_format_round_trip():

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from permlab import enumeration
+from permlab import enumeration, verify
+from permlab.bijections import AnchorDecomposition
 from permlab.cli import main
 from permlab.errors import BudgetError, DomainError
 from permlab.verify import CHECKS, VerificationReport, _bijection, _same, list_checks, run_check
@@ -229,3 +230,67 @@ def test_bijection_cell_reports_a_member_the_inverse_refuses():
         {"params": {"kind": "ballot", "n": 3, "d": 0, "property": "image"},
          "lhs": "missing 1 3 2", "rhs": "extra "},
     ]
+
+
+# Each catalog invariant below holds on every member, so a check that stopped
+# reading it would still pass.  Each test breaks one helper the check reads, on
+# one chosen member, and pins the counterexample the invariant then reports.
+
+def test_t_roundtrip_reports_a_core_width_that_changes(monkeypatch):
+    move, target = verify._move, (1, 4, 2, 3)  # ballot, d = 1, 4 flanked by (1, 2)
+
+    def wider_on_target(p, i, j, cyclic, inverse):
+        q, width = move(p, i, j, cyclic, inverse)
+        return q, width + 1 if (p, inverse) == (target, False) else width
+
+    width = move(target, 1, 2, False, False)[1]
+    monkeypatch.setattr(verify, "_move", wider_on_target)
+    assert run_check("T_roundtrip", max_n=4).counterexamples == (
+        {"params": {"kind": "ballot", "n": 4, "d": 1, "i": 1, "j": 2, "property": "width", "perm": "1 4 2 3"},
+         "lhs": width + 1, "rhs": width},
+    )
+
+
+def test_t_roundtrip_reports_cycle_stats_that_change(monkeypatch):
+    profile, target = verify._cycle_profile, ((1, 4, 2), (3,))  # odd, d = 1, 4 flanked by (1, 2)
+
+    def off_on_target(cycles):
+        return profile(cycles) + [(0, 0)] if cycles == target else profile(cycles)
+
+    before = profile(target)
+    monkeypatch.setattr(verify, "_cycle_profile", off_on_target)
+    assert run_check("T_roundtrip", max_n=4).counterexamples == (
+        {"params": {"kind": "odd", "n": 4, "d": 1, "i": 1, "j": 2, "property": "cycle_stats",
+                    "perm": "(1 4 2)(3)"},
+         "lhs": str(before + [(0, 0)]), "rhs": str(before)},
+    )
+
+
+def test_lemma42_reports_a_flip_that_changes_cycle_lengths(monkeypatch):
+    # the two members trade images, so the flip stays an involution onto the
+    # target cell and only the cycle lengths of both members break
+    flip = verify.cycle_flip
+    p1, p2 = ((1, 6, 2), (3, 4, 5)), ((1, 6, 2, 3, 4), (5,))  # both d = 2, lengths [3, 3] and [1, 5]
+    q1, q2 = flip(p1), flip(p2)
+    traded = {p1: q2, p2: q1, q2: p1, q1: p2}
+    monkeypatch.setattr(verify, "cycle_flip", lambda c: traded.get(c) or flip(c))
+    assert run_check("lemma42", max_n=6).counterexamples == tuple(
+        {"params": {"n": 6, "d": 2, "property": "cycle_lengths", "perm": verify._fmt(p)},
+         "lhs": verify._fmt(p), "rhs": verify._fmt(q)}
+        for p, q in ((p1, q2), (p2, q1))
+    )
+
+
+def test_lemma22_reports_a_non_ballot_tail_after_an_ascending_junction(monkeypatch):
+    split, target = verify.anchor_decompose, (1, 4, 2, 3)
+
+    def fake_on_target(p, word):
+        if (p, word) == (target, (1, 4, 2, 3)):
+            return AnchorDecomposition(head=(), anchor=word, carry=(), tail=(9, 1))
+        return split(p, word)
+
+    monkeypatch.setattr(verify, "anchor_decompose", fake_on_target)
+    assert run_check("lemma22", max_n=4).counterexamples == (
+        {"params": {"n": 4, "i": 1, "j": 3, "anchor": "1 4 2 3", "perm": "1 4 2 3"},
+         "lhs": "carry_last=3 tail_1=9", "rhs": "anchor_height=1"},
+    )
