@@ -13,17 +13,21 @@
   |i - j| = 1, dropping the statistic by one and the size by two;
 * cycle flip: toggle the cyclic neighbors of the largest letter between
   (1, 2) and (1, 3) while preserving the cyclic weight.
+
+``contract`` and ``cycle_flip`` validate and normalize their input once, then
+run a core (``_contract``, ``_cycle_flip``) that trusts the normalized form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
 
 from .cycles import (
     CycleDecomposition,
+    _normalize,
     canonicalize_cycles,
-    cycle_containing,
     decomposition_size,
     is_odd_order,
     max_letter_neighbors,
@@ -63,9 +67,11 @@ def _carry_candidates(p: Word, anchor: Word):
     pos = find_factor(p, anchor)
     if pos is None:
         return None
-    start, split = pos - 1, pos - 1 + len(anchor)
-    target = height(anchor)
-    return start, split, [g for g in range(len(p) - split + 1) if height(p[:split + g]) == target]
+    start, split, target = pos - 1, pos - 1 + len(anchor), height(anchor)
+    # the heights of p[:split + g] for g = 0, 1, ..., one adjacent pair at a time
+    steps = (1 if a < b else -1 for a, b in zip(p[split - 1:], p[split:]))
+    heights = accumulate(steps, initial=height(p[:split]))
+    return start, split, [g for g, h in enumerate(heights) if h == target]
 
 
 def is_anchor_decomposable(p: Word, anchor: Word) -> bool:
@@ -171,7 +177,11 @@ def contract(p, i: int, j: int, inverse: bool = False):
         raise DomainError(f"contract needs |i - j| = 1, got ({i}, {j})")
     p = tuple(p)
     is_cycles = bool(p) and isinstance(p[0], tuple)
-    p = canonicalize_cycles(p) if is_cycles else check_permutation(p)
+    return _contract(canonicalize_cycles(p) if is_cycles else check_permutation(p), i, j, inverse, is_cycles)
+
+
+def _contract(p, i: int, j: int, inverse: bool, is_cycles: bool):
+    """:func:`contract` on canonical cycles (is_cycles=True) or a one-line permutation."""
     # A word is one non-cyclic row; a decomposition is its cycles.
     rows = p if is_cycles else (p,)
     n = sum(map(len, rows)) + (2 if inverse else 0)
@@ -195,7 +205,7 @@ def contract(p, i: int, j: int, inverse: bool = False):
         # dropping the zeros drops them.
         rank = _contract_tables(n, j)[1].__getitem__
         out = [tuple(filter(None, map(rank, row))) for row in rows]
-    return canonicalize_cycles(out) if is_cycles else out[0]
+    return _normalize(out) if is_cycles else out[0]
 
 
 def cycle_flip(cycles: CycleDecomposition) -> CycleDecomposition:
@@ -207,7 +217,11 @@ def cycle_flip(cycles: CycleDecomposition) -> CycleDecomposition:
     are exchanged throughout.  Either way the cyclic weight and all cycle
     lengths are preserved, and the map is an involution.
     """
-    cycles = canonicalize_cycles(cycles)
+    return _cycle_flip(canonicalize_cycles(cycles))
+
+
+def _cycle_flip(cycles: CycleDecomposition) -> CycleDecomposition:
+    """:func:`cycle_flip` on a canonical decomposition."""
     n = decomposition_size(cycles)
     if n < 4:
         raise DomainError(f"cycle flip needs n >= 4, got n={n}")
@@ -216,14 +230,10 @@ def cycle_flip(cycles: CycleDecomposition) -> CycleDecomposition:
     neighbors = max_letter_neighbors(cycles)
     if neighbors not in ((1, 2), (1, 3)):
         raise DomainError(f"no cycle with the largest letter flanked by 1 and 2 or 3: {cycles}")
-    # A canonical cycle starts at its minimum, here 1, so it reads (1, n, small, ...).
-    k, c = cycle_containing(cycles, n)
+    # n follows 1, so n's cycle is the first and reads (1, n, small, ...), as does its flip.
+    c = cycles[0]
     small = neighbors[1]
     other = 5 - small
     if len(c) >= 4 and c[3] == other:
-        rest = c[4:]
-        flipped = (1, n, other, small) + rest[::-1]
-        out = list(cycles)
-        out[k] = flipped
-        return canonicalize_cycles(out)
-    return canonicalize_cycles([swap_letters(cycle, 2, 3) for cycle in cycles])
+        return ((1, n, other, small) + c[4:][::-1],) + cycles[1:]
+    return _normalize([swap_letters(cycle, 2, 3) for cycle in cycles])

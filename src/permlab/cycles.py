@@ -5,6 +5,9 @@ decomposition is a tuple of such cycles sorted by minimum letter, whose
 letter sets partition {1, ..., n}.  Cyclic descents count the pairs
 c[t] > c[t+1] read around the cycle including the wrap-around pair, and the
 weight of a cycle is min(cyclic descents, cyclic ascents).
+
+The maps validate their input with ``canonicalize_cycles`` once and pass
+their images, letter bijections of a partition, through ``_normalize`` only.
 """
 
 from __future__ import annotations
@@ -27,8 +30,13 @@ def rotate_min_first(cycle) -> Cycle:
     return c[k:] + c[:k]
 
 
+def _normalize(cycles) -> CycleDecomposition:
+    """Rotate each cycle min-first, then sort the cycles by minimum; the letters are not checked."""
+    return tuple(sorted(c if c[0] == min(c) else rotate_min_first(c) for c in cycles))
+
+
 def canonicalize_cycles(raw) -> CycleDecomposition:
-    """Normalize a list of cycle words: min-first rotations, sorted by minimum.
+    """Validate a list of cycle words and normalize it: min-first rotations, sorted by minimum.
 
     The cycles' letter sets must partition {1, ..., n}; overlapping or
     incomplete letter sets are rejected, and so are items that are not
@@ -39,16 +47,16 @@ def canonicalize_cycles(raw) -> CycleDecomposition:
         cycles = [c if c and c[0] == min(c) else rotate_min_first(c) for c in map(tuple, raw)]
     except TypeError:
         raise DomainError(f"not a cycle decomposition: {raw}") from None
-    letters = [x for c in cycles for x in c]
-    if sorted(letters) != list(range(1, len(letters) + 1)):
-        raise DomainError(f"cycles must partition {{1, ..., n}}, got letters {sorted(letters)}")
+    letters = sorted(x for c in cycles for x in c)
+    if letters != list(range(1, len(letters) + 1)):
+        raise DomainError(f"cycles must partition {{1, ..., n}}, got letters {letters}")
     # the minima are distinct once the letters partition [n], so plain tuple
     # order is the order by minimum
     return tuple(sorted(cycles))
 
 
 def decomposition_size(cycles: CycleDecomposition) -> int:
-    return sum(len(c) for c in cycles)
+    return sum(map(len, cycles))
 
 
 def cycles_from_one_line(p: Word) -> CycleDecomposition:

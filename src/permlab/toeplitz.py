@@ -23,18 +23,16 @@ The two cores are mirror images under x -> m + M + 1 - x, and the whole
 rewrite is one letter bijection, so the cycle structure is carried along for
 free.  The routine returns the image together with the width of the core it
 read, so a check of the width invariant needs no second core search.
+
+The public entries validate and normalize their input once; the routine and
+the core search trust it, and the image is normalized, not validated again.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .cycles import (
-    canonicalize_cycles,
-    cycle_containing,
-    decomposition_size,
-    is_odd_order,
-)
+from .cycles import _normalize, canonicalize_cycles, cycle_containing, decomposition_size, is_odd_order
 from .errors import DomainError
 from .words import Word, check_permutation, is_ballot
 
@@ -58,14 +56,14 @@ def _core_word(n: int, i: int, j: int, width: int, upper: bool) -> Word:
     return (left, n) + run if (i < j) == upper else run[::-1] + (n, right)
 
 
-def _host(p, cyclic: bool):
-    """(normalized input, host word) where the host is the whole word, or the
-    cycle containing n for decompositions."""
-    if cyclic:
-        cycles = canonicalize_cycles(p)
-        return cycles, cycle_containing(cycles, decomposition_size(cycles))[1]
-    word = check_permutation(p)
-    return word, word
+def _checked(p, cyclic: bool):
+    """The input validated and normalized: canonical cycles, or a one-line permutation."""
+    return canonicalize_cycles(p) if cyclic else check_permutation(p)
+
+
+def _host(p, cyclic: bool) -> Word:
+    """The whole normalized word, or the cycle containing n for decompositions."""
+    return cycle_containing(p, decomposition_size(p))[1] if cyclic else p
 
 
 def _find_core(host: Word, i: int, j: int, cyclic: bool, upper: bool) -> int:
@@ -108,7 +106,7 @@ def _find_core(host: Word, i: int, j: int, cyclic: bool, upper: bool) -> int:
 def _core(p, i: int, j: int, cyclic: bool, upper: bool) -> Word:
     """The core at the lower (upper=False) or upper end of [m, M+1]: the factor
     of the host (cyclic for decompositions) that holds the largest letter."""
-    host = _host(p, cyclic)[1]
+    host = _host(_checked(p, cyclic), cyclic)
     return _core_word(max(host), i, j, _find_core(host, i, j, cyclic, upper), upper)
 
 
@@ -143,22 +141,23 @@ def _relabel(n: int, i: int, j: int, width: int, upper: bool) -> Word:
 def _move(p, i: int, j: int, cyclic: bool, upper: bool):
     """(image, width): rewrite the core at one end of [m, M+1] as the core of
     the same width at the other end, and return the width of the core read.
+    ``p`` must be normalized (see ``_checked``); only its domain is checked.
 
     The width is ``len(lower_core(p)) - 2`` for the shift (upper=False) and
     ``len(upper_core(p)) - 2`` for its inverse, so a caller that needs both
     the image and the width searches the core once.
     """
-    normalized, host = _host(p, cyclic)
     if cyclic:
-        if not is_odd_order(normalized):
+        if not is_odd_order(p):
             raise DomainError("cyclic shift needs an odd order permutation")
-    elif not is_ballot(normalized):
+    elif not is_ballot(p):
         raise DomainError("linear shift needs a ballot permutation")
+    host = _host(p, cyclic)
     width = _find_core(host, i, j, cyclic, upper)
     image = _relabel(max(host), i, j, width, upper).__getitem__
     if cyclic:
-        return canonicalize_cycles([tuple(map(image, c)) for c in normalized]), width
-    return tuple(map(image, normalized)), width
+        return _normalize([tuple(map(image, c)) for c in p]), width
+    return tuple(map(image, p)), width
 
 
 def shift(p, i: int, j: int, *, cyclic: bool = False):
@@ -168,9 +167,9 @@ def shift(p, i: int, j: int, *, cyclic: bool = False):
     contain the (cyclic) factor i n j with 1 <= i != j <= n-2.  The statistic
     (descent number, or cyclic weight and all cycle lengths) is preserved.
     """
-    return _move(p, i, j, cyclic, upper=False)[0]
+    return _move(_checked(p, cyclic), i, j, cyclic, upper=False)[0]
 
 
 def shift_inv(s, i: int, j: int, *, cyclic: bool = False):
     """Inverse of :func:`shift`: move neighbor cell (i+1, j+1) back to (i, j)."""
-    return _move(s, i, j, cyclic, upper=True)[0]
+    return _move(_checked(s, cyclic), i, j, cyclic, upper=True)[0]

@@ -9,7 +9,8 @@ between member cells by round trip through its inverse (so the map is
 injective), per-member invariants, and image-set equality against exhaustive
 enumeration; a member that either map refuses is a counterexample of its cell.
 ``T_roundtrip`` shifts each member once forward and each image once back, and
-takes both core widths of its width invariant from those two moves.  Every
+takes both core widths of its width invariant from those two moves.  The map
+checks call the maps' cores, which trust the streams' normalized members.  Every
 violated cell is recorded, so conjecture-style checks report counterexamples
 instead of raising and the harness doubles as a counterexample search at
 larger budgets.  Reports are deterministic apart from wall time.
@@ -24,9 +25,11 @@ from itertools import permutations
 from typing import Callable, Iterable
 
 from .bijections import (
+    _contract,
+    _cycle_flip,
     anchor_decompose,
-    contract,
-    cycle_flip,
+    contract,  # noqa: F401
+    cycle_flip,  # noqa: F401
     exchange_letters,
     flank_swap,
     is_anchor_decomposable,
@@ -44,9 +47,9 @@ from .enumeration import (
     member_index,
 )
 from .errors import BudgetError, DomainError
-# T_roundtrip calls _move, which returns each move's core width with its
-# image.  count_word_pair, shift, shift_inv, lower_core and upper_core stay
-# bound here because perfbench's traced catalog run rebinds each by name.
+# T_roundtrip calls _move, which returns each move's core width with its image.
+# count_word_pair, contract, cycle_flip, shift, shift_inv, lower_core and
+# upper_core stay bound here because perfbench's traced catalog run rebinds each.
 from .toeplitz import _move, lower_core, shift, shift_inv, upper_core  # noqa: F401
 from .words import format_word, height, is_ballot, swap_letters
 
@@ -147,7 +150,7 @@ def _recurrence(kind: str, n: int):
 
 
 def _lemma21(n: int):
-    for kind in KINDS:
+    for kind, cyclic in (("ballot", False), ("odd", True)):
         idx = member_index(kind, n)
         small = member_index(kind, n - 2)
         for i in range(1, n):
@@ -157,8 +160,8 @@ def _lemma21(n: int):
                 for d in range((n - 1) // 2 + 1):
                     yield _bijection({"kind": kind, "n": n, "d": d, "i": i, "j": j},
                                      idx.cell(d, i, j), small.stat_class(d - 1) if d >= 1 else (),
-                                     lambda p: contract(p, i, j),
-                                     lambda q: contract(q, i, j, inverse=True))
+                                     lambda p: _contract(p, i, j, False, cyclic),
+                                     lambda q: _contract(q, i, j, True, cyclic))
 
 
 def _lemma22(n: int):
@@ -309,7 +312,7 @@ def _lemma42(n: int):
             by_d.setdefault(d, []).append(member)
     for d in range((n - 1) // 2 + 1):
         yield _bijection({"n": n, "d": d}, cells[2].get(d, ()), cells[3].get(d, ()),
-                         cycle_flip, cycle_flip, (("cycle_lengths", lengths),))
+                         _cycle_flip, _cycle_flip, (("cycle_lengths", lengths),))
 
 
 # The word pairs (u, v) of prop43_words by label: two ascending, each equated

@@ -73,19 +73,42 @@ def small_odd():
     return {n: oracle_odd_order(n) for n in range(1, 8)}
 
 
-def reference_table(kind, n):
+STREAMS = {"ballot": _ballot_stream, "odd": _odd_stream}
+
+
+@pytest.fixture(scope="session")
+def drained():
+    """(kind, n) -> the (member, statistic, neighbors) triples of that stream, in order.
+
+    The streams up to n = 9 are read by several tests (the reference tables,
+    the classifier comparison, the word-pair oracle), so each is drained once
+    a session and kept as a list.  An n = 10 stream, about 900 000 members,
+    is read by the reference tables alone, so it is streamed, not kept.
+    """
+    kept = {}
+
+    def triples(kind, n):
+        if n > 9:
+            return STREAMS[kind](n)
+        if (kind, n) not in kept:
+            kept[kind, n] = list(STREAMS[kind](n))
+        return kept[kind, n]
+
+    return triples
+
+
+def reference_table(triples, n):
     """(totals, cells) of one count table, by classifying every streamed member.
 
     The exhaustive builder the exact counting DP replaced, kept as its oracle:
-    one pass over the pruned generator, which yields each member with its
+    one pass over the pruned generator's triples, each member with its
     statistic and neighbor cell; test_enumeration holds those to the
     standalone classifiers ballot_cell and odd_cell.
     """
-    stream = {"ballot": _ballot_stream, "odd": _odd_stream}[kind]
     d_max = (n - 1) // 2
     totals = [0] * (d_max + 1)
     cells = [[[0] * (n - 1) for _ in range(n - 1)] for _ in range(d_max + 1)]
-    for _, d, nb in stream(n):
+    for _, d, nb in triples:
         totals[d] += 1
         if nb is not None:
             cells[d][nb[0] - 1][nb[1] - 1] += 1
@@ -93,5 +116,5 @@ def reference_table(kind, n):
 
 
 @pytest.fixture(scope="session")
-def enumeration_reference():
-    return reference_table
+def enumeration_reference(drained):
+    return lambda kind, n: reference_table(drained(kind, n), n)

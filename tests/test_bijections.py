@@ -2,6 +2,7 @@ import pytest
 
 from permlab.bijections import (
     AnchorDecomposition,
+    _carry_candidates,
     _contract_tables,
     anchor_decompose,
     contract,
@@ -14,7 +15,7 @@ from permlab.bijections import (
 from permlab.cycles import max_letter_neighbors, perm_weight
 from permlab.enumeration import member_index
 from permlab.errors import DomainError
-from permlab.words import height, is_ballot
+from permlab.words import find_factor, height, is_ballot
 
 
 def spread_pairs(n):
@@ -74,6 +75,22 @@ def test_anchor_decompose_general_words():
                 dec = anchor_decompose(p, word)
                 if dec is not None:
                     assert_decomposition_definition(p, word, dec)
+
+
+def test_carry_lengths_match_the_height_of_every_prefix(small_ballot):
+    # the running height against measuring each prefix p[:split + g] afresh
+    for n in range(4, 8):
+        for p in small_ballot[n]:
+            for i, j in spread_pairs(n):
+                for word in pivot_words(i, j, n):
+                    found = _carry_candidates(p, word)
+                    if find_factor(p, word) is None:
+                        assert found is None
+                        continue
+                    start, split, lengths = found
+                    assert p[start:split] == word
+                    assert lengths == [g for g in range(n - split + 1)
+                                       if height(p[:split + g]) == height(word)], (p, word)
 
 
 def test_flank_swap_examples():
@@ -173,6 +190,9 @@ def test_contract_tables_are_the_sorted_set_and_rank_dict():
             assert len(rank) == n + 1
             assert {x: rank[x] for x in range(1, n + 1) if rank[x]} == old_rank
             assert rank[0] == rank[j] == rank[n] == 0
+            # so the contraction's letter map is a bijection of the kept
+            # letters onto [n-2], and the expansion's its inverse fixing 0
+            assert [kept[rank[x]] for x in kept] == list(kept)
 
 
 def test_contract_round_trip_exhaustive():

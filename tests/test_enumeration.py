@@ -6,7 +6,6 @@ import pytest
 from permlab import enumeration
 from permlab.cycles import format_cycles
 from permlab.enumeration import (
-    _ballot_stream,
     _odd_stream,
     ballot_cell,
     ballot_count_closed,
@@ -195,15 +194,15 @@ def test_count_tables_match_enumeration_reference(kind, enumeration_reference):
         assert (table.totals, table.cells) == enumeration_reference(kind, n), (kind, n)
 
 
-@pytest.mark.parametrize("stream, members, cell_fn", [
-    (_ballot_stream, enumerate_ballot, ballot_cell),
-    (_odd_stream, enumerate_odd_order, odd_cell),
+@pytest.mark.parametrize("kind, members, cell_fn", [
+    ("ballot", enumerate_ballot, ballot_cell),
+    ("odd", enumerate_odd_order, odd_cell),
 ], ids=["ballot", "odd"])
-def test_fused_streams_match_the_standalone_classifier(stream, members, cell_fn):
+def test_fused_streams_match_the_standalone_classifier(kind, members, cell_fn, drained):
     # the statistic and neighbor cell counted while streaming, against
     # classifying each finished member from scratch
     for n in range(1, 10):
-        assert list(stream(n)) == [(m, *cell_fn(m)) for m in members(n)], n
+        assert drained(kind, n) == [(m, *cell_fn(m)) for m in members(n)], n
 
 
 @pytest.mark.parametrize("s", [2, 3])
@@ -274,8 +273,8 @@ ORACLE_PAIRS = [
 ] + [((1,), (2, 3, 4)), ((4, 2), (1, 3, 5))]
 
 
-def stream_word_pair_vectors(n, pairs):
-    """{(u, v): counts by statistic} by streaming the ballot members of [n].
+def stream_word_pair_vectors(n, pairs, triples):
+    """{(u, v): counts by statistic} from the ballot stream's triples at n.
 
     The enumerating counter the subset DP replaced, kept as its oracle: n
     occurs once, so only members whose n sits between u[-1] and v[0] are
@@ -285,19 +284,19 @@ def stream_word_pair_vectors(n, pairs):
     for u, v in pairs:
         by_anchor.setdefault((u[-1], v[0]), []).append((u, v))
         counts[u, v] = [0] * ((n - 1) // 2 + 1)
-    for p, stat, nb in _ballot_stream(n):
+    for p, stat, nb in triples:
         for u, v in by_anchor.get(nb, ()):
             if find_factor(p, u + (n,) + v) is not None:
                 counts[u, v][stat] += 1
     return counts
 
 
-def test_count_word_pair_matches_oracle(ballot_factor_oracle):
+def test_count_word_pair_matches_oracle(ballot_factor_oracle, drained):
     assert len(ORACLE_PAIRS) == 20 and len(set(ORACLE_PAIRS)) == 20
     for n in range(4, 10):
         pairs = [(u, v) for u, v in ORACLE_PAIRS if max(u + v) < n]
         if n == 9:  # past the filtered S_n, the pruned stream searched member by member
-            expected = stream_word_pair_vectors(n, pairs)
+            expected = stream_word_pair_vectors(n, pairs, drained("ballot", n))
         else:
             expected = {(u, v): [len(ballot_factor_oracle(n, u + (n,) + v).get(d, ()))
                                  for d in range((n - 1) // 2 + 1)] for u, v in pairs}

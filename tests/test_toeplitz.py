@@ -261,7 +261,10 @@ def test_core_search_matches_the_scan_on_every_input():
 
 def test_relabel_tables_are_the_order_preserving_rewrite():
     # the parent formula: the core's letters map in place onto the other core,
-    # and the rest of [m, M+1] maps onto the rest in increasing order
+    # and the rest of [m, M+1] maps onto the rest in increasing order.  Every
+    # width at every (n, i, j) up to n = 9 is a letter bijection fixing 0, a
+    # superset of the keys the shift reads, so the shift's image of a
+    # partition is one and needs normalizing only.
     for n in range(4, 10):
         for i, j in permutations(range(1, n - 1), 2):
             m, M = min(i, j), max(i, j)

@@ -269,11 +269,11 @@ def test_t_roundtrip_reports_cycle_stats_that_change(monkeypatch):
 def test_lemma42_reports_a_flip_that_changes_cycle_lengths(monkeypatch):
     # the two members trade images, so the flip stays an involution onto the
     # target cell and only the cycle lengths of both members break
-    flip = verify.cycle_flip
+    flip = verify._cycle_flip
     p1, p2 = ((1, 6, 2), (3, 4, 5)), ((1, 6, 2, 3, 4), (5,))  # both d = 2, lengths [3, 3] and [1, 5]
     q1, q2 = flip(p1), flip(p2)
     traded = {p1: q2, p2: q1, q2: p1, q1: p2}
-    monkeypatch.setattr(verify, "cycle_flip", lambda c: traded.get(c) or flip(c))
+    monkeypatch.setattr(verify, "_cycle_flip", lambda c: traded.get(c) or flip(c))
     assert run_check("lemma42", max_n=6).counterexamples == tuple(
         {"params": {"n": 6, "d": 2, "property": "cycle_lengths", "perm": verify._fmt(p)},
          "lhs": verify._fmt(p), "rhs": verify._fmt(q)}
