@@ -171,12 +171,13 @@ def contract(p, i: int, j: int, inverse: bool = False):
     Needs |i - j| = 1.  Forward input must contain the factor i n j (a cyclic
     factor for decompositions); the remaining letters are relabeled in the
     order-preserving way, read from tables cached per (n, j).  Accepts a
-    one-line permutation or a cycle decomposition and returns the same kind.
+    one-line permutation or a cycle decomposition, whose cycles may be
+    tuples or lists, and returns the same kind.
     """
     if abs(i - j) != 1:
         raise DomainError(f"contract needs |i - j| = 1, got ({i}, {j})")
     p = tuple(p)
-    is_cycles = bool(p) and isinstance(p[0], tuple)
+    is_cycles = bool(p) and isinstance(p[0], (tuple, list))
     return _contract(canonicalize_cycles(p) if is_cycles else check_permutation(p), i, j, inverse, is_cycles)
 
 

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import operator
 import re
+from itertools import chain
 
 from .errors import DomainError
-from .words import Word
+from .words import _INT_ONLY, Word
 
 Cycle = tuple[int, ...]
 CycleDecomposition = tuple[Cycle, ...]
@@ -31,23 +32,32 @@ def rotate_min_first(cycle) -> Cycle:
 
 
 def _normalize(cycles) -> CycleDecomposition:
-    """Rotate each cycle min-first, then sort the cycles by minimum; the letters are not checked."""
-    return tuple(sorted(c if c[0] == min(c) else rotate_min_first(c) for c in cycles))
+    """Rotate each tuple cycle min-first, then sort the cycles by minimum; the letters are not checked."""
+    out = []
+    for c in cycles:
+        k = c.index(min(c))
+        out.append(c[k:] + c[:k] if k else c)
+    out.sort()
+    return tuple(out)
 
 
 def canonicalize_cycles(raw) -> CycleDecomposition:
     """Validate a list of cycle words and normalize it: min-first rotations, sorted by minimum.
 
-    The cycles' letter sets must partition {1, ..., n}; overlapping or
-    incomplete letter sets are rejected, and so are items that are not
-    cycles, such as the letters of a one-line word.  Two inputs describing
-    the same permutation yield identical output.
+    The cycles' letters must be ints (no bools or floats) whose sets
+    partition {1, ..., n}; overlapping or incomplete letter sets are
+    rejected, and so are items that are not cycles, such as the letters of a
+    one-line word.  Two inputs describing the same permutation yield
+    identical output.
     """
     try:
         cycles = [c if c and c[0] == min(c) else rotate_min_first(c) for c in map(tuple, raw)]
     except TypeError:
         raise DomainError(f"not a cycle decomposition: {raw}") from None
-    letters = sorted(x for c in cycles for x in c)
+    letters = list(chain.from_iterable(cycles))
+    if not _INT_ONLY.issuperset(map(type, letters)):
+        raise DomainError(f"cycle letters must be integers, got letters {letters}")
+    letters.sort()
     if letters != list(range(1, len(letters) + 1)):
         raise DomainError(f"cycles must partition {{1, ..., n}}, got letters {letters}")
     # the minima are distinct once the letters partition [n], so plain tuple
@@ -97,7 +107,10 @@ def perm_weight(cycles: CycleDecomposition) -> int:
 
 
 def is_odd_order(cycles: CycleDecomposition) -> bool:
-    return all(len(c) % 2 == 1 for c in cycles)
+    for c in cycles:
+        if not len(c) % 2:
+            return False
+    return True
 
 
 def cycle_containing(cycles: CycleDecomposition, letter: int) -> tuple[int, Cycle]:

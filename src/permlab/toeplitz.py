@@ -5,15 +5,24 @@ sends a permutation whose largest letter n has neighbors (i, j) to one with
 neighbors (i+1, j+1), preserving the descent number (one-line form) or every
 cycle's length and cyclic descent number (cycle form).
 
-One routine serves both directions.  It finds the core at one end of the
-interval [m, M+1]: the widest run of "discretely continuous" letters anchored
-next to n.  The search is index arithmetic on the host (around the cycle for
+One kernel serves both directions.  ``_mover(n, i, j, cyclic, upper)`` binds
+everything that depends only on that key once: the domain rule, the
+letter-range rule, m and M, the factor letters it expects, the walk
+direction, the width-0 stop letter and the full run.  It returns a function
+of one member, so a caller that moves many members of one cell (``verify``'s
+``T_roundtrip``) builds it once per cell and direction, and a single call
+builds it for one member.  No kernel is cached between cells.
+
+The kernel finds the core at one end of the interval [m, M+1]: the widest
+run of "discretely continuous" letters anchored next to n.  Its search is
+the only one; ``lower_core`` and ``upper_core`` read their width from the
+same kernel.  It is index arithmetic on the host (around the cycle for
 decompositions), all read at fixed offsets from the position of n: the
 factor i n j, the adjacent pair test, and one walk outward from n on the
 core's side that counts how many letters of the full run follow in order.
 Once i n j is a factor, the run's first letter is n's neighbor on that side,
 so the run can only grow away from n and the walk finds its whole width.
-The routine then writes the core of the same width at the other end and
+The kernel then writes the core of the same width at the other end and
 relabels the interval letters displaced by the rewrite in the
 order-preserving way.  That relabeling depends only on (n, i, j, width, end),
 so it is built once per key as a table from letter to image.  The shift
@@ -21,11 +30,11 @@ reads the core at the lower end (neighbors i, j) and writes it at the upper
 end (neighbors i+1, j+1); its inverse reads and writes the other way round.
 The two cores are mirror images under x -> m + M + 1 - x, and the whole
 rewrite is one letter bijection, so the cycle structure is carried along for
-free.  The routine returns the image together with the width of the core it
+free.  The kernel returns the image together with the width of the core it
 read, so a check of the width invariant needs no second core search.
 
-The public entries validate and normalize their input once; the routine and
-the core search trust it, and the image is normalized, not validated again.
+The public entries validate and normalize their input once; the kernel
+trusts it, and the image is normalized, not validated again.
 """
 
 from __future__ import annotations
@@ -61,65 +70,8 @@ def _checked(p, cyclic: bool):
     return canonicalize_cycles(p) if cyclic else check_permutation(p)
 
 
-def _host(p, cyclic: bool) -> Word:
-    """The whole normalized word, or the cycle containing n for decompositions."""
-    return cycle_containing(p, decomposition_size(p))[1] if cyclic else p
-
-
-def _find_core(host: Word, i: int, j: int, cyclic: bool, upper: bool) -> int:
-    """The width of the core at the lower (upper=False) or upper end of [m, M+1] in the host."""
-    n = max(host)
-    if i == j or not (1 <= i <= n - 2 and 1 <= j <= n - 2):
-        raise DomainError(f"shift letters must satisfy 1 <= i != j <= n-2 = {n - 2}, got ({i}, {j})")
-    m, M = min(i, j), max(i, j)
-    left, right = (i + 1, j + 1) if upper else (i, j)
-    # Letters are distinct, so a factor occurs exactly when its letters sit at
-    # consecutive positions.  The factor and the core both hold n, so both are
-    # read at fixed offsets from n's position t in a ring: the cycle written
-    # twice, or the word padded with a letter 0 that matches nothing.
-    t = host.index(n)
-    if cyclic:
-        ring = host + host
-    else:
-        ring, t = (0,) + host + (0,), t + 1
-    if ring[t - 1] != left or ring[t + 1] != right:
-        kind = "cyclic factor" if cyclic else "factor"
-        raise DomainError(f"input does not contain the {kind} {left} {n} {right}")
-    # The run's first letter is n's neighbor on the core's side, so the run
-    # is read outward from n, one step at a time in the direction `step`.
-    # M, M+1 (m, m+1 at the upper end) sit together exactly when the letter
-    # beyond n's neighbor on the other side is M+1 (m); the width is then 0.
-    step = 1 if (i < j) == upper else -1
-    if ring[t - 2 * step] == (m if upper else M + 1):
-        return 0
-    # Otherwise the width is the longest prefix of the full run that follows n
-    # in order.  The walk stays on the ring: it stops at the padding, or at
-    # the latest where it comes round to n.
-    width = 0
-    for x in _run(m, M, M - m + 1, upper):
-        if ring[t + step * (width + 1)] != x:
-            break
-        width += 1
-    return width
-
-
-def _core(p, i: int, j: int, cyclic: bool, upper: bool) -> Word:
-    """The core at the lower (upper=False) or upper end of [m, M+1]: the factor
-    of the host (cyclic for decompositions) that holds the largest letter."""
-    host = _host(_checked(p, cyclic), cyclic)
-    return _core_word(max(host), i, j, _find_core(host, i, j, cyclic, upper), upper)
-
-
-def lower_core(p, i: int, j: int, *, cyclic: bool = False) -> Word:
-    """Core anchored at the lower end of [m, M+1], for inputs with neighbor cell
-    (i, j); the core's width is its length minus 2."""
-    return _core(p, i, j, cyclic, upper=False)
-
-
-def upper_core(s, i: int, j: int, *, cyclic: bool = False) -> Word:
-    """Core anchored at the upper end of [m, M+1], for inputs with neighbor cell
-    (i+1, j+1); the core's width is its length minus 2."""
-    return _core(s, i, j, cyclic, upper=True)
+def _anything(p) -> bool:
+    return True
 
 
 @cache
@@ -138,26 +90,102 @@ def _relabel(n: int, i: int, j: int, width: int, upper: bool) -> Word:
     return tuple(table)
 
 
-def _move(p, i: int, j: int, cyclic: bool, upper: bool):
-    """(image, width): rewrite the core at one end of [m, M+1] as the core of
-    the same width at the other end, and return the width of the core read.
-    ``p`` must be normalized (see ``_checked``); only its domain is checked.
+def _mover(n: int, i: int, j: int, cyclic: bool, upper: bool, *, domain: bool = True):
+    """The move at one key: a function p -> (image, width) that rewrites the
+    core at one end of [m, M+1] (the lower end for the shift, upper=False)
+    as the core of the same width at the other end, and returns the width of
+    the core it read.  ``p`` must be normalized (see ``_checked``) with n
+    letters.
 
-    The width is ``len(lower_core(p)) - 2`` for the shift (upper=False) and
-    ``len(upper_core(p)) - 2`` for its inverse, so a caller that needs both
-    the image and the width searches the core once.
+    Every per-key constant is bound here once.  The kernel refuses, in this
+    order, a member outside the domain (not ballot, or not of odd order for
+    decompositions), letters outside 1 <= i != j <= n-2, and a member
+    without the factor.  With domain=False it skips the first rule, as the
+    core readers ``lower_core`` and ``upper_core`` do.
     """
-    if cyclic:
-        if not is_odd_order(p):
-            raise DomainError("cyclic shift needs an odd order permutation")
-    elif not is_ballot(p):
-        raise DomainError("linear shift needs a ballot permutation")
-    host = _host(p, cyclic)
-    width = _find_core(host, i, j, cyclic, upper)
-    image = _relabel(max(host), i, j, width, upper).__getitem__
-    if cyclic:
-        return _normalize([tuple(map(image, c)) for c in p]), width
-    return tuple(map(image, p)), width
+    if not domain:
+        in_domain, outside = _anything, ""
+    elif cyclic:
+        in_domain, outside = is_odd_order, "cyclic shift needs an odd order permutation"
+    else:
+        in_domain, outside = is_ballot, "linear shift needs a ballot permutation"
+    if i == j or not (1 <= i <= n - 2 and 1 <= j <= n - 2):
+        def refuse(p):
+            if not in_domain(p):
+                raise DomainError(outside)
+            if cyclic:
+                cycle_containing(p, n)  # the empty decomposition has no cycle holding n, and says so first
+            raise DomainError(f"shift letters must satisfy 1 <= i != j <= n-2 = {n - 2}, got ({i}, {j})")
+
+        return refuse
+    m, M = (i, j) if i < j else (j, i)
+    left, right = (i + 1, j + 1) if upper else (i, j)
+    # The run's first letter is n's neighbor on the core's side, so the run
+    # is read outward from n, one step at a time in the direction `step`.
+    # M, M+1 (m, m+1 at the upper end) sit together exactly when the letter
+    # beyond n's neighbor on the other side is `stop`; the width is then 0.
+    step = 1 if (i < j) == upper else -1
+    stop = m if upper else M + 1
+    run = _run(m, M, M - m + 1, upper)
+
+    def move(p):
+        if not in_domain(p):
+            raise DomainError(outside)
+        # Letters are distinct, so a factor occurs exactly when its letters
+        # sit at consecutive positions.  The factor and the core both hold n,
+        # so both are read at fixed offsets from n's position t in a ring:
+        # the cycle written twice, or the word padded with a letter 0 that
+        # matches nothing.
+        if cyclic:
+            host = cycle_containing(p, n)[1]
+            t = host.index(n)
+            ring = host + host
+        else:
+            t = p.index(n) + 1
+            ring = (0,) + p + (0,)
+        if ring[t - 1] != left or ring[t + 1] != right:
+            kind = "cyclic factor" if cyclic else "factor"
+            raise DomainError(f"input does not contain the {kind} {left} {n} {right}")
+        # Unless `stop` makes it 0, the width is the longest prefix of the
+        # full run that follows n in order.  The walk stays on the ring: it
+        # stops at the padding, or at the latest where it comes round to n.
+        width = 0
+        if ring[t - 2 * step] != stop:
+            for x in run:
+                if ring[t + step * (width + 1)] != x:
+                    break
+                width += 1
+        image = _relabel(n, i, j, width, upper).__getitem__
+        if cyclic:
+            return _normalize([tuple(map(image, c)) for c in p]), width
+        return tuple(map(image, p)), width
+
+    return move
+
+
+def _move(p, i: int, j: int, cyclic: bool, upper: bool):
+    """(image, width) of the kernel ``_mover`` built for one normalized input."""
+    return _mover(decomposition_size(p) if cyclic else len(p), i, j, cyclic, upper)(p)
+
+
+def _core(p, i: int, j: int, cyclic: bool, upper: bool) -> Word:
+    """The core at the lower (upper=False) or upper end of [m, M+1]: the factor
+    of the host (cyclic for decompositions) that holds the largest letter."""
+    p = _checked(p, cyclic)
+    n = decomposition_size(p) if cyclic else len(p)
+    return _core_word(n, i, j, _mover(n, i, j, cyclic, upper, domain=False)(p)[1], upper)
+
+
+def lower_core(p, i: int, j: int, *, cyclic: bool = False) -> Word:
+    """Core anchored at the lower end of [m, M+1], for inputs with neighbor cell
+    (i, j); the core's width is its length minus 2."""
+    return _core(p, i, j, cyclic, upper=False)
+
+
+def upper_core(s, i: int, j: int, *, cyclic: bool = False) -> Word:
+    """Core anchored at the upper end of [m, M+1], for inputs with neighbor cell
+    (i+1, j+1); the core's width is its length minus 2."""
+    return _core(s, i, j, cyclic, upper=True)
 
 
 def shift(p, i: int, j: int, *, cyclic: bool = False):

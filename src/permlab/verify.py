@@ -22,6 +22,7 @@ import time
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import permutations
+from operator import gt
 from typing import Callable, Iterable
 
 from .bijections import (
@@ -35,7 +36,7 @@ from .bijections import (
     is_anchor_decomposable,
     pivot_words,
 )
-from .cycles import cycle_stats, format_cycles
+from .cycles import format_cycles
 from .enumeration import (
     BUDGETS,
     KINDS,
@@ -47,10 +48,11 @@ from .enumeration import (
     member_index,
 )
 from .errors import BudgetError, DomainError
-# T_roundtrip calls _move, which returns each move's core width with its image.
-# count_word_pair, contract, cycle_flip, shift, shift_inv, lower_core and
-# upper_core stay bound here because perfbench's traced catalog run rebinds each.
-from .toeplitz import _move, lower_core, shift, shift_inv, upper_core  # noqa: F401
+# T_roundtrip builds one shift kernel per cell and direction with _mover; each
+# move returns its core width with its image.  count_word_pair, contract,
+# cycle_flip, shift, shift_inv, lower_core and upper_core stay bound here
+# because perfbench's traced catalog run rebinds each.
+from .toeplitz import _mover, lower_core, shift, shift_inv, upper_core  # noqa: F401
 from .words import format_word, height, is_ballot, swap_letters
 
 
@@ -228,26 +230,29 @@ def _symmetry_p(n: int):
 
 
 def _cycle_profile(cycles):
-    return sorted((len(c), cycle_stats(c)[0]) for c in cycles)
+    """(length, cyclic descents) of each cycle, sorted."""
+    return sorted((len(c), sum(map(gt, c, c[1:])) + (c[-1] > c[0])) for c in cycles)
 
 
-def _shift_maps(i: int, j: int, cyclic: bool):
+def _shift_maps(n: int, i: int, j: int, cyclic: bool):
     """(fwd, inv, invariants) of one shift cell, each member moved once each way.
 
-    ``_bijection`` maps p to q = fwd(p), then q back by inv, then reads the
-    invariants of (p, q).  Each move records the width of the core it read,
-    so the width invariant compares the width found on p at the lower end
-    with the width found on q at the upper end without searching either core
-    again.  On decompositions each cycle's length and weight must also stay.
+    The cell's two shift kernels are built once.  ``_bijection`` maps p to
+    q = fwd(p), then q back by inv, then reads the invariants of (p, q).
+    Each move records the width of the core it read, so the width invariant
+    compares the width found on p at the lower end with the width found on q
+    at the upper end without searching either core again.  On
+    decompositions each cycle's length and weight must also stay.
     """
+    forward, backward = _mover(n, i, j, cyclic, False), _mover(n, i, j, cyclic, True)
     widths = [0, 0]
 
     def fwd(p):
-        q, widths[0] = _move(p, i, j, cyclic, False)
+        q, widths[0] = forward(p)
         return q
 
     def inv(q):
-        p, widths[1] = _move(q, i, j, cyclic, True)
+        p, widths[1] = backward(q)
         return p
 
     def width(p, q):
@@ -269,7 +274,7 @@ def _t_roundtrip(n: int):
             for i, j in permutations(range(1, n - 1), 2):
                 yield _bijection({"kind": kind, "n": n, "d": d, "i": i, "j": j},
                                  idx.cell(d, i, j), idx.cell(d, i + 1, j + 1),
-                                 *_shift_maps(i, j, cyclic))
+                                 *_shift_maps(n, i, j, cyclic))
 
 
 def _conj_spiro(n: int):

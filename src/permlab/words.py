@@ -13,6 +13,10 @@ from .errors import DomainError
 
 Word = tuple[int, ...]
 
+# A letter of a permutation is an int; a bool or a float equal to one is not.
+# ``_INT_ONLY.issuperset(map(type, letters))`` tests every letter in one C pass.
+_INT_ONLY = frozenset({int})
+
 
 def check_word(letters) -> Word:
     """Validate and normalize a sequence of distinct positive integers."""
@@ -26,10 +30,10 @@ def check_word(letters) -> Word:
 
 
 def check_permutation(letters) -> Word:
-    """Validate a one-line permutation of [n]."""
+    """Validate a one-line permutation of [n]; its letters must be ints (no bools or floats)."""
     p = tuple(letters)
     n = len(p)
-    if n == 0 or sorted(p) != list(range(1, n + 1)):
+    if n == 0 or not _INT_ONLY.issuperset(map(type, p)) or sorted(p) != list(range(1, n + 1)):
         raise DomainError(f"not a one-line permutation of [{n}]: {p}")
     return p
 
@@ -74,11 +78,16 @@ def find_factor(host: Word, needle: Word) -> int | None:
     """1-based start of the leftmost occurrence of ``needle`` as a contiguous factor, or None."""
     if not needle:
         raise DomainError("factor search needs a nonempty word")
-    k = len(needle)
-    for s in range(len(host) - k + 1):
-        if host[s:s + k] == needle:
-            return s + 1
-    return None
+    first, k = needle[0], len(needle)
+    # every occurrence starts at an occurrence of the needle's first letter
+    s = -1
+    try:
+        while True:
+            s = host.index(first, s + 1)
+            if host[s:s + k] == needle:
+                return s + 1
+    except ValueError:
+        return None
 
 
 def swap_letters(w: Word, a: int, b: int) -> Word:

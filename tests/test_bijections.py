@@ -15,6 +15,7 @@ from permlab.bijections import (
 from permlab.cycles import max_letter_neighbors, perm_weight
 from permlab.enumeration import member_index
 from permlab.errors import DomainError
+from permlab.toeplitz import shift
 from permlab.words import find_factor, height, is_ballot
 
 
@@ -176,6 +177,17 @@ def test_contract_cycles():
     reduced = contract(((1, 4, 2), (3,)), 1, 2)
     assert reduced == ((1,), (2,))
     assert contract(reduced, 1, 2, inverse=True) == ((1, 4, 2), (3,))
+
+
+def test_contract_reads_cycles_spelled_as_lists_like_shift():
+    # a decomposition may be spelled with lists, as shift accepts it
+    spelled = [[1, 4, 2], [3]]
+    assert contract(spelled, 1, 2) == contract(((1, 4, 2), (3,)), 1, 2) == ((1,), (2,))
+    assert contract([[2], [1]], 1, 2, inverse=True) == ((1, 4, 2), (3,))
+    assert shift(spelled, 1, 2, cyclic=True) == shift(((1, 4, 2), (3,)), 1, 2, cyclic=True)
+    with pytest.raises(DomainError) as exc:
+        contract([[1, 3, 2], [4]], 1, 2)
+    assert str(exc.value) == "((1, 3, 2), (4,)) does not contain the cyclic factor 1 4 2"
 
 
 def test_contract_tables_are_the_sorted_set_and_rank_dict():

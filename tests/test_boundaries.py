@@ -12,7 +12,7 @@ from itertools import permutations
 
 import pytest
 
-from permlab.bijections import _contract, _cycle_flip, contract, cycle_flip
+from permlab.bijections import _contract, _cycle_flip, contract, cycle_flip, exchange_letters, flank_swap
 from permlab.enumeration import _ballot_stream, _odd_stream
 from permlab.errors import DomainError
 from permlab.toeplitz import _move, lower_core, shift, shift_inv, upper_core
@@ -90,6 +90,8 @@ BAD_CYCLES = {
     "missing": ([(1, 6, 2), (3, 4, 7)], "cycles must partition {1, ..., n}, got letters [1, 2, 3, 4, 6, 7]"),
     "letters": (((1, 6, 2), 3, 4, 5), "not a cycle decomposition: ((1, 6, 2), 3, 4, 5)"),
     "word": ((1, 6, 2, 3, 4, 5), "not a cycle decomposition: (1, 6, 2, 3, 4, 5)"),
+    "float": ([(1.0, 6, 2), (3, 4, 5)], "cycle letters must be integers, got letters [1.0, 6, 2, 3, 4, 5]"),
+    "bool": ([(True, 6, 2), (3, 4, 5)], "cycle letters must be integers, got letters [True, 6, 2, 3, 4, 5]"),
 }
 CYCLE_MAPS = {
     "shift": lambda c: shift(c, 1, 2, cyclic=True),
@@ -110,8 +112,31 @@ CYCLE_MAPS = {
 ])
 def test_each_public_map_refuses_a_bad_decomposition_alike(op, case):
     # overlapping cycles, a missing letter (6 letters, largest 7), loose
-    # letters after a cycle, and a one-line word
+    # letters after a cycle, a one-line word, and letters equal to an int
+    # that are not ints
     bad, message = BAD_CYCLES[case]
     with pytest.raises(DomainError) as exc:
         CYCLE_MAPS[op](bad)
     assert str(exc.value) == message
+
+
+LINE_MAPS = {
+    "shift": lambda p: shift(p, 1, 2),
+    "shift_inv": lambda p: shift_inv(p, 1, 2),
+    "lower_core": lambda p: lower_core(p, 1, 2),
+    "upper_core": lambda p: upper_core(p, 1, 2),
+    "contract": lambda p: contract(p, 1, 2),
+    "expand": lambda p: contract(p, 1, 2, inverse=True),
+    "flank_swap": lambda p: flank_swap(p, 1, 3),
+    "exchange_letters": lambda p: exchange_letters(p, 1, 3),
+}
+
+
+@pytest.mark.parametrize("op", LINE_MAPS)
+@pytest.mark.parametrize("first", [1.0, True], ids=["float", "bool"])
+def test_each_public_map_refuses_a_word_whose_letters_are_not_ints(op, first):
+    # 1 5 2 3 4 is ballot and holds 1 5 2, so only the letter 1 is at fault
+    word = (first, 5, 2, 3, 4)
+    with pytest.raises(DomainError) as exc:
+        LINE_MAPS[op](word)
+    assert str(exc.value) == f"not a one-line permutation of [5]: {word}"

@@ -65,6 +65,16 @@ def test_canonicalize_rejects_bad_partitions():
         canonicalize_cycles([(1,), ()])
 
 
+def test_canonicalize_refuses_letters_that_are_not_ints():
+    # floats and bools equal to an int used to pass the partition test
+    for raw, letters in (([(1.0, 3, 2)], "[1.0, 3, 2]"), ([(True, 2, 3)], "[True, 2, 3]"),
+                         ([(1, 3), (2.5,)], "[1, 3, 2.5]"), ([(1,), ("2",)], "[1, '2']")):
+        with pytest.raises(DomainError) as exc:
+            canonicalize_cycles(raw)
+        assert str(exc.value) == f"cycle letters must be integers, got letters {letters}"
+    assert canonicalize_cycles([[3, 1, 2]]) == ((1, 2, 3),)
+
+
 def test_a_word_given_for_cycles_is_a_domain_error():
     # a one-line word where a decomposition is expected: its letters are not cycles
     for call, word in (

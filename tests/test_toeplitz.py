@@ -158,6 +158,33 @@ def test_shift_domain_errors():
         assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("op, upper", [(shift, False), (shift_inv, True)], ids=["shift", "shift_inv"])
+@pytest.mark.parametrize("cyclic, outside, outside_with_factor, inside", [
+    (False, (2, 1, 3, 4), {False: (3, 1, 4, 2), True: (2, 4, 3, 1)}, (1, 2, 3, 4)),
+    (True, ((1, 2), (3, 4)), {False: ((1, 4, 2, 3),), True: ((1, 2, 4, 3),)}, ((1,), (2,), (3,), (4,))),
+], ids=["linear", "cyclic"])
+def test_shift_refuses_the_domain_then_the_letters_then_the_factor(
+        op, upper, cyclic, outside, outside_with_factor, inside):
+    # n = 4 throughout, so the letters (1, 5) are out of range and (1, 2) are
+    # fine; only the first rule that an input breaks is named
+    def refusal(p, i, j):
+        with pytest.raises(DomainError) as exc:
+            op(p, i, j, cyclic=cyclic)
+        return str(exc.value)
+
+    domain = "cyclic shift needs an odd order permutation" if cyclic else "linear shift needs a ballot permutation"
+    letters = "shift letters must satisfy 1 <= i != j <= n-2 = 2, got (1, 5)"
+    left, right = (2, 3) if upper else (1, 2)
+    factor = f"input does not contain the {'cyclic factor' if cyclic else 'factor'} {left} 4 {right}"
+    assert refusal(outside, 1, 5) == domain  # all three broken
+    assert refusal(outside, 1, 2) == domain  # domain and factor broken
+    assert refusal(outside_with_factor[upper], 1, 2) == domain  # only the domain broken
+    # the core readers check no domain, and find that input's core
+    assert (upper_core if upper else lower_core)(outside_with_factor[upper], 1, 2, cyclic=cyclic)
+    assert refusal(inside, 1, 5) == letters  # letters and factor broken
+    assert refusal(inside, 1, 2) == factor
+
+
 def occurs(host, needle, cyclic):
     """Whether ``needle`` is a factor of ``host``, read around it when cyclic."""
     return len(needle) <= len(host) and find_factor(host + host if cyclic else host, needle) is not None

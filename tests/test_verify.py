@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -237,14 +238,19 @@ def test_bijection_cell_reports_a_member_the_inverse_refuses():
 # one chosen member, and pins the counterexample the invariant then reports.
 
 def test_t_roundtrip_reports_a_core_width_that_changes(monkeypatch):
-    move, target = verify._move, (1, 4, 2, 3)  # ballot, d = 1, 4 flanked by (1, 2)
+    mover, target = verify._mover, (1, 4, 2, 3)  # ballot, d = 1, 4 flanked by (1, 2)
 
-    def wider_on_target(p, i, j, cyclic, inverse):
-        q, width = move(p, i, j, cyclic, inverse)
-        return q, width + 1 if (p, inverse) == (target, False) else width
+    def wider_on_target(n, i, j, cyclic, upper):
+        move = mover(n, i, j, cyclic, upper)
 
-    width = move(target, 1, 2, False, False)[1]
-    monkeypatch.setattr(verify, "_move", wider_on_target)
+        def wider(p):
+            q, width = move(p)
+            return q, width + 1 if (p, upper) == (target, False) else width
+
+        return wider
+
+    width = mover(4, 1, 2, False, False)(target)[1]
+    monkeypatch.setattr(verify, "_mover", wider_on_target)
     assert run_check("T_roundtrip", max_n=4).counterexamples == (
         {"params": {"kind": "ballot", "n": 4, "d": 1, "i": 1, "j": 2, "property": "width", "perm": "1 4 2 3"},
          "lhs": width + 1, "rhs": width},
@@ -294,3 +300,52 @@ def test_lemma22_reports_a_non_ballot_tail_after_an_ascending_junction(monkeypat
         {"params": {"n": 4, "i": 1, "j": 3, "anchor": "1 4 2 3", "perm": "1 4 2 3"},
          "lhs": "carry_last=3 tail_1=9", "rhs": "anchor_height=1"},
     )
+
+
+def _one_entry_more(monkeypatch, kind, n, d, i=None, j=None):
+    """Make ``verify.count_table`` read the (kind, n) table with one entry
+    raised by one: the total at d, or the cell (d, i, j) when i is given.
+    The memo keeps the true table."""
+    real = verify.count_table
+
+    def count_table(k, m):
+        table = real(k, m)
+        if (k, m) != (kind, n):
+            return table
+        if i is None:
+            totals = list(table.totals)
+            totals[d] += 1
+            return dataclasses.replace(table, totals=tuple(totals))
+        cells = [[list(row) for row in layer] for layer in table.cells]
+        cells[d][i - 1][j - 1] += 1
+        return dataclasses.replace(table, cells=tuple(tuple(map(tuple, layer)) for layer in cells))
+
+    monkeypatch.setattr(verify, "count_table", count_table)
+
+
+# One identity per table check, each broken by one table entry that it reads
+# on one side only.  check, max_n, the entry raised (kind, n, d[, i, j]), and
+# the one counterexample (params, lhs, rhs) the check must then report.
+TABLE_IDENTITIES = [
+    ("closed_form", 5, ("ballot", 5, 0), ({"n": 5}, "ballot=46 odd=45", "closed_form=45")),
+    ("recurrence_b", 5, ("ballot", 5, 0), ({"kind": "ballot", "n": 5}, 46, 45)),
+    ("recurrence_p", 5, ("odd", 5, 1), ({"kind": "odd", "n": 5}, 46, 45)),
+    ("x_lambda_identity", 5, ("ballot", 5, 1, 1, 2), ({"n": 5, "i": 1, "j": 3, "side": "forward"}, 1, 2)),
+    ("toeplitz_B", 5, ("ballot", 5, 1, 1, 2), ({"kind": "ballot", "n": 5, "d": 1, "i": 1, "j": 2}, 2, 1)),
+    ("toeplitz_P", 5, ("odd", 5, 1, 1, 2), ({"kind": "odd", "n": 5, "d": 1, "i": 1, "j": 2}, 2, 1)),
+    ("symmetry_P", 5, ("odd", 5, 1, 1, 2), ({"n": 5, "d": 1, "i": 1, "j": 2}, 2, 1)),
+    ("conj_spiro", 5, ("odd", 5, 1), ({"n": 5, "d": 1}, 22, 23)),
+    ("conj_refined", 5, ("ballot", 5, 1, 3, 1), ({"n": 5, "d": 1, "j": 3}, 3, 2)),
+    ("prop41", 5, ("odd", 5, 1, 1, 3), ({"n": 5, "d": 1, "j": 3, "cell": "p(1,j)"}, 2, 1)),
+    # prop43_words is red from n = 5, so its difference identity is broken at n = 4
+    ("prop43_words", 4, ("ballot", 4, 1, 1, 2), ({"n": 4, "d": 1, "identity": "right pairs"}, 2, 1)),
+    ("eq_bnd_pnd", 5, ("ballot", 5, 1, 1, 2), ({"kind": "ballot", "n": 5, "d": 1}, 22, 23)),
+]
+
+
+@pytest.mark.parametrize("name, max_n, entry, ce", TABLE_IDENTITIES, ids=[case[0] for case in TABLE_IDENTITIES])
+def test_each_table_check_reports_one_table_entry_off(monkeypatch, name, max_n, entry, ce):
+    assert run_check(name, max_n).counterexamples == ()
+    _one_entry_more(monkeypatch, *entry)
+    params, lhs, rhs = ce
+    assert run_check(name, max_n).counterexamples == ({"params": params, "lhs": lhs, "rhs": rhs},)

@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 from permlab.errors import DomainError
 from permlab.words import (
     ascent_descent,
+    check_permutation,
     find_factor,
     format_word,
     height,
@@ -52,6 +56,45 @@ def test_find_factor():
     assert find_factor((1, 2, 3), (2, 1)) is None
     with pytest.raises(DomainError):
         find_factor(host, ())
+
+
+def _slice_scan(host, needle):
+    """The leftmost factor start by comparing the slice at every start."""
+    k = len(needle)
+    for s in range(len(host) - k + 1):
+        if host[s:s + k] == needle:
+            return s + 1
+    return None
+
+
+def test_find_factor_agrees_with_a_slice_scan():
+    # seeded random hosts over a small alphabet, so letters repeat and a
+    # needle's first letter often occurs before the needle does; needles are
+    # factors of the host, or random words that may not occur (the letter 6
+    # never does), or longer than the host
+    rng = random.Random(18)
+    found = Counter()
+    for _ in range(4000):
+        host = tuple(rng.randint(1, 5) for _ in range(rng.randint(0, 12)))
+        if host and rng.random() < 0.5:
+            s = rng.randrange(len(host))
+            needle = host[s:s + rng.randint(1, 4)]
+        else:
+            needle = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 14)))
+        got = find_factor(host, needle)
+        assert got == _slice_scan(host, needle), (host, needle)
+        found[got is not None, len(set(host)) < len(host)] += 1
+    assert set(found) == {(False, False), (False, True), (True, False), (True, True)}, found
+
+
+def test_check_permutation_refuses_letters_that_are_not_ints():
+    # floats and bools equal to an int used to pass the sorted test, and a
+    # string next to an int made the sort raise TypeError
+    for bad in ((1.0, 3, 2), (True, 2, 3), (2, 1, 3.0), ("1", 2)):
+        with pytest.raises(DomainError) as exc:
+            check_permutation(bad)
+        assert str(exc.value) == f"not a one-line permutation of [{len(bad)}]: {bad}"
+    assert check_permutation([2, 1, 3]) == (2, 1, 3)
 
 
 def test_swap_letters():
