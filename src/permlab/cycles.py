@@ -17,7 +17,7 @@ import re
 from itertools import chain
 
 from .errors import DomainError
-from .words import _INT_ONLY, Word
+from .words import Word, _all_ints
 
 Cycle = tuple[int, ...]
 CycleDecomposition = tuple[Cycle, ...]
@@ -55,7 +55,7 @@ def canonicalize_cycles(raw) -> CycleDecomposition:
     except TypeError:
         raise DomainError(f"not a cycle decomposition: {raw}") from None
     letters = list(chain.from_iterable(cycles))
-    if not _INT_ONLY.issuperset(map(type, letters)):
+    if not _all_ints(letters):
         raise DomainError(f"cycle letters must be integers, got letters {letters}")
     letters.sort()
     if letters != list(range(1, len(letters) + 1)):
@@ -70,9 +70,9 @@ def decomposition_size(cycles: CycleDecomposition) -> int:
 
 
 def cycles_from_one_line(p: Word) -> CycleDecomposition:
-    """Cycle decomposition of a one-line permutation read as the map i -> p[i-1]."""
+    """Cycle decomposition of a one-line permutation of int letters, read as the map i -> p[i-1]."""
     n = len(p)
-    if sorted(p) != list(range(1, n + 1)):
+    if not _all_ints(p) or sorted(p) != list(range(1, n + 1)):
         raise DomainError(f"not a one-line permutation: {p}")
     seen = [False] * (n + 1)
     cycles = []
@@ -113,18 +113,18 @@ def is_odd_order(cycles: CycleDecomposition) -> bool:
     return True
 
 
-def cycle_containing(cycles: CycleDecomposition, letter: int) -> tuple[int, Cycle]:
-    """(index, cycle) of the cycle holding ``letter``."""
-    for k, c in enumerate(cycles):
+def cycle_containing(cycles: CycleDecomposition, letter: int) -> Cycle:
+    """The cycle holding ``letter``."""
+    for c in cycles:
         if letter in c:
-            return k, c
+            return c
     raise DomainError(f"letter {letter} not present in {cycles}")
 
 
 def max_letter_neighbors(cycles: CycleDecomposition) -> tuple[int, int] | None:
     """Cyclic (predecessor, successor) of the largest letter, or None if it is fixed."""
     n = decomposition_size(cycles)
-    _, c = cycle_containing(cycles, n)
+    c = cycle_containing(cycles, n)
     if len(c) == 1:
         return None
     t = c.index(n)

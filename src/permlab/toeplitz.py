@@ -6,12 +6,12 @@ neighbors (i+1, j+1), preserving the descent number (one-line form) or every
 cycle's length and cyclic descent number (cycle form).
 
 One kernel serves both directions.  ``_mover(n, i, j, cyclic, upper)`` binds
-everything that depends only on that key once: the domain rule, the
-letter-range rule, m and M, the factor letters it expects, the walk
-direction, the width-0 stop letter and the full run.  It returns a function
-of one member, so a caller that moves many members of one cell (``verify``'s
-``T_roundtrip``) builds it once per cell and direction, and a single call
-builds it for one member.  No kernel is cached between cells.
+everything that depends only on that key once: m and M, the factor letters
+it expects, the walk direction, the width-0 stop letter and the full run.
+It returns a function of one member, so a caller that moves many members of
+one cell (``verify``'s ``T_roundtrip``) builds it once per cell and
+direction, and a single call builds it for one member.  No kernel is cached
+between cells.
 
 The kernel finds the core at one end of the interval [m, M+1]: the widest
 run of "discretely continuous" letters anchored next to n.  Its search is
@@ -33,8 +33,10 @@ rewrite is one letter bijection, so the cycle structure is carried along for
 free.  The kernel returns the image together with the width of the core it
 read, so a check of the width invariant needs no second core search.
 
-The public entries validate and normalize their input once; the kernel
-trusts it, and the image is normalized, not validated again.
+Each input rule is checked once: the public entries validate and normalize
+their input, ``shift`` and ``shift_inv`` then refuse it outside the domain,
+``_move`` refuses letters outside 1 <= i != j <= n-2, and the kernel checks
+only the factor.  The image is normalized, not validated again.
 """
 
 from __future__ import annotations
@@ -70,10 +72,6 @@ def _checked(p, cyclic: bool):
     return canonicalize_cycles(p) if cyclic else check_permutation(p)
 
 
-def _anything(p) -> bool:
-    return True
-
-
 @cache
 def _relabel(n: int, i: int, j: int, width: int, upper: bool) -> Word:
     """Letter images, indexed by letter, of the rewrite that replaces the core at
@@ -90,34 +88,16 @@ def _relabel(n: int, i: int, j: int, width: int, upper: bool) -> Word:
     return tuple(table)
 
 
-def _mover(n: int, i: int, j: int, cyclic: bool, upper: bool, *, domain: bool = True):
+def _mover(n: int, i: int, j: int, cyclic: bool, upper: bool):
     """The move at one key: a function p -> (image, width) that rewrites the
     core at one end of [m, M+1] (the lower end for the shift, upper=False)
     as the core of the same width at the other end, and returns the width of
-    the core it read.  ``p`` must be normalized (see ``_checked``) with n
-    letters.
+    the core it read.
 
-    Every per-key constant is bound here once.  The kernel refuses, in this
-    order, a member outside the domain (not ballot, or not of odd order for
-    decompositions), letters outside 1 <= i != j <= n-2, and a member
-    without the factor.  With domain=False it skips the first rule, as the
-    core readers ``lower_core`` and ``upper_core`` do.
+    Every per-key constant is bound here once.  The kernel trusts that p is
+    normalized with n letters and 1 <= i != j <= n-2, and does not ask
+    whether p is in the domain; it refuses only a member without the factor.
     """
-    if not domain:
-        in_domain, outside = _anything, ""
-    elif cyclic:
-        in_domain, outside = is_odd_order, "cyclic shift needs an odd order permutation"
-    else:
-        in_domain, outside = is_ballot, "linear shift needs a ballot permutation"
-    if i == j or not (1 <= i <= n - 2 and 1 <= j <= n - 2):
-        def refuse(p):
-            if not in_domain(p):
-                raise DomainError(outside)
-            if cyclic:
-                cycle_containing(p, n)  # the empty decomposition has no cycle holding n, and says so first
-            raise DomainError(f"shift letters must satisfy 1 <= i != j <= n-2 = {n - 2}, got ({i}, {j})")
-
-        return refuse
     m, M = (i, j) if i < j else (j, i)
     left, right = (i + 1, j + 1) if upper else (i, j)
     # The run's first letter is n's neighbor on the core's side, so the run
@@ -129,15 +109,13 @@ def _mover(n: int, i: int, j: int, cyclic: bool, upper: bool, *, domain: bool = 
     run = _run(m, M, M - m + 1, upper)
 
     def move(p):
-        if not in_domain(p):
-            raise DomainError(outside)
         # Letters are distinct, so a factor occurs exactly when its letters
         # sit at consecutive positions.  The factor and the core both hold n,
         # so both are read at fixed offsets from n's position t in a ring:
         # the cycle written twice, or the word padded with a letter 0 that
         # matches nothing.
         if cyclic:
-            host = cycle_containing(p, n)[1]
+            host = cycle_containing(p, n)
             t = host.index(n)
             ring = host + host
         else:
@@ -164,16 +142,22 @@ def _mover(n: int, i: int, j: int, cyclic: bool, upper: bool, *, domain: bool = 
 
 
 def _move(p, i: int, j: int, cyclic: bool, upper: bool):
-    """(image, width) of the kernel ``_mover`` built for one normalized input."""
-    return _mover(decomposition_size(p) if cyclic else len(p), i, j, cyclic, upper)(p)
+    """(image, width) of one normalized input: the letters 1 <= i != j <= n-2
+    are checked here, then the kernel ``_mover`` checks the factor."""
+    n = decomposition_size(p) if cyclic else len(p)
+    if i == j or not (1 <= i <= n - 2 and 1 <= j <= n - 2):
+        if cyclic:
+            cycle_containing(p, n)  # the empty decomposition has no cycle holding n, and says so first
+        raise DomainError(f"shift letters must satisfy 1 <= i != j <= n-2 = {n - 2}, got ({i}, {j})")
+    return _mover(n, i, j, cyclic, upper)(p)
 
 
 def _core(p, i: int, j: int, cyclic: bool, upper: bool) -> Word:
     """The core at the lower (upper=False) or upper end of [m, M+1]: the factor
     of the host (cyclic for decompositions) that holds the largest letter."""
     p = _checked(p, cyclic)
-    n = decomposition_size(p) if cyclic else len(p)
-    return _core_word(n, i, j, _mover(n, i, j, cyclic, upper, domain=False)(p)[1], upper)
+    width = _move(p, i, j, cyclic, upper)[1]
+    return _core_word(decomposition_size(p) if cyclic else len(p), i, j, width, upper)
 
 
 def lower_core(p, i: int, j: int, *, cyclic: bool = False) -> Word:
@@ -188,6 +172,16 @@ def upper_core(s, i: int, j: int, *, cyclic: bool = False) -> Word:
     return _core(s, i, j, cyclic, upper=True)
 
 
+def _shift(p, i: int, j: int, cyclic: bool, upper: bool):
+    """The image under the shift (upper=False) or its inverse of an input in
+    the domain: ballot, or of odd order for decompositions."""
+    p = _checked(p, cyclic)
+    if not (is_odd_order(p) if cyclic else is_ballot(p)):
+        raise DomainError("cyclic shift needs an odd order permutation" if cyclic
+                          else "linear shift needs a ballot permutation")
+    return _move(p, i, j, cyclic, upper)[0]
+
+
 def shift(p, i: int, j: int, *, cyclic: bool = False):
     """Move a permutation from neighbor cell (i, j) to (i+1, j+1).
 
@@ -195,9 +189,9 @@ def shift(p, i: int, j: int, *, cyclic: bool = False):
     contain the (cyclic) factor i n j with 1 <= i != j <= n-2.  The statistic
     (descent number, or cyclic weight and all cycle lengths) is preserved.
     """
-    return _move(_checked(p, cyclic), i, j, cyclic, upper=False)[0]
+    return _shift(p, i, j, cyclic, upper=False)
 
 
 def shift_inv(s, i: int, j: int, *, cyclic: bool = False):
     """Inverse of :func:`shift`: move neighbor cell (i+1, j+1) back to (i, j)."""
-    return _move(_checked(s, cyclic), i, j, cyclic, upper=True)[0]
+    return _shift(s, i, j, cyclic, upper=True)

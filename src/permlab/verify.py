@@ -48,10 +48,11 @@ from .enumeration import (
     member_index,
 )
 from .errors import BudgetError, DomainError
-# T_roundtrip builds one shift kernel per cell and direction with _mover; each
-# move returns its core width with its image.  count_word_pair, contract,
-# cycle_flip, shift, shift_inv, lower_core and upper_core stay bound here
-# because perfbench's traced catalog run rebinds each.
+# T_roundtrip moves members with _mover, the bare shift kernel, built once per
+# cell and direction: its members are in the domain and its letters in range
+# by construction.  count_word_pair, contract, cycle_flip, shift, shift_inv,
+# lower_core and upper_core stay bound here because perfbench's traced
+# catalog run rebinds each.
 from .toeplitz import _mover, lower_core, shift, shift_inv, upper_core  # noqa: F401
 from .words import format_word, height, is_ballot, swap_letters
 

@@ -13,17 +13,20 @@ from .errors import DomainError
 
 Word = tuple[int, ...]
 
-# A letter of a permutation is an int; a bool or a float equal to one is not.
-# ``_INT_ONLY.issuperset(map(type, letters))`` tests every letter in one C pass.
 _INT_ONLY = frozenset({int})
+
+
+def _all_ints(letters) -> bool:
+    """The one letter rule: every letter is an int (a bool or a float equal to one is not)."""
+    return _INT_ONLY.issuperset(map(type, letters))
 
 
 def check_word(letters) -> Word:
     """Validate and normalize a sequence of distinct positive integers."""
     w = tuple(letters)
-    for x in w:
-        if not isinstance(x, int) or x < 1:
-            raise DomainError(f"letters must be positive integers, got {x!r}")
+    if not _all_ints(w) or (w and min(w) < 1):
+        bad = next(x for x in w if not _all_ints((x,)) or x < 1)
+        raise DomainError(f"letters must be positive integers, got {bad!r}")
     if len(set(w)) != len(w):
         raise DomainError(f"letters must be pairwise distinct, got {w}")
     return w
@@ -33,7 +36,7 @@ def check_permutation(letters) -> Word:
     """Validate a one-line permutation of [n]; its letters must be ints (no bools or floats)."""
     p = tuple(letters)
     n = len(p)
-    if n == 0 or not _INT_ONLY.issuperset(map(type, p)) or sorted(p) != list(range(1, n + 1)):
+    if n == 0 or not _all_ints(p) or sorted(p) != list(range(1, n + 1)):
         raise DomainError(f"not a one-line permutation of [{n}]: {p}")
     return p
 

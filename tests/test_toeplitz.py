@@ -3,7 +3,7 @@ from itertools import permutations
 
 import pytest
 
-from permlab.cycles import cycle_stats, cycles_from_one_line, parse_cycles, perm_weight
+from permlab.cycles import cycle_stats, cycles_from_one_line, is_odd_order, parse_cycles, perm_weight
 from permlab.enumeration import ballot_cell, enumerate_ballot, enumerate_odd_order, member_index, odd_cell
 from permlab.errors import DomainError
 from permlab.toeplitz import _core_word, _move, _relabel, _run, lower_core, shift, shift_inv, upper_core
@@ -319,23 +319,46 @@ def call_outcome(fn, *args, **kwargs):
 
 def test_move_returns_the_image_and_the_width_it_read():
     # every permutation of [n] for n <= 6, in one-line and cycle form, at every
-    # i, j in [0, n-1], both directions: the image is the public map's, and
-    # the width is the one lower_core (upper_core) finds on the same input
+    # i, j in [0, n-1], both directions.  _move checks the letters and the
+    # factor but not the domain: inside the domain it equals the public map,
+    # with the width lower_core (upper_core) finds on the same input, and
+    # refuses bad letters and a missing factor with the public map's message.
+    # Outside it only the public map refuses for the domain, and _move
+    # agrees with the core reader, which does not ask for the domain either.
     seen = Counter()
     for n in range(1, 7):
         for line in permutations(range(1, n + 1)):
             for p, cyclic in ((line, False), (cycles_from_one_line(line), True)):
+                in_domain = is_odd_order(p) if cyclic else is_ballot(p)
+                outside = "cyclic shift needs an odd order permutation" if cyclic \
+                    else "linear shift needs a ballot permutation"
                 for i in range(n):
                     for j in range(n):
                         for public, core_fn, upper in ((shift, lower_core, False),
                                                        (shift_inv, upper_core, True)):
                             expected = call_outcome(public, p, i, j, cyclic=cyclic)
+                            core = call_outcome(core_fn, p, i, j, cyclic=cyclic)
                             got = call_outcome(_move, p, i, j, cyclic, upper)
-                            if isinstance(expected, tuple) and isinstance(expected[0], type):
-                                assert got == expected, (p, i, j, upper)
-                                seen["refused"] += 1
+                            where = (p, i, j, upper)
+                            if not in_domain:
+                                assert expected == (DomainError, outside), where
+                                seen["outside"] += 1
+                            if isinstance(core, tuple) and isinstance(core[0], type):
+                                assert got == core, where
+                                assert in_domain <= (got == expected), where
+                                seen["refused", got[1].split()[0]] += 1
                             else:
-                                assert got == (expected, len(core_fn(p, i, j, cyclic=cyclic)) - 2), (p, i, j, upper)
-                                seen["moved", cyclic, got[1] > 0] += 1
-    assert {("moved", c, w) for c in (False, True) for w in (False, True)} <= set(seen), seen
-    assert seen["refused"] > 0
+                                assert got[1] == len(core) - 2, where
+                                assert in_domain <= (got[0] == expected), where
+                                seen["moved", cyclic, in_domain, got[1] > 0] += 1
+    assert {("moved", c, d, w) for c in (False, True) for d in (False, True) for w in (False, True)} <= set(seen), seen
+    assert {("refused", "shift"), ("refused", "input"), "outside"} <= set(seen), seen
+
+
+@pytest.mark.parametrize("op", [shift, shift_inv, lower_core, upper_core])
+def test_the_empty_decomposition_is_refused_for_its_missing_largest_letter(op):
+    # an empty decomposition is of odd order and has n = 0, so the letter
+    # rule would refuse any i, j; the probe for n = 0 speaks first
+    with pytest.raises(DomainError) as exc:
+        op((), 1, 2, cyclic=True)
+    assert str(exc.value) == "letter 0 not present in ()"

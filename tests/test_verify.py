@@ -8,6 +8,7 @@ from permlab.bijections import AnchorDecomposition
 from permlab.cli import main
 from permlab.errors import BudgetError, DomainError
 from permlab.verify import CHECKS, VerificationReport, _bijection, _same, list_checks, run_check
+from permlab.words import is_ballot
 
 ALL_CHECKS = [
     "closed_form", "recurrence_b", "recurrence_p", "lemma21", "lemma22",
@@ -254,6 +255,32 @@ def test_t_roundtrip_reports_a_core_width_that_changes(monkeypatch):
     assert run_check("T_roundtrip", max_n=4).counterexamples == (
         {"params": {"kind": "ballot", "n": 4, "d": 1, "i": 1, "j": 2, "property": "width", "perm": "1 4 2 3"},
          "lhs": width + 1, "rhs": width},
+    )
+
+
+def test_t_roundtrip_reports_an_image_outside_the_domain(monkeypatch):
+    # the forward kernel sends 1 4 2 3 to 2 4 3 1, which holds the target
+    # factor 2 4 3 but is not ballot.  The backward kernel does not ask for
+    # the domain, so it moves that image, and the cell reports the changed
+    # width, the broken round trip and, by the image test, the extra member
+    mover, target, outside = verify._mover, (1, 4, 2, 3), (2, 4, 3, 1)
+
+    def outside_on_target(n, i, j, cyclic, upper):
+        move = mover(n, i, j, cyclic, upper)
+
+        def leave(p):
+            q, width = move(p)
+            return (outside, width) if (p, upper) == (target, False) else (q, width)
+
+        return leave
+
+    assert not is_ballot(outside)
+    monkeypatch.setattr(verify, "_mover", outside_on_target)
+    cell = {"kind": "ballot", "n": 4, "d": 1, "i": 1, "j": 2}
+    assert run_check("T_roundtrip", max_n=4).counterexamples == (
+        {"params": dict(cell, property="width", perm="1 4 2 3"), "lhs": 0, "rhs": 2},
+        {"params": dict(cell, property="roundtrip"), "lhs": "round trip", "rhs": "identity"},
+        {"params": dict(cell, property="image"), "lhs": "missing 1 2 4 3", "rhs": "extra 2 4 3 1"},
     )
 
 

@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from permlab import enumeration
+from permlab.cycles import cycles_from_one_line
+from permlab.enumeration import count_word_pair
 from permlab.errors import DomainError
 from permlab.words import (
     ascent_descent,
     check_permutation,
+    check_word,
     find_factor,
     format_word,
     height,
@@ -95,6 +99,25 @@ def test_check_permutation_refuses_letters_that_are_not_ints():
             check_permutation(bad)
         assert str(exc.value) == f"not a one-line permutation of [{len(bad)}]: {bad}"
     assert check_permutation([2, 1, 3]) == (2, 1, 3)
+
+
+def test_every_validator_refuses_letters_that_are_not_ints():
+    # one letter rule serves check_word, check_permutation,
+    # canonicalize_cycles and cycles_from_one_line: a bool used to pass
+    # check_word, so a word pair holding True was counted and memoized as the
+    # pair holding 1; cycles_from_one_line passed (True, 2) and let
+    # (2, 1.0) escape as a TypeError
+    with pytest.raises(DomainError, match="^letters must be positive integers, got True$"):
+        check_word((True, 3))
+    enumeration.clear_memo()
+    with pytest.raises(DomainError, match="^letters must be positive integers, got True$"):
+        count_word_pair(5, 1, (True,), (3,))
+    assert enumeration._word_pair_vectors.cache_info().currsize == 0
+    for bad in ((True, 2), (2, 1.0)):
+        with pytest.raises(DomainError) as exc:
+            cycles_from_one_line(bad)
+        assert str(exc.value) == f"not a one-line permutation: {bad}"
+    assert check_word([3, 1]) == (3, 1) and cycles_from_one_line([2, 1]) == ((1, 2),)
 
 
 def test_swap_letters():
