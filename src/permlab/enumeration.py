@@ -13,13 +13,21 @@ word-pair counts, and the exponential formula over odd cycles counts the
 odd order tables.  The test suite checks every table against the classified
 member stream, which stays the oracle, and the word pairs against a factor
 search over the members.  Both the stream and the counts keep the same budgets.
+
+Each statistic vector of a count is one packed int: digit d, W = n!.bit_length()
+bits wide, holds the count at statistic d.  A descent shifts a vector one digit
+up (``vec << W``), a convolution is one product and a scaled sum is
+``acc + ways * vec``.  No digit overflows: each counts distinct permutations of
+at most n letters, fewer than n! < 2^W.  No count lands past d_max either, and
+``_unpack``, the one step that reads a finished vector, refuses one that does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import comb
+from itertools import permutations
+from math import comb, factorial
 
 from .cycles import CycleDecomposition, max_letter_neighbors, perm_weight
 from .errors import BudgetError, DomainError
@@ -205,19 +213,14 @@ class CountTable:
         return self.cells[d][i - 1][j - 1]
 
 
-def _add(acc: list[int], vec, shift: int = 0, scale: int = 1) -> None:
-    """acc[t + shift] += scale * vec[t]; entries that would land past the end of acc are zero."""
-    for t, c in enumerate(vec[:len(acc) - shift]):
-        acc[t + shift] += scale * c
-
-
-def _convolve(a, b, size: int) -> list[int]:
-    """The first ``size`` entries of the convolution of two statistic vectors."""
-    out = [0] * size
-    for s, x in enumerate(a[:size]):
-        if x:
-            _add(out, b, s, x)
-    return out
+def _unpack(vec: int, n: int) -> tuple[int, ...]:
+    """Digits 0..d_max of the packed statistic vector ``vec`` at n; a count past
+    d_max is refused rather than dropped."""
+    w, size = factorial(n).bit_length(), (n - 1) // 2 + 1
+    if vec >> (size * w):
+        raise ValueError(f"statistic vector spills past d_max={size - 1} at n={n}")
+    digit = (1 << w) - 1
+    return tuple(vec >> (d * w) & digit for d in range(size))
 
 
 def _letters(mask: int):
@@ -228,65 +231,67 @@ def _letters(mask: int):
         mask ^= low
 
 
-def _freeze(kind: str, n: int, totals, by_pair) -> CountTable:
-    """A CountTable from totals and the statistic vectors ``by_pair[i, j]`` of the cells."""
+def _freeze(kind: str, n: int, totals: int, by_pair) -> CountTable:
+    """A CountTable from the packed totals and cell vectors ``by_pair[i, j]``."""
+    layers = {pair: _unpack(vec, n) for pair, vec in by_pair.items()}
     cells = tuple(
-        tuple(tuple(0 if i == j else by_pair[i, j][d] for j in range(1, n)) for i in range(1, n))
-        for d in range(len(totals))
+        tuple(tuple(0 if i == j else layers[i, j][d] for j in range(1, n)) for i in range(1, n))
+        for d in range((n - 1) // 2 + 1)
     )
-    return CountTable(kind=kind, n=n, totals=tuple(totals), cells=cells)
+    return CountTable(kind=kind, n=n, totals=_unpack(totals, n), cells=cells)
 
 
-def _ballot_dp(n: int, pairs) -> tuple[list[int], list[list[int]]]:
-    """Descent vectors of the ballot permutations of [n] and, for each word pair
-    (u, v), of those holding u n v: they read w u n v x.  A forward DP over the
-    letter sets of prefixes counts w u[0] and the whole words; u[1:] n v steps on
-    from the height of u[0], and a suffix DP counts x after v[-1].  One pass over
-    the prefixes serves every pair, grouped by u[0].
+def _ballot_dp(n: int, pairs) -> tuple[int, list[int]]:
+    """Packed descent vectors of the ballot permutations of [n] and, for each
+    word pair (u, v), of those holding u n v: they read w u n v x.  A forward DP
+    over the letter sets of prefixes counts w u[0] and the whole words; u[1:] n v
+    steps on from the height of u[0], and a suffix DP counts x after v[-1].  One
+    pass over the prefixes serves every pair, grouped by u[0].
+
+    Vectors are packed ints, W bits a digit: a descent adds ``vec << W`` and a
+    join is one product.  Every prefix, suffix and join counted is part of a
+    ballot word of [n], so no digit reaches n! or lies past d_max.
     """
-    size = (n - 1) // 2 + 1
+    w = factorial(n).bit_length()
     full = (1 << n) - 1
-    # forward[mask][(last, h)]: descent vector of the ballot words on the
-    # letters of mask that end with last at height h
-    forward: list[dict[tuple[int, int], list[int]]] = [{} for _ in range(full + 1)]
-    forward[0][0, -1] = [1] + [0] * (size - 1)  # the first letter climbs from a virtual 0 at -1
+    # forward[mask][(last, h)]: packed descent vector of the ballot words on
+    # the letters of mask that end with last at height h
+    forward: list[dict[tuple[int, int], int]] = [{} for _ in range(full + 1)]
+    forward[0][0, -1] = 1  # the first letter climbs from a virtual 0 at -1
     for mask in range(full):
+        free = [(y, forward[mask | 1 << (y - 1)]) for y in _letters(full & ~mask)]
         for (last, h), vec in forward[mask].items():
-            for y in _letters(full & ~mask):
+            down = vec << w
+            for y, grown in free:
                 if y > last:
-                    key, shift = (y, h + 1), 0
+                    key = y, h + 1
+                    grown[key] = grown.get(key, 0) + vec
                 elif h:
-                    key, shift = (y, h - 1), 1
-                else:
-                    continue
-                _add(forward[mask | 1 << (y - 1)].setdefault(key, [0] * size), vec, shift)
-    totals = [0] * size
-    for vec in forward[full].values():
-        _add(totals, vec)
+                    key = y, h - 1
+                    grown[key] = grown.get(key, 0) + down
+    totals = sum(forward[full].values())
 
     @cache
-    def suffix(rest: int, first: int, h: int) -> list[int]:
-        """Descent vector of the words on ``rest`` that start with ``first``
-        at height h and stay at height >= 0."""
-        vec = [0] * size
+    def suffix(rest: int, first: int, h: int) -> int:
+        """Packed descent vector of the words on ``rest`` that start with
+        ``first`` at height h and stay at height >= 0."""
         after = rest & ~(1 << (first - 1))
-        if not after:
-            vec[0] = 1
+        vec = 0 if after else 1  # the empty word after ``first``
         for y in _letters(after):
             if y > first:
-                _add(vec, suffix(after, y, h + 1))
+                vec += suffix(after, y, h + 1)
             elif h:
-                _add(vec, suffix(after, y, h - 1), 1)
+                vec += suffix(after, y, h - 1) << w
         return vec
 
-    vectors = [[0] * size for _ in pairs]
+    vectors = [0] * len(pairs)
     by_u0: dict[int, list] = {}
-    for acc, (u, v) in zip(vectors, pairs):
+    for t, (u, v) in enumerate(pairs):
         steps = u[1:] + (n,) + v
-        by_u0.setdefault(u[0], []).append((acc, steps, sum(1 << (x - 1) for x in steps)))
+        by_u0.setdefault(u[0], []).append((t, steps, sum(1 << (x - 1) for x in steps)))
     for mask in range(1 << (n - 1)):  # n is pinned, so no prefix holds it
         for (u0, h0), vec in forward[mask].items():
-            for acc, steps, pinned in by_u0.get(u0, ()):
+            for t, steps, pinned in by_u0.get(u0, ()):
                 if mask & pinned:
                     continue
                 last, h, shift = u0, h0, 0
@@ -297,13 +302,13 @@ def _ballot_dp(n: int, pairs) -> tuple[list[int], list[list[int]]]:
                         break
                 else:
                     rest = full & ~mask & ~pinned | 1 << (last - 1)
-                    _add(acc, _convolve(vec, suffix(rest, last, h), size), shift)
+                    vectors[t] += (vec * suffix(rest, last, h)) << (shift * w)
     return totals, vectors
 
 
 def _ballot_table(n: int) -> CountTable:
     """B(n, .): the neighbor cell (i, j) counts the ballot permutations holding i n j."""
-    cells = [(i, j) for i in range(1, n) for j in range(1, n) if i != j]
+    cells = list(permutations(range(1, n), 2))
     totals, vectors = _ballot_dp(n, [((i,), (j,)) for i, j in cells])
     return _freeze("ballot", n, totals, dict(zip(cells, vectors)))
 
@@ -319,60 +324,53 @@ def _odd_table(n: int) -> CountTable:
     cycle are chosen below, between and above i and j, which fixes the
     ranks of i and j inside that cycle; the remaining n - k letters form any
     odd order permutation.
+
+    Vectors are packed ints, W bits a digit, and ``weights`` alone reads
+    digits: it folds descents (up to n - 3) into weights of at most (k - 1) / 2,
+    so no count lies past d_max, and each digit counts fewer than n! permutations.
     """
-    size = (n - 1) // 2 + 1
-    # ends[m][(first, last)]: descent vector of the permutations of [m] with
-    # these end letters, grown by appending a letter of each relative rank
-    ends: list[dict[tuple[int, int], list[int]]] = [{}, {(1, 1): [1]}]
+    w = factorial(n).bit_length()
+    # ends[m][(first, last)]: packed descent vector of the permutations of [m]
+    # with these end letters, grown by appending a letter of each relative rank
+    ends: list[dict[tuple[int, int], int]] = [{}, {(1, 1): 1}]
     for m in range(1, n - 1):
-        grown: dict[tuple[int, int], list[int]] = {}
+        grown: dict[tuple[int, int], int] = {}
         for (f, q), vec in ends[m].items():
+            down = vec << w
             for r in range(1, m + 2):
                 # the new last letter has rank r: old ranks >= r move up one,
                 # and it is a descent when it lands below the old last letter
-                acc = grown.setdefault((f + (r <= f), r), [0] * (m + 1))
-                _add(acc, vec, 1 if r <= q else 0)
+                key = f + (r <= f), r
+                grown[key] = grown.get(key, 0) + (down if r <= q else vec)
         ends.append(grown)
+    digit = (1 << w) - 1
 
-    def weights(k: int, vec) -> list[int]:
-        """Weight vector of k-cycles whose word after k has descent vector ``vec``."""
-        out = [0] * size
-        for des, c in enumerate(vec):
-            out[min(des + 1, k - des - 1)] += c
-        return out
+    def weights(k: int, vec: int) -> int:
+        """Packed weight vector of k-cycles whose word after k has packed descent vector ``vec``."""
+        return sum((vec >> (des * w) & digit) << (min(des + 1, k - des - 1) * w) for des in range(k - 1))
 
-    cycles = {1: [1] + [0] * (size - 1)}  # cycles[k]: weight vector of all k-cycles on [k]
-    for k in range(3, n + 1, 2):
-        cycles[k] = [0] * size
-        for vec in ends[k - 1].values():
-            _add(cycles[k], weights(k, vec))
-    classes = [[1] + [0] * (size - 1)]  # classes[m]: weight vector of P(m)
+    # cycles[k]: weight vector of all k-cycles on [k]; weights is linear
+    cycles = {1: 1} | {k: weights(k, sum(ends[k - 1].values())) for k in range(3, n + 1, 2)}
+    classes = [1]  # classes[m]: weight vector of P(m)
     for m in range(1, n + 1):
-        out = [0] * size
-        for k in range(1, m + 1, 2):
-            _add(out, _convolve(cycles[k], classes[m - k], size), 0, comb(m - 1, k - 1))
-        classes.append(out)
+        classes.append(sum(comb(m - 1, k - 1) * cycles[k] * classes[m - k] for k in range(1, m + 1, 2)))
 
     @cache
-    def with_rest(k: int, a: int, b: int) -> list[int]:
-        """Weight vector of n's k-cycle, with a -> n -> b by rank, times any rest."""
-        return _convolve(weights(k, ends[k - 1][b, a]), classes[n - k], size)
+    def with_rest(k: int, a: int, b: int) -> int:
+        """Packed weight vector of n's k-cycle, with a -> n -> b by rank, times any rest."""
+        return weights(k, ends[k - 1][b, a]) * classes[n - k]
 
-    by_pair = {}
-    for i in range(1, n):
-        for j in range(1, n):
-            if i == j:
-                continue
-            lo, hi = min(i, j), max(i, j)
-            acc = by_pair[i, j] = [0] * size
-            for k in range(3, n + 1, 2):
-                for x in range(k - 2):
-                    for y in range(k - 2 - x):
-                        ways = comb(lo - 1, x) * comb(hi - lo - 1, y) * comb(n - 1 - hi, k - 3 - x - y)
-                        if ways:
-                            r_lo, r_hi = x + 1, x + y + 2
-                            a, b = (r_lo, r_hi) if i < j else (r_hi, r_lo)
-                            _add(acc, with_rest(k, a, b), 0, ways)
+    by_pair = dict.fromkeys(permutations(range(1, n), 2), 0)
+    for i, j in by_pair:
+        lo, hi = min(i, j), max(i, j)
+        for k in range(3, n + 1, 2):
+            for x in range(k - 2):
+                for y in range(k - 2 - x):
+                    ways = comb(lo - 1, x) * comb(hi - lo - 1, y) * comb(n - 1 - hi, k - 3 - x - y)
+                    if ways:
+                        r_lo, r_hi = x + 1, x + y + 2
+                        a, b = (r_lo, r_hi) if i < j else (r_hi, r_lo)
+                        by_pair[i, j] += ways * with_rest(k, a, b)
     return _freeze("odd", n, classes[n], by_pair)
 
 
@@ -481,7 +479,7 @@ def count_word_pair(n: int, d: int, u, v) -> int:
 @cache
 def _word_pair_vectors(n: int, pairs: tuple[tuple[Word, Word], ...]) -> tuple[tuple[int, ...], ...]:
     """Per word pair (u, v), the ballot permutations of [n] holding u n v by statistic."""
-    return tuple(map(tuple, _ballot_dp(n, pairs)[1]))
+    return tuple(_unpack(vec, n) for vec in _ballot_dp(n, pairs)[1])
 
 
 class MemberIndex:

@@ -1,12 +1,18 @@
 import itertools
+import json
 import re
+from math import factorial
+from pathlib import Path
 
 import pytest
 
 from permlab import enumeration
 from permlab.cycles import format_cycles
 from permlab.enumeration import (
+    _ballot_table,
     _odd_stream,
+    _odd_table,
+    _unpack,
     ballot_cell,
     ballot_count_closed,
     build_matrix,
@@ -225,6 +231,51 @@ def test_odd_table_at_11():
     assert p[2] == p[1] + 10 * 9 * p[0]
     table = count_table("odd", 11)
     assert len(table.totals) == 6 and len(table.cells[0]) == 10
+
+
+def test_unpack_refuses_a_count_past_d_max():
+    # a packed vector with a count in digit d_max + 1 is refused, never
+    # dropped; digits at their largest possible count, n! - 1, read back exactly
+    for n in (1, 2, 7, 12):
+        w, size = factorial(n).bit_length(), (n - 1) // 2 + 1
+        full = sum((factorial(n) - 1) << (d * w) for d in range(size))
+        assert _unpack(full, n) == (factorial(n) - 1,) * size
+        for vec in (1 << (size * w), full + (1 << (size * w))):
+            with pytest.raises(ValueError) as exc:
+                _unpack(vec, n)
+            assert str(exc.value) == f"statistic vector spills past d_max={size - 1} at n={n}"
+
+
+@pytest.fixture(scope="module")
+def past_stream():
+    """B(n, .) and P(n, .) at n = 11 and 12, past the stream oracle, each built once."""
+    builders = {"ballot": _ballot_table, "odd": _odd_table}
+    return {(kind, n): build(n) for kind, build in builders.items() for n in (11, 12)}
+
+
+def test_tables_past_the_stream_oracle(past_stream):
+    # the ballot subset DP and the exponential formula over odd cycles, two
+    # independent methods, where no stream checks them
+    ballot = {m: count_table("ballot", m) for m in (9, 10)}
+    ballot.update({n: past_stream["ballot", n] for n in (11, 12)})
+    for n in (11, 12):
+        table = ballot[n]
+        assert table.totals == past_stream["odd", n].totals
+        assert table.grand_total == ballot_count_closed(n)
+        assert table.grand_total == ballot[n - 1].grand_total + (n - 1) * (n - 2) * ballot[n - 2].grand_total
+        for d in range(table.d_max + 1):
+            # n is last, after a ballot permutation of [n - 1], or sits in a cell i n j
+            held = sum(table.cell(d, i, j) for i, j in itertools.permutations(range(1, n), 2))
+            assert table.total(d) == held + ballot[n - 1].total(d), (n, d)
+
+
+def test_tables_past_the_stream_oracle_match_their_pins(past_stream):
+    path = Path(__file__).resolve().parent / "data" / "tables_past_stream.json"
+    pins = json.loads(path.read_text())["tables"]
+    assert sorted((pin["kind"], pin["n"]) for pin in pins) == sorted(past_stream)
+    for pin in pins:
+        table = past_stream[pin["kind"], pin["n"]]
+        assert (list(table.totals), json.loads(json.dumps(table.cells))) == (pin["totals"], pin["cells"])
 
 
 def test_golden_matrices():
