@@ -7,12 +7,14 @@ permutations) and the two neighbors (i, j) of the largest letter, read as
 the factor i n j (cyclic inside the decomposition's cycles).  Member lists
 and the test suite's reference tables read those triples; ``ballot_cell`` and
 ``odd_cell`` classify a finished member from scratch, and the tests hold the
-streams to them.  Nothing else is counted by classifying members: one subset
-DP over ballot prefixes and suffixes counts the ballot tables and the
-word-pair counts, and the exponential formula over odd cycles counts the
-odd order tables.  The test suite checks every table against the classified
-member stream, which stays the oracle, and the word pairs against a factor
-search over the members.  Both the stream and the counts keep the same budgets.
+streams to them.  Nothing else is counted by classifying members: a DP over
+the relative ranks of ballot prefixes and suffixes counts the ballot tables,
+a subset DP over their letter sets counts the word pairs, and the
+exponential formula over odd cycles counts the odd order tables.  The test
+suite checks every table against the classified member stream, which stays
+the oracle, the ballot tables against the subset DP on one-letter pairs, its
+witness, and the word pairs against a factor search over the members.  Both
+the stream and the counts keep the same budgets.
 
 Each statistic vector of a count is one packed int: digit d, W = n!.bit_length()
 bits wide, holds the count at statistic d.  A descent shifts a vector one digit
@@ -246,7 +248,11 @@ def _ballot_dp(n: int, pairs) -> tuple[int, list[int]]:
     word pair (u, v), of those holding u n v: they read w u n v x.  A forward DP
     over the letter sets of prefixes counts w u[0] and the whole words; u[1:] n v
     steps on from the height of u[0], and a suffix DP counts x after v[-1].  One
-    pass over the prefixes serves every pair, grouped by u[0].
+    pass over the prefixes serves every pair.
+
+    This subset DP takes 2^n steps.  It counts the word pairs of
+    ``count_word_pair`` and ``prop43_words``, and the test suite holds the
+    rank DP of ``_ballot_table`` to it on the one-letter pairs (i,), (j,).
 
     Vectors are packed ints, W bits a digit: a descent adds ``vec << W`` and a
     join is one product.  Every prefix, suffix and join counted is part of a
@@ -284,33 +290,111 @@ def _ballot_dp(n: int, pairs) -> tuple[int, list[int]]:
                 vec += suffix(after, y, h - 1) << w
         return vec
 
-    vectors = [0] * len(pairs)
-    by_u0: dict[int, list] = {}
+    # walks[u0, h0]: the pairs (u, v) whose steps u[1:] n v, walked from u0 at
+    # height h0, stay at height >= 0, each as (its index, the letters of the
+    # steps, the letters left for x plus v[-1], v[-1], the height of v[-1]).
+    # The walk's descents do not depend on h0, so each pair's vector is
+    # shifted by them once, at the end.
+    walks: dict[tuple[int, int], list] = {}
     for t, (u, v) in enumerate(pairs):
         steps = u[1:] + (n,) + v
-        by_u0.setdefault(u[0], []).append((t, steps, sum(1 << (x - 1) for x in steps)))
+        pinned = sum(1 << (x - 1) for x in steps)
+        keep = full & ~pinned | 1 << (v[-1] - 1)
+        for h0 in range(n):
+            last, h = u[0], h0
+            for y in steps:
+                h += 1 if y > last else -1
+                last = y
+                if h < 0:
+                    break
+            else:
+                walks.setdefault((u[0], h0), []).append((t, pinned, keep, last, h))
+    vectors = [0] * len(pairs)
     for mask in range(1 << (n - 1)):  # n is pinned, so no prefix holds it
-        for (u0, h0), vec in forward[mask].items():
-            for t, steps, pinned in by_u0.get(u0, ()):
-                if mask & pinned:
-                    continue
-                last, h, shift = u0, h0, 0
-                for y in steps:
-                    h, shift = (h + 1, shift) if y > last else (h - 1, shift + 1)
-                    last = y
-                    if h < 0:
-                        break
-                else:
-                    rest = full & ~mask & ~pinned | 1 << (last - 1)
-                    vectors[t] += (vec * suffix(rest, last, h)) << (shift * w)
-    return totals, vectors
+        for key, vec in forward[mask].items():
+            for t, pinned, keep, last, h in walks.get(key, ()):
+                if not mask & pinned:
+                    vectors[t] += vec * suffix(keep & ~mask, last, h)
+    return totals, [vec << (descents(u + (n,) + v) * w) for vec, (u, v) in zip(vectors, pairs)]
 
 
 def _ballot_table(n: int) -> CountTable:
-    """B(n, .): the neighbor cell (i, j) counts the ballot permutations holding i n j."""
-    cells = list(permutations(range(1, n), 2))
-    totals, vectors = _ballot_dp(n, [((i,), (j,)) for i, j in cells])
-    return _freeze("ballot", n, totals, dict(zip(cells, vectors)))
+    """B(n, .) by relative rank: the neighbor cell (i, j) counts the ballot
+    permutations holding i n j.
+
+    Whether a word is ballot, and its descents, depend only on the relative
+    order of its letters, so prefixes and suffixes are counted as patterns.  A
+    member of the cell reads L n R with L = A i of a letters and R = j C of
+    the other n - 1 - a: L is a ballot prefix ending at some height h, n
+    climbs to h + 1, the descent to j comes back to h, and R stays at height
+    >= 0 from there.  For each (a, rank of i in L, rank of j in R) the join
+    over h is built once.  For a cell, the letters of L other than i are
+    chosen below, between and above i and j, which fixes both ranks, as in
+    ``_odd_table``.
+
+    Vectors are packed ints, W bits a digit: a descent adds ``vec << W`` and a
+    join is one product.  Each digit counts distinct patterns of at most n
+    letters, or members of [n], so none reaches n!; every join counted is part
+    of a ballot word of [n], so no count lies past d_max.
+    """
+    w = factorial(n).bit_length()
+    # forward[a][(r, h)]: packed descent vector of the ballot words on [a] that
+    # end with rank r at height h, grown by appending a letter of each rank;
+    # the first letter climbs from a virtual 0 at -1
+    forward: list[dict[tuple[int, int], int]] = [{(0, -1): 1}]
+    for a in range(n):
+        grown: dict[tuple[int, int], int] = {}
+        for (r, h), vec in forward[a].items():
+            down = vec << w
+            for s in range(1, a + 2):
+                # the new last letter has rank s: old ranks >= s move up one,
+                # and it is a descent when it lands below the old last letter
+                if s > r:
+                    key = s, h + 1
+                    grown[key] = grown.get(key, 0) + vec
+                elif h:
+                    key = s, h - 1
+                    grown[key] = grown.get(key, 0) + down
+        forward.append(grown)
+    # suffix[b][(s, h)]: packed descent vector of the words on [b] that start
+    # with rank s at height h and stay at height >= 0, grown by prepending a
+    # letter of each rank.  R of length b follows a prefix of n - 1 - b
+    # letters, so h < n - 1 - b.
+    suffix: list[dict[tuple[int, int], int]] = [{}, {(1, h): 1 for h in range(n - 2)}]
+    for b in range(1, n - 2):
+        grown = {}
+        for (g, h), vec in suffix[b].items():
+            down = vec << w
+            for s in range(1, b + 2):
+                # the new first letter has rank s: old ranks >= s move up one;
+                # it is an ascent to the old first letter, from h - 1, when
+                # that lands above it, else a descent from h + 1
+                if g >= s:
+                    if h:
+                        key = s, h - 1
+                        grown[key] = grown.get(key, 0) + vec
+                elif h < n - 3 - b:
+                    key = s, h + 1
+                    grown[key] = grown.get(key, 0) + down
+        suffix.append(grown)
+
+    @cache
+    def join(a: int, r: int, s: int) -> int:
+        """Packed descent vector of L n R with L on [a] ending with rank r and
+        R starting with rank s; n > R[0] is one descent."""
+        left, right = forward[a], suffix[n - 1 - a]
+        return sum(left.get((r, h), 0) * right.get((s, h), 0) for h in range(a)) << w
+
+    by_pair = dict.fromkeys(permutations(range(1, n), 2), 0)
+    for i, j in by_pair:
+        lo, hi = min(i, j), max(i, j)
+        for x in range(lo):
+            for y in range(hi - lo):
+                for z in range(n - hi):
+                    ways = comb(lo - 1, x) * comb(hi - lo - 1, y) * comb(n - 1 - hi, z)
+                    r, s = (x + 1, hi - 1 - x - y) if i < j else (x + y + 1, lo - x)
+                    by_pair[i, j] += ways * join(1 + x + y + z, r, s)
+    return _freeze("ballot", n, sum(forward[n].values()), by_pair)
 
 
 def _odd_table(n: int) -> CountTable:

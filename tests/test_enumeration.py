@@ -254,7 +254,7 @@ def past_stream():
 
 
 def test_tables_past_the_stream_oracle(past_stream):
-    # the ballot subset DP and the exponential formula over odd cycles, two
+    # the ballot rank DP and the exponential formula over odd cycles, two
     # independent methods, where no stream checks them
     ballot = {m: count_table("ballot", m) for m in (9, 10)}
     ballot.update({n: past_stream["ballot", n] for n in (11, 12)})
@@ -276,6 +276,37 @@ def test_tables_past_the_stream_oracle_match_their_pins(past_stream):
     for pin in pins:
         table = past_stream[pin["kind"], pin["n"]]
         assert (list(table.totals), json.loads(json.dumps(table.cells))) == (pin["totals"], pin["cells"])
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_ballot_table_matches_the_subset_dp_witness(n):
+    # the rank DP against the subset DP on the one-letter pairs (i,), (j,);
+    # at n <= 2 the table has no cells and only the totals are compared
+    cells = list(itertools.permutations(range(1, n), 2))
+    totals, vectors = enumeration._ballot_dp(n, [((i,), (j,)) for i, j in cells])
+    assert _ballot_table(n) == enumeration._freeze("ballot", n, totals, dict(zip(cells, vectors)))
+
+
+def test_identities_past_the_budget():
+    # the two polynomial builders, called past every budget, held to each
+    # other, to the closed form, to the recurrence, to Toeplitz and to the
+    # split of each class over its cells
+    ballot = {n: _ballot_table(n) for n in range(1, 17)}
+    odd = {n: _odd_table(n) for n in range(2, 17)}
+    for n in range(3, 17):
+        b, p = ballot[n], odd[n]
+        assert b.totals == p.totals, n
+        assert b.grand_total == ballot_count_closed(n), n
+        assert b.grand_total == ballot[n - 1].grand_total + (n - 1) * (n - 2) * ballot[n - 2].grand_total, n
+        for d in range(b.d_max + 1):
+            for j in range(2, n):
+                assert b.cell(d, 1, j) + b.cell(d, j, 1) == 2 * p.cell(d, 1, j), (n, d, j)
+            for table, prev in ((b, ballot[n - 1]), (p, odd[n - 1])):
+                layer = table.cells[d]
+                assert all(layer[i][j] == layer[i + 1][j + 1] for i in range(n - 2) for j in range(n - 2)), \
+                    (table.kind, n, d)
+                # n is last (ballot) or fixed (odd), or sits in a cell i n j
+                assert table.total(d) == sum(map(sum, layer)) + prev.total(d), (table.kind, n, d)
 
 
 def test_golden_matrices():

@@ -120,19 +120,27 @@ def test_counterexamples_carry_params_lhs_rhs():
 
 
 def test_prop43_words_runs_one_word_pair_dp_per_size(monkeypatch):
-    # the four word pairs of one size share one pass of the subset DP; the
-    # table builds also run the DP, on one-letter pairs only, so they are
-    # told apart from the word-pair passes
+    # a cold ballot table is counted by the rank DP, never by the subset DP
     dp, calls = enumeration._ballot_dp, []
 
+    def no_dp(n, pairs):
+        raise AssertionError("the subset DP ran")
+
+    monkeypatch.setattr(enumeration, "_ballot_dp", no_dp)
+    enumeration.clear_memo()
+    for n in range(1, 11):
+        enumeration.count_table("ballot", n)
+
+    # the four word pairs of one size share one pass of the subset DP
     def counted(n, pairs):
-        calls.append((n, all(len(u) == len(v) == 1 for u, v in pairs)))
+        calls.append((n, pairs))
         return dp(n, pairs)
 
     monkeypatch.setattr(enumeration, "_ballot_dp", counted)
     enumeration.clear_memo()
     run_check("prop43_words", 8)
-    assert [n for n, table in calls if not table] == [4, 5, 6, 7, 8]
+    pairs = (((1,), (2, 3)), ((2, 3), (1,)), ((1,), (3, 2)), ((3, 2), (1,)))
+    assert calls == [(n, pairs) for n in range(4, 9)]
 
 
 def test_fail_report_construction_direct():
