@@ -7,14 +7,15 @@ permutations) and the two neighbors (i, j) of the largest letter, read as
 the factor i n j (cyclic inside the decomposition's cycles).  Member lists
 and the test suite's reference tables read those triples; ``ballot_cell`` and
 ``odd_cell`` classify a finished member from scratch, and the tests hold the
-streams to them.  Nothing else is counted by classifying members: a DP over
-the relative ranks of ballot prefixes and suffixes counts the ballot tables,
-a subset DP over their letter sets counts the word pairs, and the
+streams to them.  Nothing else is counted by classifying members: one DP over
+the relative ranks of ballot prefixes and suffixes counts the ballot tables
+and the word pairs, a cell (i, j) being the pair ((i,), (j,)), and the
 exponential formula over odd cycles counts the odd order tables.  The test
 suite checks every table against the classified member stream, which stays
-the oracle, the ballot tables against the subset DP on one-letter pairs, its
-witness, and the word pairs against a factor search over the members.  Both
-the stream and the counts keep the same budgets.
+the oracle, the ballot tables and the word pairs against a subset DP over
+letter sets, the rank DP's witness, and the word pairs against a factor
+search over the members.  Both the stream and the counts keep the same
+budgets.
 
 Each statistic vector of a count is one packed int: digit d, W = n!.bit_length()
 bits wide, holds the count at statistic d.  A descent shifts a vector one digit
@@ -225,14 +226,6 @@ def _unpack(vec: int, n: int) -> tuple[int, ...]:
     return tuple(vec >> (d * w) & digit for d in range(size))
 
 
-def _letters(mask: int):
-    """The letters of a bit set, bit x - 1 standing for letter x."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length()
-        mask ^= low
-
-
 def _freeze(kind: str, n: int, totals: int, by_pair) -> CountTable:
     """A CountTable from the packed totals and cell vectors ``by_pair[i, j]``."""
     layers = {pair: _unpack(vec, n) for pair, vec in by_pair.items()}
@@ -245,92 +238,20 @@ def _freeze(kind: str, n: int, totals: int, by_pair) -> CountTable:
 
 def _ballot_dp(n: int, pairs) -> tuple[int, list[int]]:
     """Packed descent vectors of the ballot permutations of [n] and, for each
-    word pair (u, v), of those holding u n v: they read w u n v x.  A forward DP
-    over the letter sets of prefixes counts w u[0] and the whole words; u[1:] n v
-    steps on from the height of u[0], and a suffix DP counts x after v[-1].  One
-    pass over the prefixes serves every pair.
-
-    This subset DP takes 2^n steps.  It counts the word pairs of
-    ``count_word_pair`` and ``prop43_words``, and the test suite holds the
-    rank DP of ``_ballot_table`` to it on the one-letter pairs (i,), (j,).
-
-    Vectors are packed ints, W bits a digit: a descent adds ``vec << W`` and a
-    join is one product.  Every prefix, suffix and join counted is part of a
-    ballot word of [n], so no digit reaches n! or lies past d_max.
-    """
-    w = factorial(n).bit_length()
-    full = (1 << n) - 1
-    # forward[mask][(last, h)]: packed descent vector of the ballot words on
-    # the letters of mask that end with last at height h
-    forward: list[dict[tuple[int, int], int]] = [{} for _ in range(full + 1)]
-    forward[0][0, -1] = 1  # the first letter climbs from a virtual 0 at -1
-    for mask in range(full):
-        free = [(y, forward[mask | 1 << (y - 1)]) for y in _letters(full & ~mask)]
-        for (last, h), vec in forward[mask].items():
-            down = vec << w
-            for y, grown in free:
-                if y > last:
-                    key = y, h + 1
-                    grown[key] = grown.get(key, 0) + vec
-                elif h:
-                    key = y, h - 1
-                    grown[key] = grown.get(key, 0) + down
-    totals = sum(forward[full].values())
-
-    @cache
-    def suffix(rest: int, first: int, h: int) -> int:
-        """Packed descent vector of the words on ``rest`` that start with
-        ``first`` at height h and stay at height >= 0."""
-        after = rest & ~(1 << (first - 1))
-        vec = 0 if after else 1  # the empty word after ``first``
-        for y in _letters(after):
-            if y > first:
-                vec += suffix(after, y, h + 1)
-            elif h:
-                vec += suffix(after, y, h - 1) << w
-        return vec
-
-    # walks[u0, h0]: the pairs (u, v) whose steps u[1:] n v, walked from u0 at
-    # height h0, stay at height >= 0, each as (its index, the letters of the
-    # steps, the letters left for x plus v[-1], v[-1], the height of v[-1]).
-    # The walk's descents do not depend on h0, so each pair's vector is
-    # shifted by them once, at the end.
-    walks: dict[tuple[int, int], list] = {}
-    for t, (u, v) in enumerate(pairs):
-        steps = u[1:] + (n,) + v
-        pinned = sum(1 << (x - 1) for x in steps)
-        keep = full & ~pinned | 1 << (v[-1] - 1)
-        for h0 in range(n):
-            last, h = u[0], h0
-            for y in steps:
-                h += 1 if y > last else -1
-                last = y
-                if h < 0:
-                    break
-            else:
-                walks.setdefault((u[0], h0), []).append((t, pinned, keep, last, h))
-    vectors = [0] * len(pairs)
-    for mask in range(1 << (n - 1)):  # n is pinned, so no prefix holds it
-        for key, vec in forward[mask].items():
-            for t, pinned, keep, last, h in walks.get(key, ()):
-                if not mask & pinned:
-                    vectors[t] += vec * suffix(keep & ~mask, last, h)
-    return totals, [vec << (descents(u + (n,) + v) * w) for vec, (u, v) in zip(vectors, pairs)]
-
-
-def _ballot_table(n: int) -> CountTable:
-    """B(n, .) by relative rank: the neighbor cell (i, j) counts the ballot
-    permutations holding i n j.
+    word pair (u, v), of those holding u n v, counted by relative rank.
 
     Whether a word is ballot, and its descents, depend only on the relative
     order of its letters, so prefixes and suffixes are counted as patterns.  A
-    member of the cell reads L n R with L = A i of a letters and R = j C of
-    the other n - 1 - a: L is a ballot prefix ending at some height h, n
-    climbs to h + 1, the descent to j comes back to h, and R stays at height
-    >= 0 from there.  For each (a, rank of i in L, rank of j in R) the join
-    over h is built once.  For a cell, the letters of L other than i are
-    chosen below, between and above i and j, which fixes both ranks, as in
-    ``_odd_table``.
+    member holding u n v reads A u n v C.  L = A u[0] is a ballot prefix
+    ending at some height h; the pinned steps u[1:] n v are a fixed walk, with
+    its own rise, lowest point and descents; R = v[-1] C stays at height >= 0
+    from h plus the rise.  For each (length of L, rank of u[0] in L, rank of
+    v[-1] in R, walk) the join over h is built once.  For a pair, the free
+    letters of L are chosen below, between and above u[0] and v[-1], which
+    fixes both ranks, as in ``_odd_table``.  The cell (i, j) of the table is
+    the pair ((i,), (j,)): its walk n j has rise 0, lowest point 0 and one
+    descent.  The test suite holds this DP to a subset DP over the letter
+    sets of prefixes, its witness.
 
     Vectors are packed ints, W bits a digit: a descent adds ``vec << W`` and a
     join is one product.  Each digit counts distinct patterns of at most n
@@ -358,8 +279,8 @@ def _ballot_table(n: int) -> CountTable:
         forward.append(grown)
     # suffix[b][(s, h)]: packed descent vector of the words on [b] that start
     # with rank s at height h and stay at height >= 0, grown by prepending a
-    # letter of each rank.  R of length b follows a prefix of n - 1 - b
-    # letters, so h < n - 1 - b.
+    # letter of each rank.  R of length b follows n - b letters, and one step
+    # among them is the descent from n, so h < n - 1 - b.
     suffix: list[dict[tuple[int, int], int]] = [{}, {(1, h): 1 for h in range(n - 2)}]
     for b in range(1, n - 2):
         grown = {}
@@ -379,22 +300,43 @@ def _ballot_table(n: int) -> CountTable:
         suffix.append(grown)
 
     @cache
-    def join(a: int, r: int, s: int) -> int:
-        """Packed descent vector of L n R with L on [a] ending with rank r and
-        R starting with rank s; n > R[0] is one descent."""
-        left, right = forward[a], suffix[n - 1 - a]
-        return sum(left.get((r, h), 0) * right.get((s, h), 0) for h in range(a)) << w
+    def join(a: int, b: int, r: int, s: int, rise: int, low: int) -> int:
+        """Packed descent vector of L on [a] ending with rank r, a walk of this
+        rise and lowest point, and R on [b] starting with rank s; the walk's
+        own descents are added once per pair."""
+        left, right = forward[a], suffix[b]
+        return sum(left.get((r, h), 0) * right.get((s, h + rise), 0) for h in range(-low, a))
 
-    by_pair = dict.fromkeys(permutations(range(1, n), 2), 0)
-    for i, j in by_pair:
-        lo, hi = min(i, j), max(i, j)
-        for x in range(lo):
-            for y in range(hi - lo):
-                for z in range(n - hi):
-                    ways = comb(lo - 1, x) * comb(hi - lo - 1, y) * comb(n - 1 - hi, z)
-                    r, s = (x + 1, hi - 1 - x - y) if i < j else (x + y + 1, lo - x)
-                    by_pair[i, j] += ways * join(1 + x + y + z, r, s)
-    return _freeze("ballot", n, sum(forward[n].values()), by_pair)
+    vectors = []
+    for u, v in pairs:
+        walk = u + (n,) + v
+        rise = low = des = 0
+        for x, y in zip(walk, walk[1:]):
+            rise += 1 if y > x else -1
+            low, des = min(low, rise), des + (y < x)
+        first, last = u[0], v[-1]
+        lo, hi = min(first, last), max(first, last)
+        free = [x for x in range(1, n) if x not in walk]
+        below, between = sum(x < lo for x in free), sum(lo < x < hi for x in free)
+        above, size = len(free) - below - between, len(free) + 2  # size: L and R together
+        vec = 0
+        for x in range(below + 1):
+            for y in range(between + 1):
+                # the ranks of u[0] in L and of v[-1] in R
+                r, s = (x + 1, below - x + between - y + 1) if first < last else (x + y + 1, below - x + 1)
+                ways = comb(below, x) * comb(between, y)
+                for z in range(above + 1):
+                    a = 1 + x + y + z
+                    vec += ways * comb(above, z) * join(a, size - a, r, s, rise, low)
+        vectors.append(vec << des * w)
+    return sum(forward[n].values()), vectors
+
+
+def _ballot_table(n: int) -> CountTable:
+    """B(n, .): ``_ballot_dp`` on the one-letter pairs ((i,), (j,)), one per cell (i, j)."""
+    cells = list(permutations(range(1, n), 2))
+    totals, vectors = _ballot_dp(n, [((i,), (j,)) for i, j in cells])
+    return _freeze("ballot", n, totals, dict(zip(cells, vectors)))
 
 
 def _odd_table(n: int) -> CountTable:
@@ -546,7 +488,8 @@ def count_word_pair(n: int, d: int, u, v) -> int:
     The letters of u and v must be pairwise distinct integers in [1, n-1]; any
     other pair could never occur, and is refused before anything is counted.
     An n past the "ballot" budget is refused whatever d is.  The count is read
-    from ``_word_pair_vectors`` as a batch of one pair.
+    from ``_word_pair_vectors`` as a batch of one pair, so it comes from the
+    rank DP ``_ballot_dp`` that counts the ballot tables.
     """
     u, v = tuple(u), tuple(v)
     if not u or not v:

@@ -1,10 +1,12 @@
 import itertools
+from functools import cache
+from math import factorial
 
 import pytest
 from hypothesis import HealthCheck, settings
 
 from permlab.enumeration import _ballot_stream, _odd_stream
-from permlab.words import is_ballot
+from permlab.words import descents, is_ballot
 
 settings.register_profile(
     "ci", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -118,3 +120,84 @@ def reference_table(triples, n):
 @pytest.fixture(scope="session")
 def enumeration_reference(drained):
     return lambda kind, n: reference_table(drained(kind, n), n)
+
+
+def _letters(mask):
+    """The letters of a bit set, bit x - 1 standing for letter x."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length()
+        mask ^= low
+
+
+def subset_dp(n, pairs):
+    """(totals, [vector per word pair (u, v)]) of the ballot permutations of [n],
+    packed as ``enumeration._ballot_dp`` packs them, by a DP over letter sets.
+
+    The subset DP the relative-rank DP replaced, kept as its witness.  A member
+    holding u n v reads w u n v x: a forward DP over the letter sets of
+    prefixes counts w u[0] and the whole words; u[1:] n v steps on from the
+    height of u[0], and a suffix DP over letter sets counts x after v[-1].  It
+    takes 2^n steps, so it serves n <= 11 or so.
+    """
+    w = factorial(n).bit_length()
+    full = (1 << n) - 1
+    # forward[mask][(last, h)]: packed descent vector of the ballot words on
+    # the letters of mask that end with last at height h
+    forward = [{} for _ in range(full + 1)]
+    forward[0][0, -1] = 1  # the first letter climbs from a virtual 0 at -1
+    for mask in range(full):
+        free = [(y, forward[mask | 1 << (y - 1)]) for y in _letters(full & ~mask)]
+        for (last, h), vec in forward[mask].items():
+            down = vec << w
+            for y, grown in free:
+                if y > last:
+                    key = y, h + 1
+                    grown[key] = grown.get(key, 0) + vec
+                elif h:
+                    key = y, h - 1
+                    grown[key] = grown.get(key, 0) + down
+    totals = sum(forward[full].values())
+
+    @cache
+    def suffix(rest, first, h):
+        """Packed descent vector of the words on ``rest`` that start with
+        ``first`` at height h and stay at height >= 0."""
+        after = rest & ~(1 << (first - 1))
+        vec = 0 if after else 1  # the empty word after ``first``
+        for y in _letters(after):
+            if y > first:
+                vec += suffix(after, y, h + 1)
+            elif h:
+                vec += suffix(after, y, h - 1) << w
+        return vec
+
+    # walks[u0, h0]: the pairs whose steps u[1:] n v, walked from u0 at height
+    # h0, stay at height >= 0, each as (its index, the letters of the steps,
+    # the letters left for x plus v[-1], v[-1], the height of v[-1])
+    walks = {}
+    for t, (u, v) in enumerate(pairs):
+        steps = u[1:] + (n,) + v
+        pinned = sum(1 << (x - 1) for x in steps)
+        keep = full & ~pinned | 1 << (v[-1] - 1)
+        for h0 in range(n):
+            last, h = u[0], h0
+            for y in steps:
+                h += 1 if y > last else -1
+                last = y
+                if h < 0:
+                    break
+            else:
+                walks.setdefault((u[0], h0), []).append((t, pinned, keep, last, h))
+    vectors = [0] * len(pairs)
+    for mask in range(1 << (n - 1)):  # n is pinned, so no prefix holds it
+        for key, vec in forward[mask].items():
+            for t, pinned, keep, last, h in walks.get(key, ()):
+                if not mask & pinned:
+                    vectors[t] += vec * suffix(keep & ~mask, last, h)
+    return totals, [vec << (descents(u + (n,) + v) * w) for vec, (u, v) in zip(vectors, pairs)]
+
+
+@pytest.fixture(scope="session")
+def ballot_subset_dp():
+    return subset_dp

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 import re
 from math import factorial
 from pathlib import Path
@@ -279,18 +280,39 @@ def test_tables_past_the_stream_oracle_match_their_pins(past_stream):
 
 
 @pytest.mark.parametrize("n", range(1, 11))
-def test_ballot_table_matches_the_subset_dp_witness(n):
+def test_ballot_table_matches_the_subset_dp_witness(ballot_subset_dp, n):
     # the rank DP against the subset DP on the one-letter pairs (i,), (j,);
     # at n <= 2 the table has no cells and only the totals are compared
     cells = list(itertools.permutations(range(1, n), 2))
-    totals, vectors = enumeration._ballot_dp(n, [((i,), (j,)) for i, j in cells])
+    totals, vectors = ballot_subset_dp(n, [((i,), (j,)) for i, j in cells])
     assert _ballot_table(n) == enumeration._freeze("ballot", n, totals, dict(zip(cells, vectors)))
+
+
+def test_count_word_pair_matches_the_subset_dp_witness(ballot_subset_dp):
+    # every pair of 2 or 3 letters at 4 <= n <= 8, then seeded pairs of up to
+    # 6 arbitrary letters at n <= 10, each against the subset DP
+    rng = random.Random(23)
+    for n in range(4, 11):
+        if n <= 8:
+            pairs = [(w[:c], w[c:]) for k in (2, 3) for w in itertools.permutations(range(1, n), k)
+                     for c in range(1, k)]
+        else:
+            pairs = [((4, 2), (1, 3, 5))]
+        for _ in range(20):
+            word = tuple(rng.sample(range(1, n), rng.randint(2, min(6, n - 1))))
+            c = rng.randint(1, len(word) - 1)
+            pairs.append((word[:c], word[c:]))
+        _, vectors = ballot_subset_dp(n, pairs)
+        for (u, v), vec in zip(pairs, vectors):
+            got = [count_word_pair(n, d, u, v) for d in range((n - 1) // 2 + 1)]
+            assert tuple(got) == _unpack(vec, n), (n, u, v)
 
 
 def test_identities_past_the_budget():
     # the two polynomial builders, called past every budget, held to each
     # other, to the closed form, to the recurrence, to Toeplitz and to the
-    # split of each class over its cells
+    # split of each class over its cells; then the word pairs of
+    # prop43_words, held to the side swap and to the two difference identities
     ballot = {n: _ballot_table(n) for n in range(1, 17)}
     odd = {n: _odd_table(n) for n in range(2, 17)}
     for n in range(3, 17):
@@ -307,6 +329,14 @@ def test_identities_past_the_budget():
                     (table.kind, n, d)
                 # n is last (ballot) or fixed (odd), or sits in a cell i n j
                 assert table.total(d) == sum(map(sum, layer)) + prev.total(d), (table.kind, n, d)
+    four = (((1,), (2, 3)), ((2, 3), (1,)), ((1,), (3, 2)), ((3, 2), (1,)))
+    for n in range(4, 17):
+        b, words = ballot[n], [_unpack(vec, n) for vec in enumeration._ballot_dp(n, four)[1]]
+        for d in range(b.d_max + 1):
+            right_up, left_up, right_down, left_down = (vec[d] for vec in words)
+            assert (right_up, right_down) == (left_up, left_down), (n, d)
+            assert b.cell(d, 1, 2) - b.cell(d, 1, 3) == right_up - right_down, (n, d)
+            assert b.cell(d, 3, 1) - b.cell(d, 2, 1) == left_up - left_down, (n, d)
 
 
 def test_golden_matrices():
@@ -358,7 +388,7 @@ ORACLE_PAIRS = [
 def stream_word_pair_vectors(n, pairs, triples):
     """{(u, v): counts by statistic} from the ballot stream's triples at n.
 
-    The enumerating counter the subset DP replaced, kept as its oracle: n
+    The enumerating counter the word-pair DP replaced, kept as its oracle: n
     occurs once, so only members whose n sits between u[-1] and v[0] are
     searched for the factor u n v.
     """
@@ -413,13 +443,17 @@ def test_count_word_pair_validation():
     ((1,), (5,), "[1, 4]"),
 ])
 def test_count_word_pair_refuses_words_it_can_never_find(monkeypatch, u, v, message):
-    # refused before anything is counted, so the subset DP never runs
+    # refused before anything is counted, so the DP never runs; a pair never
+    # counted before does reach it
     def no_dp(n, pairs):
-        raise AssertionError("the subset DP ran")
+        raise AssertionError("the DP ran")
 
     monkeypatch.setattr(enumeration, "_ballot_dp", no_dp)
+    enumeration._word_pair_vectors.cache_clear()
     with pytest.raises(DomainError, match=re.escape(message)):
         count_word_pair(5, 1, u, v)
+    with pytest.raises(AssertionError, match="the DP ran"):
+        count_word_pair(5, 1, (1,), (2,))
 
 
 def test_count_word_pair_reads_no_member_stream(monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 
 import pytest
@@ -120,27 +121,31 @@ def test_counterexamples_carry_params_lhs_rhs():
 
 
 def test_prop43_words_runs_one_word_pair_dp_per_size(monkeypatch):
-    # a cold ballot table is counted by the rank DP, never by the subset DP
+    # a cold ballot table is one DP call on its one-letter pairs (i,), (j,)
     dp, calls = enumeration._ballot_dp, []
 
-    def no_dp(n, pairs):
-        raise AssertionError("the subset DP ran")
-
-    monkeypatch.setattr(enumeration, "_ballot_dp", no_dp)
-    enumeration.clear_memo()
-    for n in range(1, 11):
-        enumeration.count_table("ballot", n)
-
-    # the four word pairs of one size share one pass of the subset DP
     def counted(n, pairs):
-        calls.append((n, pairs))
+        calls.append((n, list(pairs)))
         return dp(n, pairs)
 
+    def one_letter(n):
+        return [((i,), (j,)) for i, j in itertools.permutations(range(1, n), 2)]
+
     monkeypatch.setattr(enumeration, "_ballot_dp", counted)
+    for n in range(1, 11):
+        enumeration.clear_memo()
+        calls.clear()
+        enumeration.count_table("ballot", n)
+        assert calls == [(n, one_letter(n))], n
+
+    # the four word pairs of one size share one DP call, and each table the
+    # check reads is counted once
     enumeration.clear_memo()
+    calls.clear()
     run_check("prop43_words", 8)
-    pairs = (((1,), (2, 3)), ((2, 3), (1,)), ((1,), (3, 2)), ((3, 2), (1,)))
-    assert calls == [(n, pairs) for n in range(4, 9)]
+    pairs = [((1,), (2, 3)), ((2, 3), (1,)), ((1,), (3, 2)), ((3, 2), (1,))]
+    assert [(n, ps) for n, ps in calls if ps != one_letter(n)] == [(n, pairs) for n in range(4, 9)]
+    assert sorted(n for n, ps in calls if ps == one_letter(n)) == list(range(1, 9))
 
 
 def test_fail_report_construction_direct():
