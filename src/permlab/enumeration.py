@@ -7,9 +7,9 @@ permutations) and the two neighbors (i, j) of the largest letter, read as
 the factor i n j (cyclic inside the decomposition's cycles).  Member lists
 and the test suite's reference tables read those triples; ``ballot_cell`` and
 ``odd_cell`` classify a finished member from scratch, and the tests hold the
-streams to them.  Nothing else is counted by classifying members: one DP over
-the relative ranks of ballot prefixes and suffixes counts the ballot tables
-and the word pairs, a cell (i, j) being the pair ((i,), (j,)), and the
+streams to them.  Nothing else is counted by classifying members: the rank
+patterns of ballot prefixes and suffixes, built once per n, count the ballot
+table and every word pair, a cell (i, j) being the pair ((i,), (j,)), and the
 exponential formula over odd cycles counts the odd order tables.  The test
 suite checks every table against the classified member stream, which stays
 the oracle, the ballot tables and the word pairs against a subset DP over
@@ -28,13 +28,12 @@ at most n letters, fewer than n! < 2^W.  No count lands past d_max either, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from itertools import permutations
+from functools import cache, lru_cache, partial
 from math import comb, factorial
 
 from .cycles import CycleDecomposition, max_letter_neighbors, perm_weight
 from .errors import BudgetError, DomainError
-from .words import Word, check_word, descents
+from .words import Word, _all_ints, check_word, descents
 
 KINDS = ("ballot", "odd")
 
@@ -49,23 +48,28 @@ def _check_kind(kind: str) -> None:
         raise DomainError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
+def _check_n(n: int) -> None:
+    """n must be an int (a bool or a float equal to one is not) of at least 1."""
+    if not _all_ints((n,)) or n < 1:
+        raise DomainError(f"n must be an int of at least 1, got {n!r}")
+
+
 def _check_budget(resource: str, n: int) -> None:
-    if n < 1:
-        raise DomainError(f"n must be at least 1, got {n}")
+    _check_n(n)
     if n > BUDGETS[resource]:
         raise BudgetError(f"{resource!r} is budgeted up to n={BUDGETS[resource]}, got n={n}")
 
 
 def _check_d(n: int, d: int | None) -> None:
-    """A statistic d, when given, must lie in [0, (n-1)/2]."""
-    if d is not None and not 0 <= d <= (n - 1) // 2:
-        raise DomainError(f"d must satisfy 0 <= d <= {(n - 1) // 2}, got {d}")
+    """A statistic d, when given, must be an int in [0, (n-1)/2]."""
+    if d is not None and not (_all_ints((d,)) and 0 <= d <= (n - 1) // 2):
+        raise DomainError(f"d must be an int with 0 <= d <= {(n - 1) // 2}, got {d!r}")
 
 
 def _check_letters(n: int, i: int, j: int) -> None:
-    """The neighbors (i, j) of n must be two distinct letters of [n-1]."""
-    if not (1 <= i <= n - 1 and 1 <= j <= n - 1 and i != j):
-        raise DomainError(f"cell letters must satisfy 1 <= i != j <= {n - 1}, got ({i}, {j})")
+    """The neighbors (i, j) of n must be two distinct int letters of [n-1]."""
+    if not (_all_ints((i, j)) and 1 <= i <= n - 1 and 1 <= j <= n - 1 and i != j):
+        raise DomainError(f"cell letters must be ints with 1 <= i != j <= {n - 1}, got {(i, j)}")
 
 
 def double_factorial(k: int) -> int:
@@ -79,8 +83,7 @@ def double_factorial(k: int) -> int:
 
 def ballot_count_closed(n: int) -> int:
     """Closed form for the number of ballot permutations of [n]."""
-    if n < 1:
-        raise DomainError(f"n must be at least 1, got {n}")
+    _check_n(n)
     if n % 2 == 0:
         return double_factorial(n - 1) ** 2
     return double_factorial(n) * double_factorial(n - 2)
@@ -226,37 +229,34 @@ def _unpack(vec: int, n: int) -> tuple[int, ...]:
     return tuple(vec >> (d * w) & digit for d in range(size))
 
 
-def _freeze(kind: str, n: int, totals: int, by_pair) -> CountTable:
-    """A CountTable from the packed totals and cell vectors ``by_pair[i, j]``."""
-    layers = {pair: _unpack(vec, n) for pair, vec in by_pair.items()}
-    cells = tuple(
-        tuple(tuple(0 if i == j else layers[i, j][d] for j in range(1, n)) for i in range(1, n))
-        for d in range((n - 1) // 2 + 1)
-    )
+def _freeze(kind: str, n: int, totals: int, cell) -> CountTable:
+    """A CountTable from the packed totals and ``cell(i, j)``, the packed vector of each cell."""
+    zero = (0,) * ((n - 1) // 2 + 1)
+    rows = [[zero if i == j else _unpack(cell(i, j), n) for j in range(1, n)] for i in range(1, n)]
+    cells = tuple(tuple(tuple(vec[d] for vec in row) for row in rows) for d in range(len(zero)))
     return CountTable(kind=kind, n=n, totals=_unpack(totals, n), cells=cells)
 
 
-def _ballot_dp(n: int, pairs) -> tuple[int, list[int]]:
-    """Packed descent vectors of the ballot permutations of [n] and, for each
-    word pair (u, v), of those holding u n v, counted by relative rank.
+def _splits(below: int, between: int, above: int, term) -> int:
+    """Sum of C(below, x) C(between, y) C(above, z) term(x, y, z) over the ways to
+    choose x free letters below two pinned letters, y between and z above them."""
+    total = 0
+    for x in range(below + 1):
+        for y in range(between + 1):
+            ways = comb(below, x) * comb(between, y)
+            for z in range(above + 1):
+                total += ways * comb(above, z) * term(x, y, z)
+    return total
+
+
+@cache
+def _rank_dp(n: int):
+    """(totals, join) at n, built once and shared by the ballot table and every word pair.
 
     Whether a word is ballot, and its descents, depend only on the relative
-    order of its letters, so prefixes and suffixes are counted as patterns.  A
-    member holding u n v reads A u n v C.  L = A u[0] is a ballot prefix
-    ending at some height h; the pinned steps u[1:] n v are a fixed walk, with
-    its own rise, lowest point and descents; R = v[-1] C stays at height >= 0
-    from h plus the rise.  For each (length of L, rank of u[0] in L, rank of
-    v[-1] in R, walk) the join over h is built once.  For a pair, the free
-    letters of L are chosen below, between and above u[0] and v[-1], which
-    fixes both ranks, as in ``_odd_table``.  The cell (i, j) of the table is
-    the pair ((i,), (j,)): its walk n j has rise 0, lowest point 0 and one
-    descent.  The test suite holds this DP to a subset DP over the letter
-    sets of prefixes, its witness.
-
-    Vectors are packed ints, W bits a digit: a descent adds ``vec << W`` and a
-    join is one product.  Each digit counts distinct patterns of at most n
-    letters, or members of [n], so none reaches n!; every join counted is part
-    of a ballot word of [n], so no count lies past d_max.
+    order of its letters, so prefixes and suffixes are counted as patterns by
+    length, by the rank of their last or first letter and by height.  ``join``
+    joins them across a pinned walk; ``totals`` counts the whole words.
     """
     w = factorial(n).bit_length()
     # forward[a][(r, h)]: packed descent vector of the ballot words on [a] that
@@ -301,42 +301,48 @@ def _ballot_dp(n: int, pairs) -> tuple[int, list[int]]:
 
     @cache
     def join(a: int, b: int, r: int, s: int, rise: int, low: int) -> int:
-        """Packed descent vector of L on [a] ending with rank r, a walk of this
-        rise and lowest point, and R on [b] starting with rank s; the walk's
-        own descents are added once per pair."""
+        """Packed descent vector of L on [a] ending with rank r, a walk of this rise and
+        lowest point, and R on [b] starting with rank s, less the walk's own descents."""
         left, right = forward[a], suffix[b]
         return sum(left.get((r, h), 0) * right.get((s, h + rise), 0) for h in range(-low, a))
 
-    vectors = []
-    for u, v in pairs:
-        walk = u + (n,) + v
-        rise = low = des = 0
-        for x, y in zip(walk, walk[1:]):
-            rise += 1 if y > x else -1
-            low, des = min(low, rise), des + (y < x)
-        first, last = u[0], v[-1]
-        lo, hi = min(first, last), max(first, last)
-        free = [x for x in range(1, n) if x not in walk]
-        below, between = sum(x < lo for x in free), sum(lo < x < hi for x in free)
-        above, size = len(free) - below - between, len(free) + 2  # size: L and R together
-        vec = 0
-        for x in range(below + 1):
-            for y in range(between + 1):
-                # the ranks of u[0] in L and of v[-1] in R
-                r, s = (x + 1, below - x + between - y + 1) if first < last else (x + y + 1, below - x + 1)
-                ways = comb(below, x) * comb(between, y)
-                for z in range(above + 1):
-                    a = 1 + x + y + z
-                    vec += ways * comb(above, z) * join(a, size - a, r, s, rise, low)
-        vectors.append(vec << des * w)
-    return sum(forward[n].values()), vectors
+    return sum(forward[n].values()), join
+
+
+def _pair_vector(n: int, u: Word, v: Word) -> int:
+    """Packed descent vector of the ballot permutations of [n] holding u n v.
+
+    Such a member reads A u n v C.  L = A u[0] is a ballot prefix ending at
+    some height h; the pinned steps u[1:] n v are a fixed walk with its own
+    rise, lowest point and descents; R = v[-1] C stays at height >= 0 from h
+    plus the rise.  Choosing which free letters below, between and above u[0]
+    and v[-1] join L fixes the length of L and both ranks.  The cell (i, j) of
+    the table is the pair ((i,), (j,)).  Every join counted is part of a
+    ballot word of [n], so no count lies past d_max.
+    """
+    join = _rank_dp(n)[1]
+    walk = u + (n,) + v
+    rise = low = des = 0
+    for x, y in zip(walk, walk[1:]):
+        rise += 1 if y > x else -1
+        low, des = min(low, rise), des + (y < x)
+    lo, hi = sorted((u[0], v[-1]))
+    free = [x for x in range(1, n) if x not in walk]
+    below, between = sum(x < lo for x in free), sum(lo < x < hi for x in free)
+    above, size = len(free) - below - between, len(free) + 2  # size: L and R together
+
+    def term(x: int, y: int, z: int) -> int:
+        # the ranks of u[0] in L and of v[-1] in R
+        r, s = (x + 1, below - x + between - y + 1) if u[0] < v[-1] else (x + y + 1, below - x + 1)
+        a = 1 + x + y + z
+        return join(a, size - a, r, s, rise, low)
+
+    return _splits(below, between, above, term) << des * factorial(n).bit_length()
 
 
 def _ballot_table(n: int) -> CountTable:
-    """B(n, .): ``_ballot_dp`` on the one-letter pairs ((i,), (j,)), one per cell (i, j)."""
-    cells = list(permutations(range(1, n), 2))
-    totals, vectors = _ballot_dp(n, [((i,), (j,)) for i, j in cells])
-    return _freeze("ballot", n, totals, dict(zip(cells, vectors)))
+    """B(n, .): the cell (i, j) is the word pair ((i,), (j,))."""
+    return _freeze("ballot", n, _rank_dp(n)[0], lambda i, j: _pair_vector(n, (i,), (j,)))
 
 
 def _odd_table(n: int) -> CountTable:
@@ -382,22 +388,18 @@ def _odd_table(n: int) -> CountTable:
         classes.append(sum(comb(m - 1, k - 1) * cycles[k] * classes[m - k] for k in range(1, m + 1, 2)))
 
     @cache
-    def with_rest(k: int, a: int, b: int) -> int:
-        """Packed weight vector of n's k-cycle, with a -> n -> b by rank, times any rest."""
-        return weights(k, ends[k - 1][b, a]) * classes[n - k]
+    def with_rest(up: bool, x: int, y: int, z: int) -> int:
+        """Packed weight vector of n's k-cycle, k = 3 + x + y + z, holding x, y and z
+        letters below, between and above i and j (i < j when ``up``), times any rest."""
+        k = 3 + x + y + z
+        a, b = (x + 1, x + y + 2) if up else (x + y + 2, x + 1)  # a -> n -> b by rank
+        return 0 if k % 2 == 0 else weights(k, ends[k - 1][b, a]) * classes[n - k]
 
-    by_pair = dict.fromkeys(permutations(range(1, n), 2), 0)
-    for i, j in by_pair:
-        lo, hi = min(i, j), max(i, j)
-        for k in range(3, n + 1, 2):
-            for x in range(k - 2):
-                for y in range(k - 2 - x):
-                    ways = comb(lo - 1, x) * comb(hi - lo - 1, y) * comb(n - 1 - hi, k - 3 - x - y)
-                    if ways:
-                        r_lo, r_hi = x + 1, x + y + 2
-                        a, b = (r_lo, r_hi) if i < j else (r_hi, r_lo)
-                        by_pair[i, j] += ways * with_rest(k, a, b)
-    return _freeze("odd", n, classes[n], by_pair)
+    def cell(i: int, j: int) -> int:
+        lo, hi = sorted((i, j))
+        return _splits(lo - 1, hi - lo - 1, n - 1 - hi, partial(with_rest, i < j))
+
+    return _freeze("odd", n, classes[n], cell)
 
 
 _BUILDERS = {"ballot": _ballot_table, "odd": _odd_table}
@@ -432,8 +434,7 @@ def count(kind: str, n: int, d: int | None = None, i: int | None = None, j: int 
     the letters are None, else the members with statistic d, neighbor cell
     (i, j), or both.  n, then d, then the letters are checked before any
     table is built; ``count_table`` then checks the kind and the budget."""
-    if n < 1:
-        raise DomainError(f"n must be at least 1, got {n}")
+    _check_n(n)
     _check_d(n, d)
     if (i is None) != (j is None):
         raise DomainError("letters i and j must be given together")
@@ -485,28 +486,22 @@ def build_matrix(kind: str, n: int, d: int | None = None, store=None) -> CountMa
 def count_word_pair(n: int, d: int, u, v) -> int:
     """Ballot permutations of [n] with statistic d containing the factor u n v.
 
+    n must be an int within the "ballot" budget, whatever d is, and d an int.
     The letters of u and v must be pairwise distinct integers in [1, n-1]; any
-    other pair could never occur, and is refused before anything is counted.
-    An n past the "ballot" budget is refused whatever d is.  The count is read
-    from ``_word_pair_vectors`` as a batch of one pair, so it comes from the
-    rank DP ``_ballot_dp`` that counts the ballot tables.
+    other pair could never occur.  Each is refused before anything is counted.
+    The count is ``_pair_vector``'s split sum over the rank patterns
+    ``_rank_dp(n)``, built once per n and shared with the ballot table.
     """
+    _check_budget("ballot", n)
     u, v = tuple(u), tuple(v)
     if not u or not v:
         raise DomainError("word-pair counts need nonempty words on both sides")
     check_word(u + v)
     if max(u + v) > n - 1:
         raise DomainError(f"word pair letters must lie in [1, n-1] = [1, {n - 1}]: {u} and {v}")
-    _check_budget("ballot", n)
-    if d < 0 or d > (n - 1) // 2:
-        return 0
-    return _word_pair_vectors(n, ((u, v),))[0][d]
-
-
-@cache
-def _word_pair_vectors(n: int, pairs: tuple[tuple[Word, Word], ...]) -> tuple[tuple[int, ...], ...]:
-    """Per word pair (u, v), the ballot permutations of [n] holding u n v by statistic."""
-    return tuple(_unpack(vec, n) for vec in _ballot_dp(n, pairs)[1])
+    if not _all_ints((d,)):
+        raise DomainError(f"d must be an int, got {d!r}")
+    return _unpack(_pair_vector(n, u, v), n)[d] if 0 <= d <= (n - 1) // 2 else 0
 
 
 class MemberIndex:
@@ -541,7 +536,7 @@ class MemberIndex:
         return tuple(out)
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)  # typed: 3.0 and True are refused, not read as 3 and 1
 def member_index(kind: str, n: int) -> MemberIndex:
     _check_kind(kind)
     _check_budget("members", n)
@@ -549,7 +544,8 @@ def member_index(kind: str, n: int) -> MemberIndex:
 
 
 def clear_memo() -> None:
-    """Clear the memos ``_TABLES``, ``member_index`` and ``_word_pair_vectors`` (mainly for tests)."""
+    """Clear the memos ``_TABLES``, ``member_index`` and ``_rank_dp``, the rank
+    patterns per n (mainly for tests)."""
     _TABLES.clear()
     member_index.cache_clear()
-    _word_pair_vectors.cache_clear()
+    _rank_dp.cache_clear()

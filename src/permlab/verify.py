@@ -41,7 +41,8 @@ from .enumeration import (
     BUDGETS,
     KINDS,
     _odd_stream,
-    _word_pair_vectors,
+    _pair_vector,
+    _unpack,
     ballot_count_closed,
     count_table,
     count_word_pair,  # noqa: F401
@@ -54,7 +55,7 @@ from .errors import BudgetError, DomainError
 # lower_core and upper_core stay bound here because perfbench's traced
 # catalog run rebinds each.
 from .toeplitz import _mover, lower_core, shift, shift_inv, upper_core  # noqa: F401
-from .words import format_word, height, is_ballot, swap_letters
+from .words import _all_ints, format_word, height, is_ballot, swap_letters
 
 
 @dataclass(frozen=True)
@@ -330,9 +331,8 @@ _PROP43_PAIRS = {"u=1 v=23": ((1,), (2, 3)), "u=23 v=1": ((2, 3), (1,)),
 def _prop43(n: int):
     bt = count_table("ballot", n)
     small = count_table("ballot", n - 3)
-    vectors = _word_pair_vectors(n, tuple(_PROP43_PAIRS.values()))
-    for d in range((n - 1) // 2 + 1):
-        counts = [vec[d] for vec in vectors]
+    vectors = [_unpack(_pair_vector(n, u, v), n) for u, v in _PROP43_PAIRS.values()]
+    for d, counts in enumerate(zip(*vectors)):
         for k, (label, lhs) in enumerate(zip(_PROP43_PAIRS, counts)):
             yield _same({"n": n, "d": d, "pair": label}, lhs, small.total(d - 1 - k // 2))
         right_up, left_up, right_down, left_down = counts
@@ -449,8 +449,8 @@ def run_check(name: str, max_n: int | None = None) -> VerificationReport:
         raise DomainError(f"unknown check {name!r}; known: {', '.join(CHECKS)}")
     if max_n is None:
         max_n = info.default_max_n
-    if max_n < info.min_n:
-        raise DomainError(f"check {name} needs max_n >= {info.min_n}, got {max_n}")
+    if not (_all_ints((max_n,)) and max_n >= info.min_n):
+        raise DomainError(f"check {name} needs an int max_n >= {info.min_n}, got {max_n!r}")
     if max_n > info.budget_cap:
         raise BudgetError(
             f"check {name} reads {' and '.join(info.reads)}, "

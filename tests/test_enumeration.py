@@ -126,17 +126,17 @@ def test_count_refuses_before_any_table_is_built(monkeypatch):
     enumeration.clear_memo()
     monkeypatch.setattr(enumeration, "_BUILDERS", {"ballot": unreachable, "odd": unreachable})
     refusals = [
-        ((0,), {}, "n must be at least 1, got 0"),
-        ((4,), {"d": 2}, "d must satisfy 0 <= d <= 1, got 2"),
-        ((4,), {"d": -1}, "d must satisfy 0 <= d <= 1, got -1"),
+        ((0,), {}, "n must be an int of at least 1, got 0"),
+        ((4,), {"d": 2}, "d must be an int with 0 <= d <= 1, got 2"),
+        ((4,), {"d": -1}, "d must be an int with 0 <= d <= 1, got -1"),
         ((4,), {"i": 1}, "letters i and j must be given together"),
         ((4,), {"j": 2}, "letters i and j must be given together"),
-        ((4,), {"i": 4, "j": 1}, "cell letters must satisfy 1 <= i != j <= 3, got (4, 1)"),
-        ((4,), {"i": 0, "j": 1}, "cell letters must satisfy 1 <= i != j <= 3, got (0, 1)"),
-        ((4,), {"i": 2, "j": 2}, "cell letters must satisfy 1 <= i != j <= 3, got (2, 2)"),
+        ((4,), {"i": 4, "j": 1}, "cell letters must be ints with 1 <= i != j <= 3, got (4, 1)"),
+        ((4,), {"i": 0, "j": 1}, "cell letters must be ints with 1 <= i != j <= 3, got (0, 1)"),
+        ((4,), {"i": 2, "j": 2}, "cell letters must be ints with 1 <= i != j <= 3, got (2, 2)"),
         # past the budget, and d or the letters out of range too: the query is refused first
-        ((11,), {"d": 6}, "d must satisfy 0 <= d <= 5, got 6"),
-        ((11,), {"i": 3, "j": 3}, "cell letters must satisfy 1 <= i != j <= 10, got (3, 3)"),
+        ((11,), {"d": 6}, "d must be an int with 0 <= d <= 5, got 6"),
+        ((11,), {"i": 3, "j": 3}, "cell letters must be ints with 1 <= i != j <= 10, got (3, 3)"),
     ]
     for kind in ("ballot", "odd"):
         for args, kwargs, message in refusals:
@@ -161,7 +161,7 @@ def test_count_table_cell_bounds():
     table = count_table("ballot", 5)
     with pytest.raises(DomainError) as exc:
         table.cell(1, 2, 2)
-    assert str(exc.value) == "cell letters must satisfy 1 <= i != j <= 4, got (2, 2)"
+    assert str(exc.value) == "cell letters must be ints with 1 <= i != j <= 4, got (2, 2)"
     # a descent number outside [0, d_max] holds no member
     assert table.cell(3, 1, 2) == 0 and table.cell(-1, 1, 2) == 0
 
@@ -285,7 +285,8 @@ def test_ballot_table_matches_the_subset_dp_witness(ballot_subset_dp, n):
     # at n <= 2 the table has no cells and only the totals are compared
     cells = list(itertools.permutations(range(1, n), 2))
     totals, vectors = ballot_subset_dp(n, [((i,), (j,)) for i, j in cells])
-    assert _ballot_table(n) == enumeration._freeze("ballot", n, totals, dict(zip(cells, vectors)))
+    witness = dict(zip(cells, vectors))
+    assert _ballot_table(n) == enumeration._freeze("ballot", n, totals, lambda i, j: witness[i, j])
 
 
 def test_count_word_pair_matches_the_subset_dp_witness(ballot_subset_dp):
@@ -331,7 +332,7 @@ def test_identities_past_the_budget():
                 assert table.total(d) == sum(map(sum, layer)) + prev.total(d), (table.kind, n, d)
     four = (((1,), (2, 3)), ((2, 3), (1,)), ((1,), (3, 2)), ((3, 2), (1,)))
     for n in range(4, 17):
-        b, words = ballot[n], [_unpack(vec, n) for vec in enumeration._ballot_dp(n, four)[1]]
+        b, words = ballot[n], [_unpack(enumeration._pair_vector(n, u, v), n) for u, v in four]
         for d in range(b.d_max + 1):
             right_up, left_up, right_down, left_down = (vec[d] for vec in words)
             assert (right_up, right_down) == (left_up, left_down), (n, d)
@@ -443,13 +444,12 @@ def test_count_word_pair_validation():
     ((1,), (5,), "[1, 4]"),
 ])
 def test_count_word_pair_refuses_words_it_can_never_find(monkeypatch, u, v, message):
-    # refused before anything is counted, so the DP never runs; a pair never
-    # counted before does reach it
-    def no_dp(n, pairs):
+    # refused before anything is counted, so the rank DP never runs; a valid
+    # pair does reach it
+    def no_dp(n):
         raise AssertionError("the DP ran")
 
-    monkeypatch.setattr(enumeration, "_ballot_dp", no_dp)
-    enumeration._word_pair_vectors.cache_clear()
+    monkeypatch.setattr(enumeration, "_rank_dp", no_dp)
     with pytest.raises(DomainError, match=re.escape(message)):
         count_word_pair(5, 1, u, v)
     with pytest.raises(AssertionError, match="the DP ran"):
@@ -461,7 +461,7 @@ def test_count_word_pair_reads_no_member_stream(monkeypatch):
         raise AssertionError("the ballot stream was drained")
 
     monkeypatch.setattr(enumeration, "_ballot_stream", no_stream)
-    enumeration._word_pair_vectors.cache_clear()  # so the pair is counted afresh
+    enumeration._rank_dp.cache_clear()  # so the rank patterns are built afresh
     assert count_word_pair(7, 3, (1,), (2, 3)) == 1  # the one witness 1 7 2 3 6 5 4
 
 

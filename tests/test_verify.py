@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 
@@ -54,7 +55,7 @@ def test_budget_caps_are_pinned():
 
 
 def _memos_empty():
-    cached = (enumeration.member_index, enumeration._word_pair_vectors)
+    cached = (enumeration.member_index, enumeration._rank_dp)
     return enumeration._TABLES == {} and all(fn.cache_info().currsize == 0 for fn in cached)
 
 
@@ -121,31 +122,37 @@ def test_counterexamples_carry_params_lhs_rhs():
 
 
 def test_prop43_words_runs_one_word_pair_dp_per_size(monkeypatch):
-    # a cold ballot table is one DP call on its one-letter pairs (i,), (j,)
-    dp, calls = enumeration._ballot_dp, []
+    # the rank patterns of one size are built once, by the table or the word
+    # pairs that first need them, and shared by the rest
+    build, builds = enumeration._rank_dp.__wrapped__, []
 
-    def counted(n, pairs):
-        calls.append((n, list(pairs)))
-        return dp(n, pairs)
+    @functools.cache
+    def counted(n):
+        builds.append(n)
+        return build(n)
 
-    def one_letter(n):
-        return [((i,), (j,)) for i, j in itertools.permutations(range(1, n), 2)]
-
-    monkeypatch.setattr(enumeration, "_ballot_dp", counted)
+    monkeypatch.setattr(enumeration, "_rank_dp", counted)
     for n in range(1, 11):
         enumeration.clear_memo()
-        calls.clear()
+        builds.clear()
         enumeration.count_table("ballot", n)
-        assert calls == [(n, one_letter(n))], n
+        assert builds == [n], n
 
-    # the four word pairs of one size share one DP call, and each table the
-    # check reads is counted once
+    # prop43_words reads the ballot tables at n and n - 3 and four word pairs
+    # at each n from 4 to 8
     enumeration.clear_memo()
-    calls.clear()
+    builds.clear()
     run_check("prop43_words", 8)
-    pairs = [((1,), (2, 3)), ((2, 3), (1,)), ((1,), (3, 2)), ((3, 2), (1,))]
-    assert [(n, ps) for n, ps in calls if ps != one_letter(n)] == [(n, pairs) for n in range(4, 9)]
-    assert sorted(n for n, ps in calls if ps == one_letter(n)) == list(range(1, 9))
+    assert sorted(builds) == list(range(1, 9))
+
+    # single word pairs asked one at a time share the patterns of their size
+    enumeration.clear_memo()
+    builds.clear()
+    pairs = [(w[:1], w[1:]) for w in itertools.permutations(range(1, 10), 3)][:100]
+    assert len(set(pairs)) == 100
+    for u, v in pairs:
+        enumeration.count_word_pair(10, 2, u, v)
+    assert builds == [10]
 
 
 def test_fail_report_construction_direct():

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from permlab import enumeration
 from permlab.cycles import cycles_from_one_line
-from permlab.enumeration import count_word_pair
+from permlab.enumeration import build_matrix, count, count_table, count_word_pair, member_index
 from permlab.errors import DomainError
+from permlab.verify import run_check
 from permlab.words import (
     ascent_descent,
     check_permutation,
@@ -112,7 +113,35 @@ def test_every_validator_refuses_letters_that_are_not_ints():
     enumeration.clear_memo()
     with pytest.raises(DomainError, match="^letters must be positive integers, got True$"):
         count_word_pair(5, 1, (True,), (3,))
-    assert enumeration._word_pair_vectors.cache_info().currsize == 0
+    # the same rule holds for sizes, statistics and cell letters: a bool or a
+    # float used to be counted as its int, memoized under the int's key, or
+    # escape as a TypeError
+    refusals = [
+        (lambda: count("odd", True), "n must be an int of at least 1, got True"),
+        (lambda: count("ballot", 6.0), "n must be an int of at least 1, got 6.0"),
+        (lambda: count("ballot", 5, 1.5), "d must be an int with 0 <= d <= 2, got 1.5"),
+        (lambda: count("ballot", 5, None, True, 2),
+         "cell letters must be ints with 1 <= i != j <= 4, got (True, 2)"),
+        (lambda: build_matrix("odd", 5, 1.0), "d must be an int with 0 <= d <= 2, got 1.0"),
+        (lambda: count_table("ballot", 5.0), "n must be an int of at least 1, got 5.0"),
+        (lambda: member_index("odd", True), "n must be an int of at least 1, got True"),
+        (lambda: count_word_pair(5, True, (1,), (2,)), "d must be an int, got True"),
+        (lambda: count_word_pair(5.0, 1, (1,), (2,)), "n must be an int of at least 1, got 5.0"),
+        (lambda: run_check("toeplitz_B", 5.0), "check toeplitz_B needs an int max_n >= 3, got 5.0"),
+        (lambda: run_check("closed_form", True), "check closed_form needs an int max_n >= 1, got True"),
+    ]
+    for call, message in refusals:
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == message
+    assert enumeration._TABLES == {}
+    assert enumeration._rank_dp.cache_info().currsize == 0
+    assert enumeration.member_index.cache_info().currsize == 0
+    # a warm member_index is no way round the rule, though True == 1 and 3.0 == 3
+    for warm, n in ((1, True), (3, 3.0)):
+        member_index("odd", warm)
+        with pytest.raises(DomainError, match=f"^n must be an int of at least 1, got {n}$"):
+            member_index("odd", n)
     for bad in ((True, 2), (2, 1.0)):
         with pytest.raises(DomainError) as exc:
             cycles_from_one_line(bad)
