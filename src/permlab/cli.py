@@ -6,11 +6,18 @@ counterexample, 2 usage or domain error, 141 (128 + SIGPIPE) stdout closed
 before the payload was written.  This is the only module that touches the
 filesystem or environment; the cache directory comes from ``--cache-dir`` or
 the PERMLAB_CACHE environment variable.
+
+``main`` builds its parser on its first call and reuses it for every later
+call in the process, so in-process callers (tests, notebooks, the
+benchmark) pay for the argparse tree once.  Handlers and the
+``verify --check`` choices are bound when that parser is built.
+``build_parser`` itself returns a fresh parser on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -276,9 +283,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser(build) -> argparse.ArgumentParser:
+    """The parser ``build()`` returns, built once per builder.
+
+    Keyed on the builder, not held in one global, so that rebinding
+    ``build_parser`` (a tracer does) gets a parser from the new builder;
+    only the latest builder's parser is kept.
+    """
+    return build()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser(build_parser).parse_args(argv)
     try:
         return args.fn(args)
     except BrokenPipeError:

@@ -203,10 +203,16 @@ class CountTable:
     def grand_total(self) -> int:
         return sum(self.totals)
 
+    def _has_layer(self, d: int) -> bool:
+        """Whether the int d lies in [0, d_max]; any other d, a bool or a float too, is refused."""
+        if not _all_ints((d,)):
+            raise DomainError(f"d must be an int, got {d!r}")
+        return 0 <= d <= self.d_max
+
     def total(self, d: int | None = None) -> int:
         if d is None:
             return self.grand_total
-        if d < 0 or d > self.d_max:
+        if not self._has_layer(d):
             return 0
         return self.totals[d]
 
@@ -214,7 +220,7 @@ class CountTable:
         _check_letters(self.n, i, j)
         if d is None:
             return sum(layer[i - 1][j - 1] for layer in self.cells)
-        if d < 0 or d > self.d_max:
+        if not self._has_layer(d):
             return 0
         return self.cells[d][i - 1][j - 1]
 
@@ -473,9 +479,13 @@ class CountMatrix:
 
 
 def build_matrix(kind: str, n: int, d: int | None = None, store=None) -> CountMatrix:
-    """Count matrix for one kind at one n; d=None sums over all statistics."""
-    if n < 3:
+    """Count matrix for one kind at one n; d=None sums over all statistics.
+
+    An n that is not an int is refused as ``count`` refuses it, an int n
+    below 3 as too small for a matrix."""
+    if _all_ints((n,)) and n < 3:
         raise DomainError(f"count matrices need n >= 3, got {n}")
+    _check_n(n)
     _check_d(n, d)
     cells = count_table(kind, n, store=store).cells
     # every layer is zero on its diagonal, so the layers are the matrices

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from permlab import enumeration, verify
+from permlab import cli, enumeration, verify
 from permlab.cli import DiskCache, main
 from permlab.errors import DomainError
 
@@ -191,6 +192,82 @@ def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# One interleaved sequence: usage errors, a domain error, a budget error,
+# then valid count, matrix, map and verify calls, exit codes 0, 1 and 2.
+MIXED_CALLS = (
+    ("frobnicate",),
+    ("count", "--kind", "ballot", "--n", "4", "--i", "2", "--j", "2"),
+    ("count", "--kind", "ballot", "--n", "12"),
+    ("count", "--kind", "ballot", "--n", "6"),
+    ("matrix", "--kind", "odd", "--n", "4", "--d", "1", "--format", "json"),
+    ("count", "--kind", "odd", "--n", "5", "--d", "1.5"),
+    ("map", "--op", "T", "--i", "4", "--j", "6", "--perm", "3 8 2 5 4 9 6 7 1"),
+    ("verify", "--check", "toeplitz_B", "--max-n", "6", "--format", "json"),
+    ("map", "--op", "flip", "--perm", "1 4 2 3"),
+    ("matrix", "--kind", "ballot", "--n", "3", "--format", "csv"),
+    ("count", "--kind", "ballot"),
+    ("verify", "--check", "prop43_words", "--max-n", "5", "--format", "json"),
+    ("map", "--op", "expand", "--kind", "cyclic", "--i", "1", "--j", "2", "--perm", "(1 2)(3)"),
+)
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one main call, usage errors included and wall times stripped."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, re.sub(r', "wall_time_ms": [0-9.eE+-]+', "", out), err
+
+
+def test_main_builds_one_parser_for_many_calls(capsys, monkeypatch):
+    real, built = cli.build_parser, []
+
+    def counting():
+        built.append(real())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    codes = {_outcome(capsys, argv)[0] for argv in MIXED_CALLS * 2}
+    assert codes == {0, 1, 2} and len(built) == 1
+    # build_parser itself still returns a fresh parser on every call
+    assert real() is not real()
+
+
+def test_reused_parser_answers_as_a_fresh_one(capsys, monkeypatch):
+    # each call through the shared parser, then through a parser built for it alone
+    for argv in MIXED_CALLS:
+        shared = _outcome(capsys, argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parser", lambda build: build())
+            assert _outcome(capsys, argv) == shared, argv
+    code, out, err = _outcome(capsys, MIXED_CALLS[0])
+    assert (code, out) == (2, "") and err.startswith("usage: permlab ")
+    assert "invalid choice: 'frobnicate'" in err
+
+
+def test_rebound_build_parser_gets_its_own_parser(capsys, monkeypatch):
+    # a tracer rebinds build_parser and wraps parse_args on each parser it
+    # returns: it must see every parse, each wrapped once
+    real, built, parsed = cli.build_parser, [], []
+    argv = ["count", "--kind", "ballot", "--n", "3"]
+    main(argv)
+
+    def traced():
+        parser = real()
+        inner = parser.parse_args
+        parser.parse_args = lambda args=None: parsed.append(args) or inner(args)
+        built.append(parser)
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", traced)
+    codes = [main(argv) for _ in range(3)]
+    assert (codes, len(built), parsed) == ([0, 0, 0], 1, [argv] * 3)
+    assert cli._parser(traced) is built[0] is not cli._parser(real)
+    assert capsys.readouterr().out == "3\n" * 4
 
 
 def test_verify_text_pass(capsys):

@@ -164,6 +164,14 @@ def test_count_table_cell_bounds():
     assert str(exc.value) == "cell letters must be ints with 1 <= i != j <= 4, got (2, 2)"
     # a descent number outside [0, d_max] holds no member
     assert table.cell(3, 1, 2) == 0 and table.cell(-1, 1, 2) == 0
+    assert table.total(3) == 0 and table.total(-1) == 0
+    # a d that is not an int is refused: total(1.0) and cell(1.0, 1, 2) used
+    # to escape as a TypeError, and total(True) answered total(1)
+    for d in (1.0, True, "1"):
+        for call in (lambda: table.total(d), lambda: table.cell(d, 1, 2)):
+            with pytest.raises(DomainError) as exc:
+                call()
+            assert str(exc.value) == f"d must be an int, got {d!r}"
 
 
 def test_count_tables_match_oracle(small_ballot, small_odd):
@@ -347,8 +355,10 @@ def test_golden_matrices():
 
 def test_odd_matrix_examples():
     assert build_matrix("odd", 4, 1).entries == ((0, 1, 1), (1, 0, 1), (1, 1, 0))
-    with pytest.raises(DomainError):
-        build_matrix("ballot", 2)
+    for n in (2, 0, -1):
+        with pytest.raises(DomainError) as exc:
+            build_matrix("ballot", n)
+        assert str(exc.value) == f"count matrices need n >= 3, got {n}"
     with pytest.raises(DomainError):
         build_matrix("ballot", 5, d=3)
 

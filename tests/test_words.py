@@ -115,7 +115,7 @@ def test_every_validator_refuses_letters_that_are_not_ints():
         count_word_pair(5, 1, (True,), (3,))
     # the same rule holds for sizes, statistics and cell letters: a bool or a
     # float used to be counted as its int, memoized under the int's key, or
-    # escape as a TypeError
+    # escape as a TypeError (build_matrix compared a str n with 3)
     refusals = [
         (lambda: count("odd", True), "n must be an int of at least 1, got True"),
         (lambda: count("ballot", 6.0), "n must be an int of at least 1, got 6.0"),
@@ -123,6 +123,9 @@ def test_every_validator_refuses_letters_that_are_not_ints():
         (lambda: count("ballot", 5, None, True, 2),
          "cell letters must be ints with 1 <= i != j <= 4, got (True, 2)"),
         (lambda: build_matrix("odd", 5, 1.0), "d must be an int with 0 <= d <= 2, got 1.0"),
+        (lambda: build_matrix("odd", "5", 1), "n must be an int of at least 1, got '5'"),
+        (lambda: build_matrix("odd", 5.0), "n must be an int of at least 1, got 5.0"),
+        (lambda: build_matrix("ballot", True), "n must be an int of at least 1, got True"),
         (lambda: count_table("ballot", 5.0), "n must be an int of at least 1, got 5.0"),
         (lambda: member_index("odd", True), "n must be an int of at least 1, got True"),
         (lambda: count_word_pair(5, True, (1,), (2,)), "d must be an int, got True"),
