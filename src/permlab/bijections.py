@@ -35,6 +35,7 @@ from .cycles import (
 from .errors import DomainError
 from .words import (
     Word,
+    _all_ints,
     check_permutation,
     find_factor,
     height,
@@ -104,9 +105,9 @@ def anchor_decompose(p: Word, anchor: Word) -> AnchorDecomposition | None:
 
 def pivot_words(i: int, j: int, n: int) -> tuple[Word, Word]:
     """The forward and backward pivot words i n (j-1) j and (j-1) j n i of the
-    flank swap and the letter exchange at letters (i, j) in [n]."""
-    if not (1 <= i and i + 2 <= j <= n - 1):
-        raise DomainError(f"pivot words need 1 <= i, i+2 <= j <= n-1, got i={i}, j={j}, n={n}")
+    flank swap and the letter exchange at int letters (i, j) in [n]."""
+    if not (_all_ints((i, j, n)) and 1 <= i and i + 2 <= j <= n - 1):
+        raise DomainError(f"pivot words need ints with 1 <= i, i+2 <= j <= n-1, got i={i}, j={j}, n={n}")
     return (i, n, j - 1, j), (j - 1, j, n, i)
 
 
@@ -168,14 +169,14 @@ def _contract_tables(n: int, j: int) -> tuple[Word, Word]:
 def contract(p, i: int, j: int, inverse: bool = False):
     """Remove (or re-insert, with inverse=True) the letters j and n around i.
 
-    Needs |i - j| = 1.  Forward input must contain the factor i n j (a cyclic
-    factor for decompositions); the remaining letters are relabeled in the
-    order-preserving way, read from tables cached per (n, j).  Accepts a
-    one-line permutation or a cycle decomposition, whose cycles may be
-    tuples or lists, and returns the same kind.
+    Needs int letters with |i - j| = 1.  Forward input must contain the
+    factor i n j (a cyclic factor for decompositions); the remaining letters
+    are relabeled in the order-preserving way, read from tables cached per
+    (n, j).  Accepts a one-line permutation or a cycle decomposition, whose
+    cycles may be tuples or lists, and returns the same kind.
     """
-    if abs(i - j) != 1:
-        raise DomainError(f"contract needs |i - j| = 1, got ({i}, {j})")
+    if not _all_ints((i, j)) or abs(i - j) != 1:
+        raise DomainError(f"contract needs int letters with |i - j| = 1, got ({i}, {j})")
     p = tuple(p)
     is_cycles = bool(p) and isinstance(p[0], (tuple, list))
     return _contract(canonicalize_cycles(p) if is_cycles else check_permutation(p), i, j, inverse, is_cycles)

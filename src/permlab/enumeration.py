@@ -5,17 +5,25 @@ while they build it: the private streams yield each member with its
 statistic d (descents for ballot permutations, cyclic weight for odd order
 permutations) and the two neighbors (i, j) of the largest letter, read as
 the factor i n j (cyclic inside the decomposition's cycles).  Member lists
-and the test suite's reference tables read those triples; ``ballot_cell`` and
-``odd_cell`` classify a finished member from scratch, and the tests hold the
-streams to them.  Nothing else is counted by classifying members: the rank
-patterns of ballot prefixes and suffixes, built once per n, count the ballot
-table and every word pair, a cell (i, j) being the pair ((i,), (j,)), and the
-exponential formula over odd cycles counts the odd order tables.  The test
-suite checks every table against the classified member stream, which stays
-the oracle, the ballot tables and the word pairs against a subset DP over
-letter sets, the rank DP's witness, and the word pairs against a factor
-search over the members.  Both the stream and the counts keep the same
-budgets.
+and the test suite's reference tables read those triples, and the tests
+hold the streams to classifiers that read a finished member from scratch.
+Nothing else is counted by classifying members: the rank patterns of ballot
+prefixes and suffixes, built once per n, count the ballot table and every
+word pair, a cell (i, j) being the pair ((i,), (j,)), and the exponential
+formula over odd cycles, with the end-letter patterns of the cycle of n,
+counts the odd order tables.  The test suite checks every table against the
+classified member stream, which stays the oracle, the ballot tables and the
+word pairs against a subset DP over letter sets, the rank DP's witness, and
+the word pairs against a factor search over the members.  Both the stream
+and the counts keep the same budgets.
+
+A pattern keeps a word only up to the relative order of its letters: its
+length, the rank of one end letter and one more state (a height, or the rank
+of the other end).  One rank insertion, ``_grow``, builds all three pattern
+tables: a new end letter of rank s moves the old ranks >= s up one, and a
+one-line rule per table says how the state moves and whether the step is a
+descent.  Each builder then reads: grow the patterns, split the free letters
+around the pinned ones (``_splits``), freeze the table (``_freeze``).
 
 Each statistic vector of a count is one packed int: digit d, W = n!.bit_length()
 bits wide, holds the count at statistic d.  A descent shifts a vector one digit
@@ -31,7 +39,6 @@ from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from math import comb, factorial
 
-from .cycles import CycleDecomposition, max_letter_neighbors, perm_weight
 from .errors import BudgetError, DomainError
 from .words import Word, _all_ints, check_word, descents
 
@@ -168,19 +175,6 @@ def enumerate_odd_order(n: int):
         yield member
 
 
-def ballot_cell(p: Word) -> tuple[int, tuple[int, int] | None]:
-    """(descents, neighbors of n) for a ballot permutation; None when n is last."""
-    n = len(p)
-    pos = p.index(n)
-    nb = None if pos == n - 1 else (p[pos - 1], p[pos + 1])
-    return descents(p), nb
-
-
-def odd_cell(cycles: CycleDecomposition) -> tuple[int, tuple[int, int] | None]:
-    """(cyclic weight, cyclic neighbors of n) for a decomposition; None when n is fixed."""
-    return perm_weight(cycles), max_letter_neighbors(cycles)
-
-
 @dataclass(frozen=True)
 class CountTable:
     """Full (d, i, j) classification of one kind at one n.
@@ -255,6 +249,28 @@ def _splits(below: int, between: int, above: int, term) -> int:
     return total
 
 
+def _grow(first: dict, start: int, stop: int, w: int, step) -> list[dict[tuple[int, int], int]]:
+    """Pattern levels up to length ``stop``, ``first`` at ``start``, each level mapping
+    (rank r of the growing end, state x) to a packed descent vector.  The rule
+    ``step(length, r, x, s)`` gives (new x, whether it counts a descent) for a
+    new end letter of rank s, or None where the pattern may not grow."""
+    levels = [{}] * start + [first]
+    for length in range(start, stop):
+        ranks = range(1, length + 2)
+        grown: dict[tuple[int, int], int] = {}
+        get = grown.get
+        for (r, x), vec in levels[length].items():
+            down = vec << w
+            for s in ranks:
+                moved = step(length, r, x, s)
+                if moved is not None:
+                    y, descent = moved
+                    key = s, y
+                    grown[key] = get(key, 0) + (down if descent else vec)
+        levels.append(grown)
+    return levels
+
+
 @cache
 def _rank_dp(n: int):
     """(totals, join) at n, built once and shared by the ballot table and every word pair.
@@ -265,45 +281,17 @@ def _rank_dp(n: int):
     joins them across a pinned walk; ``totals`` counts the whole words.
     """
     w = factorial(n).bit_length()
-    # forward[a][(r, h)]: packed descent vector of the ballot words on [a] that
-    # end with rank r at height h, grown by appending a letter of each rank;
-    # the first letter climbs from a virtual 0 at -1
-    forward: list[dict[tuple[int, int], int]] = [{(0, -1): 1}]
-    for a in range(n):
-        grown: dict[tuple[int, int], int] = {}
-        for (r, h), vec in forward[a].items():
-            down = vec << w
-            for s in range(1, a + 2):
-                # the new last letter has rank s: old ranks >= s move up one,
-                # and it is a descent when it lands below the old last letter
-                if s > r:
-                    key = s, h + 1
-                    grown[key] = grown.get(key, 0) + vec
-                elif h:
-                    key = s, h - 1
-                    grown[key] = grown.get(key, 0) + down
-        forward.append(grown)
-    # suffix[b][(s, h)]: packed descent vector of the words on [b] that start
-    # with rank s at height h and stay at height >= 0, grown by prepending a
-    # letter of each rank.  R of length b follows n - b letters, and one step
-    # among them is the descent from n, so h < n - 1 - b.
-    suffix: list[dict[tuple[int, int], int]] = [{}, {(1, h): 1 for h in range(n - 2)}]
-    for b in range(1, n - 2):
-        grown = {}
-        for (g, h), vec in suffix[b].items():
-            down = vec << w
-            for s in range(1, b + 2):
-                # the new first letter has rank s: old ranks >= s move up one;
-                # it is an ascent to the old first letter, from h - 1, when
-                # that lands above it, else a descent from h + 1
-                if g >= s:
-                    if h:
-                        key = s, h - 1
-                        grown[key] = grown.get(key, 0) + vec
-                elif h < n - 3 - b:
-                    key = s, h + 1
-                    grown[key] = grown.get(key, 0) + down
-        suffix.append(grown)
+    # forward[a][(r, h)]: the ballot words on [a] that end with rank r at height
+    # h; the first letter climbs from a virtual 0 at -1
+    forward = _grow({(0, -1): 1}, 0, n, w,
+                    lambda a, r, h, s: (h + 1, False) if s > r else (h - 1, True) if h else None)
+    # suffix[b][(s, h)]: the words R on [b] that start with rank s at height h
+    # and stay at height >= 0, grown as their reversals, so an ascent of the
+    # reversal is a descent of R.  R follows n - b letters, and one step among
+    # them is the descent from n, so h < n - 1 - b.
+    suffix = _grow({(1, h): 1 for h in range(n - 2)}, 1, n - 2, w,
+                   lambda b, r, h, s: ((h + 1, True) if h < n - 3 - b else None) if s > r
+                   else (h - 1, False) if h else None)
 
     @cache
     def join(a: int, b: int, r: int, s: int, rise: int, low: int) -> int:
@@ -368,19 +356,8 @@ def _odd_table(n: int) -> CountTable:
     so no count lies past d_max, and each digit counts fewer than n! permutations.
     """
     w = factorial(n).bit_length()
-    # ends[m][(first, last)]: packed descent vector of the permutations of [m]
-    # with these end letters, grown by appending a letter of each relative rank
-    ends: list[dict[tuple[int, int], int]] = [{}, {(1, 1): 1}]
-    for m in range(1, n - 1):
-        grown: dict[tuple[int, int], int] = {}
-        for (f, q), vec in ends[m].items():
-            down = vec << w
-            for r in range(1, m + 2):
-                # the new last letter has rank r: old ranks >= r move up one,
-                # and it is a descent when it lands below the old last letter
-                key = f + (r <= f), r
-                grown[key] = grown.get(key, 0) + (down if r <= q else vec)
-        ends.append(grown)
+    # ends[m][(last, first)]: the permutations of [m] with these end ranks
+    ends = _grow({(1, 1): 1}, 1, n - 1, w, lambda m, q, f, s: (f + (s <= f), s <= q))
     digit = (1 << w) - 1
 
     def weights(k: int, vec: int) -> int:
@@ -399,7 +376,7 @@ def _odd_table(n: int) -> CountTable:
         letters below, between and above i and j (i < j when ``up``), times any rest."""
         k = 3 + x + y + z
         a, b = (x + 1, x + y + 2) if up else (x + y + 2, x + 1)  # a -> n -> b by rank
-        return 0 if k % 2 == 0 else weights(k, ends[k - 1][b, a]) * classes[n - k]
+        return 0 if k % 2 == 0 else weights(k, ends[k - 1][a, b]) * classes[n - k]
 
     def cell(i: int, j: int) -> int:
         lo, hi = sorted((i, j))

@@ -45,7 +45,7 @@ from functools import cache
 
 from .cycles import _normalize, canonicalize_cycles, cycle_containing, decomposition_size, is_odd_order
 from .errors import DomainError
-from .words import Word, check_permutation, is_ballot
+from .words import Word, _all_ints, check_permutation, is_ballot
 
 
 @cache
@@ -142,13 +142,13 @@ def _mover(n: int, i: int, j: int, cyclic: bool, upper: bool):
 
 
 def _move(p, i: int, j: int, cyclic: bool, upper: bool):
-    """(image, width) of one normalized input: the letters 1 <= i != j <= n-2
+    """(image, width) of one normalized input: the int letters 1 <= i != j <= n-2
     are checked here, then the kernel ``_mover`` checks the factor."""
     n = decomposition_size(p) if cyclic else len(p)
-    if i == j or not (1 <= i <= n - 2 and 1 <= j <= n - 2):
+    if not _all_ints((i, j)) or i == j or not (1 <= i <= n - 2 and 1 <= j <= n - 2):
         if cyclic:
             cycle_containing(p, n)  # the empty decomposition has no cycle holding n, and says so first
-        raise DomainError(f"shift letters must satisfy 1 <= i != j <= n-2 = {n - 2}, got ({i}, {j})")
+        raise DomainError(f"shift letters must be ints with 1 <= i != j <= n-2 = {n - 2}, got ({i}, {j})")
     return _mover(n, i, j, cyclic, upper)(p)
 
 

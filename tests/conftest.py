@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 from hypothesis import HealthCheck, settings
 
+from permlab.cycles import max_letter_neighbors, perm_weight
 from permlab.enumeration import _ballot_stream, _odd_stream
 from permlab.words import descents, is_ballot
 
@@ -43,6 +44,19 @@ def oracle_odd_order(n):
         if all(len(c) % 2 == 1 for c in cycles):
             out.append(cycles)
     return out
+
+
+def ballot_cell(p):
+    """(descents, neighbors of n) for a ballot permutation; None when n is last."""
+    n = len(p)
+    pos = p.index(n)
+    nb = None if pos == n - 1 else (p[pos - 1], p[pos + 1])
+    return descents(p), nb
+
+
+def odd_cell(cycles):
+    """(cyclic weight, cyclic neighbors of n) for a decomposition; None when n is fixed."""
+    return perm_weight(cycles), max_letter_neighbors(cycles)
 
 
 @pytest.fixture(scope="session")
@@ -132,7 +146,7 @@ def _letters(mask):
 
 def subset_dp(n, pairs):
     """(totals, [vector per word pair (u, v)]) of the ballot permutations of [n],
-    packed as ``enumeration._ballot_dp`` packs them, by a DP over letter sets.
+    packed as ``enumeration._pair_vector`` packs them, by a DP over letter sets.
 
     The subset DP the relative-rank DP replaced, kept as its witness.  A member
     holding u n v reads w u n v x: a forward DP over the letter sets of

@@ -135,7 +135,7 @@ def test_pivot_words():
 @pytest.mark.parametrize("i, j", [(1, 2), (0, 3), (2, 1), (1, 5)])
 def test_pivot_letter_refusals_name_the_pivot_words(i, j):
     # the flank swap and the letter exchange refuse the same letters with the same message
-    message = f"pivot words need 1 <= i, i+2 <= j <= n-1, got i={i}, j={j}, n=5"
+    message = f"pivot words need ints with 1 <= i, i+2 <= j <= n-1, got i={i}, j={j}, n=5"
     p = (1, 5, 2, 3, 4)
     for call in (lambda: pivot_words(i, j, 5), lambda: flank_swap(p, i, j),
                  lambda: flank_swap(p, i, j, "backward"), lambda: exchange_letters(p, i, j)):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -6,6 +7,7 @@ from math import factorial
 from pathlib import Path
 
 import pytest
+from conftest import ballot_cell, odd_cell
 
 from permlab import enumeration
 from permlab.cycles import format_cycles
@@ -14,7 +16,6 @@ from permlab.enumeration import (
     _odd_stream,
     _odd_table,
     _unpack,
-    ballot_cell,
     ballot_count_closed,
     build_matrix,
     count,
@@ -24,7 +25,6 @@ from permlab.enumeration import (
     enumerate_ballot,
     enumerate_odd_order,
     member_index,
-    odd_cell,
 )
 from permlab.errors import BudgetError, DomainError
 from permlab.words import find_factor
@@ -285,6 +285,20 @@ def test_tables_past_the_stream_oracle_match_their_pins(past_stream):
     for pin in pins:
         table = past_stream[pin["kind"], pin["n"]]
         assert (list(table.totals), json.loads(json.dumps(table.cells))) == (pin["totals"], pin["cells"])
+
+
+@pytest.mark.parametrize("kind, build", [("ballot", _ballot_table), ("odd", _odd_table)], ids=["ballot", "odd"])
+def test_tables_far_past_the_stream_match_their_digests(kind, build):
+    # the sha256 of each table's canonical JSON (sorted keys, no spaces) at
+    # n = 13, 16, 20 and 24, written before the three pattern loops became one
+    # rank insertion, so every growth rule is pinned well past n = 12
+    pins = json.loads((Path(__file__).resolve().parent / "data" / "table_digests.json").read_text())[kind]
+    assert sorted(map(int, pins)) == [13, 16, 20, 24]
+    for n, digest in pins.items():
+        table = build(int(n))
+        canonical = json.dumps({"kind": table.kind, "n": table.n, "totals": table.totals, "cells": table.cells},
+                               sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(canonical.encode()).hexdigest() == digest, (kind, n)
 
 
 @pytest.mark.parametrize("n", range(1, 11))

@@ -2,9 +2,10 @@ from collections import Counter
 from itertools import permutations
 
 import pytest
+from conftest import ballot_cell, odd_cell
 
 from permlab.cycles import cycle_stats, cycles_from_one_line, is_odd_order, parse_cycles, perm_weight
-from permlab.enumeration import ballot_cell, enumerate_ballot, enumerate_odd_order, member_index, odd_cell
+from permlab.enumeration import enumerate_ballot, enumerate_odd_order, member_index
 from permlab.errors import DomainError
 from permlab.toeplitz import _core_word, _move, _relabel, _run, lower_core, shift, shift_inv, upper_core
 from permlab.words import descents, find_factor, is_ballot
@@ -143,7 +144,7 @@ def test_shift_domain_errors():
     with pytest.raises(DomainError):
         shift(((1, 2), (3, 6, 4, 5)), 3, 4, cyclic=True)  # even cycles inside
     # the inverse side, with exact messages
-    letters = "shift letters must satisfy 1 <= i != j <= n-2 = 7, got "
+    letters = "shift letters must be ints with 1 <= i != j <= n-2 = 7, got "
     for call, message in (
         (lambda: shift_inv((3, 8, 2, 5, 4, 9, 6, 7, 1), 4, 6), "input does not contain the factor 5 9 7"),
         (lambda: shift_inv((3, 8, 2, 6, 4, 5, 9, 7, 1), 6, 6), letters + "(6, 6)"),
@@ -173,7 +174,7 @@ def test_shift_refuses_the_domain_then_the_letters_then_the_factor(
         return str(exc.value)
 
     domain = "cyclic shift needs an odd order permutation" if cyclic else "linear shift needs a ballot permutation"
-    letters = "shift letters must satisfy 1 <= i != j <= n-2 = 2, got (1, 5)"
+    letters = "shift letters must be ints with 1 <= i != j <= n-2 = 2, got (1, 5)"
     left, right = (2, 3) if upper else (1, 2)
     factor = f"input does not contain the {'cyclic factor' if cyclic else 'factor'} {left} 4 {right}"
     assert refusal(outside, 1, 5) == domain  # all three broken
@@ -248,7 +249,7 @@ def scan_outcome(host, i, j, cyclic, upper):
     first precondition that fails: bad letters, absent factor, unanchored run."""
     n = max(host)
     if i == j or not (1 <= i <= n - 2 and 1 <= j <= n - 2):
-        return f"shift letters must satisfy 1 <= i != j <= n-2 = {n - 2}, got ({i}, {j})"
+        return f"shift letters must be ints with 1 <= i != j <= n-2 = {n - 2}, got ({i}, {j})"
     left, right = (i + 1, j + 1) if upper else (i, j)
     if not occurs(host, (left, n, right), cyclic):
         return f"input does not contain the {'cyclic factor' if cyclic else 'factor'} {left} {n} {right}"

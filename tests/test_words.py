@@ -6,9 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from permlab import enumeration
+from permlab.bijections import contract, pivot_words
 from permlab.cycles import cycles_from_one_line
 from permlab.enumeration import build_matrix, count, count_table, count_word_pair, member_index
 from permlab.errors import DomainError
+from permlab.toeplitz import shift, shift_inv
 from permlab.verify import run_check
 from permlab.words import (
     ascent_descent,
@@ -133,6 +135,25 @@ def test_every_validator_refuses_letters_that_are_not_ints():
         (lambda: run_check("toeplitz_B", 5.0), "check toeplitz_B needs an int max_n >= 3, got 5.0"),
         (lambda: run_check("closed_form", True), "check closed_form needs an int max_n >= 1, got True"),
     ]
+    # and for the maps' letters, in both forms and both directions: a float
+    # used to escape as a TypeError or come back as a float letter, and True
+    # was read as the letter 1
+    shifted = "shift letters must be ints with 1 <= i != j <= n-2 = 3, got "
+    contracted = "contract needs int letters with |i - j| = 1, got "
+    pivots = "pivot words need ints with 1 <= i, i+2 <= j <= n-1, got "
+    for x in (1.0, True):
+        refusals += [
+            (lambda x=x: shift((1, 5, 2, 3, 4), x, 2), f"{shifted}({x}, 2)"),
+            (lambda x=x: shift_inv((1, 2, 5, 3, 4), x, 2), f"{shifted}({x}, 2)"),
+            (lambda x=x: shift(((1, 5, 2), (3,), (4,)), x, 2, cyclic=True), f"{shifted}({x}, 2)"),
+            (lambda x=x: shift_inv(((1,), (2, 5, 3), (4,)), x, 2, cyclic=True), f"{shifted}({x}, 2)"),
+            (lambda x=x: contract((1, 5, 2, 3, 4), x, 2), f"{contracted}({x}, 2)"),
+            (lambda x=x: contract((1, 2, 3), 2, x, inverse=True), f"{contracted}(2, {x})"),
+            (lambda x=x: contract(((1, 5, 2), (3,), (4,)), x, 2), f"{contracted}({x}, 2)"),
+            (lambda x=x: contract(((1,), (2,), (3,)), 2, x, inverse=True), f"{contracted}(2, {x})"),
+            (lambda x=x: pivot_words(x, 3, 5), f"{pivots}i={x}, j=3, n=5"),
+        ]
+    refusals.append((lambda: pivot_words(1, 3, 5.0), f"{pivots}i=1, j=3, n=5.0"))
     for call, message in refusals:
         with pytest.raises(DomainError) as exc:
             call()
