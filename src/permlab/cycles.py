@@ -6,8 +6,10 @@ letter sets partition {1, ..., n}.  Cyclic descents count the pairs
 c[t] > c[t+1] read around the cycle including the wrap-around pair, and the
 weight of a cycle is min(cyclic descents, cyclic ascents).
 
-The maps validate their input with ``canonicalize_cycles`` once and pass
-their images, letter bijections of a partition, through ``_normalize`` only.
+``_normalize`` is the one min-first rotation and sort, and
+``canonicalize_cycles`` is the partition check followed by it.  The maps
+validate their input with ``canonicalize_cycles`` once and pass their
+images, letter bijections of a partition, through ``_normalize`` only.
 """
 
 from __future__ import annotations
@@ -21,14 +23,6 @@ from .words import Word, _all_ints
 
 Cycle = tuple[int, ...]
 CycleDecomposition = tuple[Cycle, ...]
-
-
-def rotate_min_first(cycle) -> Cycle:
-    c = tuple(cycle)
-    if not c:
-        raise DomainError("empty cycle")
-    k = c.index(min(c))
-    return c[k:] + c[:k]
 
 
 def _normalize(cycles) -> CycleDecomposition:
@@ -51,18 +45,20 @@ def canonicalize_cycles(raw) -> CycleDecomposition:
     identical output.
     """
     try:
-        cycles = [c if c and c[0] == min(c) else rotate_min_first(c) for c in map(tuple, raw)]
+        cycles = [tuple(c) for c in raw]
     except TypeError:
         raise DomainError(f"not a cycle decomposition: {raw}") from None
+    if not all(cycles):
+        raise DomainError("empty cycle")
     letters = list(chain.from_iterable(cycles))
     if not _all_ints(letters):
         raise DomainError(f"cycle letters must be integers, got letters {letters}")
     letters.sort()
     if letters != list(range(1, len(letters) + 1)):
         raise DomainError(f"cycles must partition {{1, ..., n}}, got letters {letters}")
-    # the minima are distinct once the letters partition [n], so plain tuple
-    # order is the order by minimum
-    return tuple(sorted(cycles))
+    # the minima are distinct once the letters partition [n], so _normalize's
+    # plain tuple sort is the order by minimum
+    return _normalize(cycles)
 
 
 def decomposition_size(cycles: CycleDecomposition) -> int:

@@ -480,7 +480,10 @@ def count_word_pair(n: int, d: int, u, v) -> int:
     ``_rank_dp(n)``, built once per n and shared with the ballot table.
     """
     _check_budget("ballot", n)
-    u, v = tuple(u), tuple(v)
+    try:
+        u, v = tuple(u), tuple(v)
+    except TypeError:
+        raise DomainError(f"word-pair counts need two words of letters, got {u!r} and {v!r}") from None
     if not u or not v:
         raise DomainError("word-pair counts need nonempty words on both sides")
     check_word(u + v)
@@ -492,17 +495,18 @@ def count_word_pair(n: int, d: int, u, v) -> int:
 
 
 class MemberIndex:
-    """Member lists of one kind at one n, classified by (d, i, j).
+    """The members of a classified stream of (member, d, neighbors) triples, grouped.
 
-    ``by_d`` maps each statistic to all members; ``by_cell`` maps (d, i, j)
-    to the members whose largest letter has neighbors (i, j).
+    The stream may be whole, as ``member_index`` passes it, or seeded, such as
+    the odd stream's members with one head.  ``by_d`` maps each statistic to
+    the members streamed with it; ``by_cell`` maps (d, i, j) to those whose
+    largest letter has neighbors (i, j).  Each group keeps stream order.
     """
 
-    def __init__(self, kind: str, n: int):
-        self.n = n
+    def __init__(self, stream):
         by_d: dict[int, list] = {}
         by_cell: dict[tuple[int, int, int], list] = {}
-        for member, d, nb in (_ballot_stream if kind == "ballot" else _odd_stream)(n):
+        for member, d, nb in stream:
             by_d.setdefault(d, []).append(member)
             if nb is not None:
                 by_cell.setdefault((d, nb[0], nb[1]), []).append(member)
@@ -516,18 +520,19 @@ class MemberIndex:
         return self.by_cell.get((d, i, j), ())
 
     def cell_union(self, i: int, j: int):
-        """All members containing the factor i n j, any statistic."""
+        """All members containing the factor i n j, any statistic, by increasing statistic."""
         out = []
-        for d in range((self.n - 1) // 2 + 1):
+        for d in sorted(self.by_d):
             out.extend(self.by_cell.get((d, i, j), ()))
         return tuple(out)
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: 3.0 and True are refused, not read as 3 and 1
 def member_index(kind: str, n: int) -> MemberIndex:
+    """The whole member stream of one kind at one n, grouped."""
     _check_kind(kind)
     _check_budget("members", n)
-    return MemberIndex(kind, n)
+    return MemberIndex((_ballot_stream if kind == "ballot" else _odd_stream)(n))
 
 
 def clear_memo() -> None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass
 from functools import partial
-from itertools import permutations
+from itertools import chain, permutations
 from operator import gt
 from typing import Callable, Iterable
 
@@ -40,20 +40,19 @@ from .cycles import format_cycles
 from .enumeration import (
     BUDGETS,
     KINDS,
+    MemberIndex,
     _odd_stream,
-    _pair_vector,
-    _unpack,
     ballot_count_closed,
     count_table,
-    count_word_pair,  # noqa: F401
+    count_word_pair,
     member_index,
 )
 from .errors import BudgetError, DomainError
 # T_roundtrip moves members with _mover, the bare shift kernel, built once per
 # cell and direction: its members are in the domain and its letters in range
-# by construction.  count_word_pair, contract, cycle_flip, shift, shift_inv,
-# lower_core and upper_core stay bound here because perfbench's traced
-# catalog run rebinds each.
+# by construction.  contract, cycle_flip, shift, shift_inv, lower_core and
+# upper_core stay bound here because perfbench's traced catalog run rebinds
+# each.
 from .toeplitz import _mover, lower_core, shift, shift_inv, upper_core  # noqa: F401
 from .words import _all_ints, format_word, height, is_ballot, swap_letters
 
@@ -128,10 +127,6 @@ def _spread_pairs(n: int):
     for i in range(1, n - 2):
         for j in range(i + 2, n):
             yield i, j
-
-
-def _entry(table, d, i, j) -> int:
-    return 0 if i == j else table.cell(d, i, j)
 
 
 def _anchor_classes(idx, n: int, i: int, j: int) -> tuple[list, list]:
@@ -215,12 +210,12 @@ def _phi(n: int):
 
 
 def _toeplitz(kind: str, n: int):
-    table = count_table(kind, n)
-    for d in range((n - 1) // 2 + 1):
+    # every layer is zero on its diagonal, so the layers are the matrices
+    for d, layer in enumerate(count_table(kind, n).cells):
         for i in range(1, n - 1):
             for j in range(1, n - 1):
                 yield _same({"kind": kind, "n": n, "d": d, "i": i, "j": j},
-                            _entry(table, d, i, j), _entry(table, d, i + 1, j + 1))
+                            layer[i - 1][j - 1], layer[i][j])
 
 
 def _symmetry_p(n: int):
@@ -313,12 +308,9 @@ def _lemma42(n: int):
 
     # the cells (d, 1, s) hold the members whose first cycle opens with 1 n s,
     # so only those are streamed, never the whole member list
-    cells: dict[int, dict[int, list]] = {2: {}, 3: {}}
-    for s, by_d in cells.items():
-        for member, d, _ in _odd_stream(n, (1, n, s)):
-            by_d.setdefault(d, []).append(member)
+    idx = MemberIndex(chain(_odd_stream(n, (1, n, 2)), _odd_stream(n, (1, n, 3))))
     for d in range((n - 1) // 2 + 1):
-        yield _bijection({"n": n, "d": d}, cells[2].get(d, ()), cells[3].get(d, ()),
+        yield _bijection({"n": n, "d": d}, idx.cell(d, 1, 2), idx.cell(d, 1, 3),
                          _cycle_flip, _cycle_flip, (("cycle_lengths", lengths),))
 
 
@@ -331,8 +323,8 @@ _PROP43_PAIRS = {"u=1 v=23": ((1,), (2, 3)), "u=23 v=1": ((2, 3), (1,)),
 def _prop43(n: int):
     bt = count_table("ballot", n)
     small = count_table("ballot", n - 3)
-    vectors = [_unpack(_pair_vector(n, u, v), n) for u, v in _PROP43_PAIRS.values()]
-    for d, counts in enumerate(zip(*vectors)):
+    for d in range((n - 1) // 2 + 1):
+        counts = [count_word_pair(n, d, u, v) for u, v in _PROP43_PAIRS.values()]
         for k, (label, lhs) in enumerate(zip(_PROP43_PAIRS, counts)):
             yield _same({"n": n, "d": d, "pair": label}, lhs, small.total(d - 1 - k // 2))
         right_up, left_up, right_down, left_down = counts
@@ -444,7 +436,7 @@ def run_check(name: str, max_n: int | None = None) -> VerificationReport:
     ``max_n`` may not pass the check's cap, the smallest budget its cells
     read; a larger bound is refused before any work starts.
     """
-    info = CHECKS.get(name)
+    info = CHECKS.get(name) if isinstance(name, str) else None
     if info is None:
         raise DomainError(f"unknown check {name!r}; known: {', '.join(CHECKS)}")
     if max_n is None:

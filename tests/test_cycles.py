@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from permlab.cycles import (
+    _normalize,
     canonicalize_cycles,
     cycle_stats,
     cycles_from_one_line,
@@ -12,7 +13,6 @@ from permlab.cycles import (
     max_letter_neighbors,
     parse_cycles,
     perm_weight,
-    rotate_min_first,
 )
 from permlab.bijections import cycle_flip
 from permlab.errors import DomainError
@@ -117,7 +117,8 @@ def test_parse_and_format_cycles():
 def test_canonicalize_is_rotation_invariant(c, r):
     k = r % len(c)
     rotated = c[k:] + c[:k]
-    assert rotate_min_first(rotated) == rotate_min_first(c)
+    assert _normalize([rotated]) == _normalize([c])
+    assert _normalize([c])[0][0] == min(c)
 
 
 def test_canonicalize_idempotent(small_odd):

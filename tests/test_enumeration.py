@@ -12,6 +12,7 @@ from conftest import ballot_cell, odd_cell
 from permlab import enumeration
 from permlab.cycles import format_cycles
 from permlab.enumeration import (
+    MemberIndex,
     _ballot_table,
     _odd_stream,
     _odd_table,
@@ -223,15 +224,19 @@ def test_fused_streams_match_the_standalone_classifier(kind, members, cell_fn, d
 @pytest.mark.parametrize("s", [2, 3])
 def test_seeded_odd_stream_is_the_index_cell(s):
     # opening the first cycle with 1 n s streams exactly the members whose n
-    # has cyclic neighbors (1, s), each with its weight, in index order
+    # has cyclic neighbors (1, s), each with its weight, in index order; the
+    # hand grouping is the oracle for a MemberIndex over the seeded stream
     for n in range(4, 10):
         by_d = {}
         for member, d, nb in _odd_stream(n, (1, n, s)):
             assert nb == (1, s) and odd_cell(member) == (d, (1, s)), (n, member)
             by_d.setdefault(d, []).append(member)
         idx = member_index("odd", n)
-        assert {d: tuple(ms) for d, ms in by_d.items()} == \
-            {d: idx.cell(d, 1, s) for d in range((n - 1) // 2 + 1) if idx.cell(d, 1, s)}, n
+        cells = {d: idx.cell(d, 1, s) for d in range((n - 1) // 2 + 1) if idx.cell(d, 1, s)}
+        assert {d: tuple(ms) for d, ms in by_d.items()} == cells, n
+        seeded = MemberIndex(_odd_stream(n, (1, n, s)))
+        assert seeded.by_cell == {(d, 1, s): ms for d, ms in cells.items()}, n
+        assert seeded.cell_union(1, s) == idx.cell_union(1, s), n
 
 
 def test_odd_table_at_11():
@@ -466,6 +471,8 @@ def test_count_word_pair_validation():
     ((1.5,), (2,), "positive integers"),
     ((1,), (9,), "[1, 4]"),
     ((1,), (5,), "[1, 4]"),
+    (1, (2,), "need two words of letters, got 1 and (2,)"),  # not iterable: used to escape as a TypeError
+    (None, (3,), "need two words of letters, got None and (3,)"),
 ])
 def test_count_word_pair_refuses_words_it_can_never_find(monkeypatch, u, v, message):
     # refused before anything is counted, so the rank DP never runs; a valid

@@ -31,8 +31,10 @@ def test_catalog_is_fixed():
 
 
 def test_unknown_check():
-    with pytest.raises(DomainError):
-        run_check("lemma99")
+    # a name that is not a str, even one that cannot be hashed, is unknown too
+    for name in ("lemma99", ["lemma21"], None):
+        with pytest.raises(DomainError, match="^unknown check "):
+            run_check(name)
 
 
 def test_budget_errors():
@@ -119,6 +121,21 @@ def test_counterexamples_carry_params_lhs_rhs():
         assert ce["lhs"] != ce["rhs"]
     cells = {(ce["params"]["n"], ce["params"]["d"]) for ce in report.counterexamples}
     assert cells == {(5, 2), (6, 2)}
+
+
+def test_prop43_words_reads_its_counts_through_count_word_pair(monkeypatch):
+    # the packed vectors stay inside enumeration: each of the four pairs is
+    # asked for once per statistic at every size, through the public reader
+    calls = []
+
+    def counted(n, d, u, v):
+        calls.append((n, d, u, v))
+        return enumeration.count_word_pair(n, d, u, v)
+
+    monkeypatch.setattr(verify, "count_word_pair", counted)
+    assert run_check("prop43_words", max_n=5).cells_checked == 12 + 18
+    pairs = list(verify._PROP43_PAIRS.values())
+    assert calls == [(n, d, u, v) for n in (4, 5) for d in range((n - 1) // 2 + 1) for u, v in pairs]
 
 
 def test_prop43_words_runs_one_word_pair_dp_per_size(monkeypatch):
