@@ -14,8 +14,8 @@
 * cycle flip: toggle the cyclic neighbors of the largest letter between
   (1, 2) and (1, 3) while preserving the cyclic weight.
 
-``contract`` and ``cycle_flip`` validate and normalize their input once, then
-run a core (``_contract``, ``_cycle_flip``) that trusts the normalized form.
+``flank_swap``, ``contract`` and ``cycle_flip`` validate and normalize their input
+once, then run their underscored cores, which trust the normalized form.
 """
 
 from __future__ import annotations
@@ -127,6 +127,11 @@ def flank_swap(p: Word, i: int, j: int, direction: str = "forward") -> Word:
         raise DomainError(f"direction must be 'forward' or 'backward', got {direction!r}")
     if not is_ballot(p):
         raise DomainError(f"{p} is not ballot, so not in the anchor class of {src}")
+    return _flank_swap(p, src, dst)
+
+
+def _flank_swap(p: Word, src: Word, dst: Word) -> Word:
+    """:func:`flank_swap` of a ballot permutation from the pivot word ``src`` to ``dst``."""
     dec = anchor_decompose(p, src)
     if dec is None:
         raise DomainError(f"{p} is not anchor-decomposable for {src}")

@@ -16,6 +16,8 @@ classified member stream, which stays the oracle, the ballot tables and the
 word pairs against a subset DP over letter sets, the rank DP's witness, and
 the word pairs against a factor search over the members.  Both the stream
 and the counts keep the same budgets.
+``member_index`` and ``anchor_classes`` (the ballot cells split by the pivot
+words) keep member lists under the "members" budget until ``clear_memo``.
 
 A pattern keeps a word only up to the relative order of its letters: its
 length, the rank of one end letter and one more state (a height, or the rank
@@ -39,6 +41,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from math import comb, factorial
 
+from .bijections import is_anchor_decomposable, pivot_words
 from .errors import BudgetError, DomainError
 from .words import Word, _all_ints, check_word, descents
 
@@ -240,12 +243,12 @@ def _freeze(kind: str, n: int, totals: int, cell) -> CountTable:
 def _splits(below: int, between: int, above: int, term) -> int:
     """Sum of C(below, x) C(between, y) C(above, z) term(x, y, z) over the ways to
     choose x free letters below two pinned letters, y between and z above them."""
-    total = 0
+    row, total = [comb(above, z) for z in range(above + 1)], 0
     for x in range(below + 1):
         for y in range(between + 1):
             ways = comb(below, x) * comb(between, y)
-            for z in range(above + 1):
-                total += ways * comb(above, z) * term(x, y, z)
+            for z, c in enumerate(row):
+                total += ways * c * term(x, y, z)
     return total
 
 
@@ -535,9 +538,23 @@ def member_index(kind: str, n: int) -> MemberIndex:
     return MemberIndex((_ballot_stream if kind == "ballot" else _odd_stream)(n))
 
 
+@lru_cache(maxsize=None, typed=True)  # typed, as member_index: True is refused, not read as 1
+def anchor_classes(n: int, i: int, j: int) -> tuple[tuple, tuple, tuple]:
+    """In ``cell_union`` order: the forward pivot anchor class in the ballot cell (i, j-1),
+    the rest of that cell (the letter exchange's domain), the backward class in (j, i)."""
+    forward, backward = pivot_words(i, j, n)
+    idx = member_index("ballot", n)
+    inside, outside = [], []
+    for p in idx.cell_union(i, j - 1):
+        (inside if is_anchor_decomposable(p, forward) else outside).append(p)
+    return (tuple(inside), tuple(outside),
+            tuple(p for p in idx.cell_union(j, i) if is_anchor_decomposable(p, backward)))
+
+
 def clear_memo() -> None:
-    """Clear the memos ``_TABLES``, ``member_index`` and ``_rank_dp``, the rank
-    patterns per n (mainly for tests)."""
+    """Clear the memos ``_TABLES``, ``member_index``, ``anchor_classes`` and
+    ``_rank_dp``, the rank patterns per n (mainly for tests)."""
     _TABLES.clear()
     member_index.cache_clear()
+    anchor_classes.cache_clear()
     _rank_dp.cache_clear()

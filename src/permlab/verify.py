@@ -10,7 +10,12 @@ injective), per-member invariants, and image-set equality against exhaustive
 enumeration; a member that either map refuses is a counterexample of its cell.
 ``T_roundtrip`` shifts each member once forward and each image once back, and
 takes both core widths of its width invariant from those two moves.  The map
-checks call the maps' cores, which trust the streams' normalized members.  Every
+checks call the maps' cores, which trust the streams' normalized members, and
+the three anchor checks share one split per cell, ``anchor_classes``.  The
+public maps and core searches imported beside the cores (``contract``,
+``cycle_flip``, ``exchange_letters``, ``flank_swap``, ``is_anchor_decomposable``,
+``shift``, ``shift_inv``, ``lower_core``, ``upper_core``) are bound only for
+perfbench's traced catalog run, which rebinds them.  Every
 violated cell is recorded, so conjecture-style checks report counterexamples
 instead of raising and the harness doubles as a counterexample search at
 larger budgets.  Reports are deterministic apart from wall time.
@@ -25,23 +30,15 @@ from itertools import chain, permutations
 from operator import gt
 from typing import Callable, Iterable
 
-from .bijections import (
-    _contract,
-    _cycle_flip,
-    anchor_decompose,
-    contract,  # noqa: F401
-    cycle_flip,  # noqa: F401
-    exchange_letters,
-    flank_swap,
-    is_anchor_decomposable,
-    pivot_words,
-)
+from .bijections import _contract, _cycle_flip, _flank_swap, anchor_decompose, pivot_words
+from .bijections import contract, cycle_flip, exchange_letters, flank_swap, is_anchor_decomposable  # noqa: F401
 from .cycles import format_cycles
 from .enumeration import (
     BUDGETS,
     KINDS,
     MemberIndex,
     _odd_stream,
+    anchor_classes,
     ballot_count_closed,
     count_table,
     count_word_pair,
@@ -50,9 +47,10 @@ from .enumeration import (
 from .errors import BudgetError, DomainError
 # T_roundtrip moves members with _mover, the bare shift kernel, built once per
 # cell and direction: its members are in the domain and its letters in range
-# by construction.  contract, cycle_flip, shift, shift_inv, lower_core and
-# upper_core stay bound here because perfbench's traced catalog run rebinds
-# each.
+# by construction.  No check calls contract, cycle_flip, exchange_letters,
+# flank_swap, is_anchor_decomposable, shift, shift_inv, lower_core or
+# upper_core; they stay bound because perfbench's traced catalog run rebinds
+# each (tests/test_verify.py holds the list).
 from .toeplitz import _mover, lower_core, shift, shift_inv, upper_core  # noqa: F401
 from .words import _all_ints, format_word, height, is_ballot, swap_letters
 
@@ -129,13 +127,6 @@ def _spread_pairs(n: int):
             yield i, j
 
 
-def _anchor_classes(idx, n: int, i: int, j: int) -> tuple[list, list]:
-    """The forward and backward pivot anchor classes, each drawn from its neighbor cell."""
-    forward, backward = pivot_words(i, j, n)
-    return ([p for p in idx.cell_union(i, j - 1) if is_anchor_decomposable(p, forward)],
-            [p for p in idx.cell_union(j, i) if is_anchor_decomposable(p, backward)])
-
-
 def _closed_form(n: int):
     b = count_table("ballot", n).grand_total
     p = count_table("odd", n).grand_total
@@ -180,19 +171,18 @@ def _lemma22(n: int):
 
 
 def _thm23(n: int):
-    idx = member_index("ballot", n)
     for i, j in _spread_pairs(n):
-        forward_class, backward_class = _anchor_classes(idx, n, i, j)
+        forward, backward = pivot_words(i, j, n)
+        forward_class, _, backward_class = anchor_classes(n, i, j)
         yield _bijection({"n": n, "i": i, "j": j}, forward_class, backward_class,
-                         lambda p: flank_swap(p, i, j, "forward"),
-                         lambda q: flank_swap(q, i, j, "backward"))
+                         lambda p: _flank_swap(p, forward, backward),
+                         lambda q: _flank_swap(q, backward, forward))
 
 
 def _x_lambda(n: int):
-    idx = member_index("ballot", n)
     table = count_table("ballot", n)
     for i, j in _spread_pairs(n):
-        forward_class, backward_class = _anchor_classes(idx, n, i, j)
+        forward_class, _, backward_class = anchor_classes(n, i, j)
         yield _same({"n": n, "i": i, "j": j, "side": "forward"}, len(forward_class),
                     table.cell(None, i, j - 1) - table.cell(None, i, j))
         yield _same({"n": n, "i": i, "j": j, "side": "backward"}, len(backward_class),
@@ -202,11 +192,9 @@ def _x_lambda(n: int):
 def _phi(n: int):
     idx = member_index("ballot", n)
     for i, j in _spread_pairs(n):
-        word, _ = pivot_words(i, j, n)
-        complement = [p for p in idx.cell_union(i, j - 1) if not is_anchor_decomposable(p, word)]
         # on its domain exchange_letters is the swap of j-1 and j, its own inverse
-        yield _bijection({"n": n, "i": i, "j": j}, complement, idx.cell_union(i, j),
-                         lambda p: exchange_letters(p, i, j), lambda q: swap_letters(q, j - 1, j))
+        yield _bijection({"n": n, "i": i, "j": j}, anchor_classes(n, i, j)[1], idx.cell_union(i, j),
+                         lambda p: swap_letters(p, j - 1, j), lambda q: swap_letters(q, j - 1, j))
 
 
 def _toeplitz(kind: str, n: int):
@@ -228,7 +216,7 @@ def _symmetry_p(n: int):
 
 def _cycle_profile(cycles):
     """(length, cyclic descents) of each cycle, sorted."""
-    return sorted((len(c), sum(map(gt, c, c[1:])) + (c[-1] > c[0])) for c in cycles)
+    return sorted([(len(c), sum(map(gt, c, c[1:] + c[:1]))) for c in cycles])
 
 
 def _shift_maps(n: int, i: int, j: int, cyclic: bool):

@@ -13,10 +13,10 @@ from permlab.bijections import (
     pivot_words,
 )
 from permlab.cycles import max_letter_neighbors, perm_weight
-from permlab.enumeration import member_index
+from permlab.enumeration import anchor_classes, member_index
 from permlab.errors import DomainError
 from permlab.toeplitz import shift
-from permlab.words import find_factor, height, is_ballot
+from permlab.words import find_factor, height, is_ballot, swap_letters
 
 
 def spread_pairs(n):
@@ -113,6 +113,24 @@ def test_flank_swap_round_trip_exhaustive():
                 assert flank_swap(q, i, j, "backward") == p
                 image.append(q)
             assert sorted(image) == sorted(backward)
+
+
+def test_anchor_classes_split_the_cells_and_the_letter_exchange_swaps_the_rest():
+    # the memoized split against a filter over each neighbor cell; on the rest
+    # of the cell (i, j-1) the letter exchange is the swap of j-1 and j, and
+    # its image is the whole cell (i, j)
+    for n in range(4, 8):
+        idx = member_index("ballot", n)
+        for i, j in spread_pairs(n):
+            forward_word, backward_word = pivot_words(i, j, n)
+            cell = idx.cell_union(i, j - 1)
+            rest = tuple(p for p in cell if not is_anchor_decomposable(p, forward_word))
+            assert anchor_classes(n, i, j) == (
+                tuple(p for p in cell if is_anchor_decomposable(p, forward_word)), rest,
+                tuple(p for p in idx.cell_union(j, i) if is_anchor_decomposable(p, backward_word)))
+            image = [exchange_letters(p, i, j) for p in rest]
+            assert image == [swap_letters(p, j - 1, j) for p in rest]
+            assert sorted(image) == sorted(idx.cell_union(i, j))
 
 
 def test_flank_swap_domain_errors():

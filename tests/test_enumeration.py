@@ -17,6 +17,7 @@ from permlab.enumeration import (
     _odd_stream,
     _odd_table,
     _unpack,
+    anchor_classes,
     ballot_count_closed,
     build_matrix,
     count,
@@ -519,7 +520,8 @@ def test_budget_refusals_name_the_budget():
                           (lambda: count_table("ballot", 11), "'ballot' is budgeted up to n=10, got n=11"),
                           (lambda: count_word_pair(11, 1, (1,), (2,)), "'ballot' is budgeted up to n=10, got n=11"),
                           (lambda: build_matrix("odd", 12), "'odd' is budgeted up to n=11, got n=12"),
-                          (lambda: member_index("odd", 10), "'members' is budgeted up to n=9, got n=10")):
+                          (lambda: member_index("odd", 10), "'members' is budgeted up to n=9, got n=10"),
+                          (lambda: anchor_classes(10, 1, 3), "'members' is budgeted up to n=9, got n=10")):
         with pytest.raises(BudgetError) as exc:
             call()
         assert str(exc.value) == message

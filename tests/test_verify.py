@@ -57,7 +57,7 @@ def test_budget_caps_are_pinned():
 
 
 def _memos_empty():
-    cached = (enumeration.member_index, enumeration._rank_dp)
+    cached = (enumeration.member_index, enumeration.anchor_classes, enumeration._rank_dp)
     return enumeration._TABLES == {} and all(fn.cache_info().currsize == 0 for fn in cached)
 
 
@@ -328,6 +328,7 @@ def test_t_roundtrip_reports_cycle_stats_that_change(monkeypatch):
         return profile(cycles) + [(0, 0)] if cycles == target else profile(cycles)
 
     before = profile(target)
+    assert before == [(1, 0), (3, 2)]  # (1 4 2) descends at 4 2 and at the wrap 2 1
     monkeypatch.setattr(verify, "_cycle_profile", off_on_target)
     assert run_check("T_roundtrip", max_n=4).counterexamples == (
         {"params": {"kind": "odd", "n": 4, "d": 1, "i": 1, "j": 2, "property": "cycle_stats",
@@ -349,6 +350,78 @@ def test_lemma42_reports_a_flip_that_changes_cycle_lengths(monkeypatch):
          "lhs": verify._fmt(p), "rhs": verify._fmt(q)}
         for p, q in ((p1, q2), (p2, q1))
     )
+
+
+def test_thm23_reports_a_flank_swap_that_leaves_its_class(monkeypatch):
+    # 1 6 3 4 5 2 is the pivot 1 6 3 4 and the carry 5 2, which the swap must
+    # reverse.  Left unreversed, its image 5 2 3 4 6 1 holds the backward
+    # pivot but is not ballot; the backward core does not ask for ballot, so
+    # it sends that image to the class's other member 1 6 3 4 2 5
+    swap, target, outside = verify._flank_swap, (1, 6, 3, 4, 5, 2), (5, 2, 3, 4, 6, 1)
+    assert swap(target, (1, 6, 3, 4), (3, 4, 6, 1)) == (2, 5, 3, 4, 6, 1)
+    assert not is_ballot(outside)
+    monkeypatch.setattr(verify, "_flank_swap", lambda p, src, dst: outside if p == target else swap(p, src, dst))
+    cell = {"n": 6, "i": 1, "j": 4}
+    assert run_check("thm23_bijection", max_n=6).counterexamples == (
+        {"params": dict(cell, property="roundtrip"), "lhs": "round trip", "rhs": "identity"},
+        {"params": dict(cell, property="image"), "lhs": "missing 2 5 3 4 6 1", "rhs": "extra 5 2 3 4 6 1"},
+    )
+
+
+def test_phi_reports_a_swap_that_leaves_the_target_cell(monkeypatch):
+    # the rest of the cell (1, 2) at n = 5, outside the class of 1 5 2 3, is
+    # 1 5 2 4 3 and 3 4 1 5 2.  The first is sent to the second, which holds
+    # 1 5 2, not 1 5 3, and whose swap back is 2 4 1 5 3, not the first
+    swap, target, outside = verify.swap_letters, (1, 5, 2, 4, 3), (3, 4, 1, 5, 2)
+    assert enumeration.anchor_classes(5, 1, 3)[1] == (target, outside)
+    monkeypatch.setattr(verify, "swap_letters", lambda w, a, b: outside if w == target else swap(w, a, b))
+    cell = {"n": 5, "i": 1, "j": 3}
+    assert run_check("phi_bijection", max_n=5).counterexamples == (
+        {"params": dict(cell, property="roundtrip"), "lhs": "round trip", "rhs": "identity"},
+        {"params": dict(cell, property="image"), "lhs": "missing 1 5 3 4 2", "rhs": "extra 3 4 1 5 2"},
+    )
+
+
+def test_anchor_checks_split_each_cell_once(monkeypatch):
+    # thm23_bijection, x_lambda_identity and phi_bijection read one split per
+    # (n, i, j): each member of the two neighbor cells is tested once, by its
+    # pivot word, until clear_memo, after which every cell is split again.
+    # verify's own binding is counted too, so a check that filtered a cell
+    # itself would show
+    split, calls = enumeration.is_anchor_decomposable, []
+
+    def counted(p, word):
+        calls.append((p, word))
+        return split(p, word)
+
+    expected = []
+    for n in range(4, 7):
+        idx = enumeration.member_index("ballot", n)
+        for i, j in verify._spread_pairs(n):
+            forward, backward = verify.pivot_words(i, j, n)
+            expected += [(p, forward) for p in idx.cell_union(i, j - 1)]
+            expected += [(p, backward) for p in idx.cell_union(j, i)]
+    monkeypatch.setattr(enumeration, "is_anchor_decomposable", counted)
+    monkeypatch.setattr(verify, "is_anchor_decomposable", counted)
+    for _ in range(2):
+        enumeration.clear_memo()
+        calls.clear()
+        for name in ("thm23_bijection", "x_lambda_identity", "phi_bijection"):
+            assert run_check(name, max_n=6).status == "pass", name
+        assert calls == expected
+
+
+# perfbench's traced catalog run rebinds each of these names on verify with
+# getattr and setattr, so a name dropped from verify's imports would crash it
+TRACED_ON_VERIFY = (
+    "count_table", "member_index", "count_word_pair", "ballot_count_closed", "anchor_decompose",
+    "is_anchor_decomposable", "flank_swap", "exchange_letters", "contract", "cycle_flip",
+    "shift", "shift_inv", "lower_core", "upper_core",
+)
+
+
+def test_every_name_the_traced_catalog_rebinds_is_bound_on_verify():
+    assert [name for name in TRACED_ON_VERIFY if not callable(getattr(verify, name, None))] == []
 
 
 def test_lemma22_reports_a_non_ballot_tail_after_an_ascending_junction(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from permlab import enumeration
 from permlab.bijections import contract, pivot_words
 from permlab.cycles import cycles_from_one_line
-from permlab.enumeration import build_matrix, count, count_table, count_word_pair, member_index
+from permlab.enumeration import anchor_classes, build_matrix, count, count_table, count_word_pair, member_index
 from permlab.errors import DomainError
 from permlab.toeplitz import shift, shift_inv
 from permlab.verify import run_check
@@ -152,6 +152,7 @@ def test_every_validator_refuses_letters_that_are_not_ints():
             (lambda x=x: contract(((1, 5, 2), (3,), (4,)), x, 2), f"{contracted}({x}, 2)"),
             (lambda x=x: contract(((1,), (2,), (3,)), 2, x, inverse=True), f"{contracted}(2, {x})"),
             (lambda x=x: pivot_words(x, 3, 5), f"{pivots}i={x}, j=3, n=5"),
+            (lambda x=x: anchor_classes(5, x, 3), f"{pivots}i={x}, j=3, n=5"),
         ]
     refusals.append((lambda: pivot_words(1, 3, 5.0), f"{pivots}i=1, j=3, n=5.0"))
     for call, message in refusals:
@@ -161,11 +162,16 @@ def test_every_validator_refuses_letters_that_are_not_ints():
     assert enumeration._TABLES == {}
     assert enumeration._rank_dp.cache_info().currsize == 0
     assert enumeration.member_index.cache_info().currsize == 0
-    # a warm member_index is no way round the rule, though True == 1 and 3.0 == 3
+    assert enumeration.anchor_classes.cache_info().currsize == 0
+    # a warm memo is no way round the rule, though True == 1 and 3.0 == 3
     for warm, n in ((1, True), (3, 3.0)):
         member_index("odd", warm)
         with pytest.raises(DomainError, match=f"^n must be an int of at least 1, got {n}$"):
             member_index("odd", n)
+    anchor_classes(5, 1, 3)
+    with pytest.raises(DomainError) as exc:
+        anchor_classes(5, True, 3)
+    assert str(exc.value) == f"{pivots}i=True, j=3, n=5"
     for bad in ((True, 2), (2, 1.0)):
         with pytest.raises(DomainError) as exc:
             cycles_from_one_line(bad)
