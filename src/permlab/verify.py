@@ -1,28 +1,48 @@
 """Named exhaustive checks of every counting identity against the count tables and member streams.
 
-Each check is a generator of the cells at one size n, and each cell is the
-list of counterexamples it found.  ``run_check`` owns the one sweep, from the
-check's ``min_n`` up to the requested bound, and counts the cells.  A cell is
-one of two kinds: ``_same`` compares the two sides of an identity between
-table cells (or class sizes) exactly, and ``_bijection`` certifies a map
-between member cells by round trip through its inverse (so the map is
-injective), per-member invariants, and image-set equality against exhaustive
-enumeration; a member that either map refuses is a counterexample of its cell.
-``T_roundtrip`` shifts each member once forward and each image once back, and
-takes both core widths of its width invariant from those two moves.  The map
-checks call the maps' cores, which trust the streams' normalized members, and
-the three anchor checks share one split per cell, ``anchor_classes``.  The
-public maps and core searches imported beside the cores (``contract``,
-``cycle_flip``, ``exchange_letters``, ``flank_swap``, ``is_anchor_decomposable``,
-``shift``, ``shift_inv``, ``lower_core``, ``upper_core``) are bound only for
-perfbench's traced catalog run, which rebinds them.  Every
-violated cell is recorded, so conjecture-style checks report counterexamples
-instead of raising and the harness doubles as a counterexample search at
-larger budgets.  Reports are deterministic apart from wall time.
+Each check is a generator of the cells at one size n.  ``run_check`` owns the
+one sweep, from the check's ``min_n`` up to the requested bound: it makes the
+cells of every size, then evaluates and counts them.  A cell is one of two
+kinds: ``_same`` compares the two sides of an identity between table cells
+(or class sizes) exactly and is the list of counterexamples it found, and
+``_bijection`` certifies a map between member cells by round trip through
+its inverse (so the map is injective), per-member invariants, and image-set
+equality against exhaustive enumeration; a member that either map refuses is
+a counterexample of its cell.  ``T_roundtrip`` shifts each member once
+forward and each image once back, and takes both core widths of its width
+invariant from those two moves.  The map checks call the maps' cores, which
+trust the streams' normalized members, and the three anchor checks share one
+split per cell, ``anchor_classes``.  The public maps and core searches
+imported beside the cores (``contract``, ``cycle_flip``, ``exchange_letters``,
+``flank_swap``, ``is_anchor_decomposable``, ``shift``, ``shift_inv``,
+``lower_core``, ``upper_core``) are bound only for perfbench's traced catalog
+run, which rebinds them.  Every violated cell is recorded, so
+conjecture-style checks report counterexamples instead of raising and the
+harness doubles as a counterexample search at larger budgets.  Reports are
+deterministic apart from wall time.
+
+The five map checks (``lemma21``, ``thm23_bijection``, ``phi_bijection``,
+``T_roundtrip``, ``lemma42``) yield their ``_bijection`` cells deferred, as
+partials with every argument bound, and read every memo they need (member
+indexes, anchor classes, the seeded index of ``lemma42``, the shift kernels)
+while they make them; only the tables the cores fill as they meet members,
+such as the shift's relabelings, fill in whichever process meets them.
+``_run_cells`` runs the deferred cells on every CPU in the process's
+affinity: once per check it forks one child per further CPU, deals each
+worker about the same number of members, runs the first hand itself and
+merges the children's results, sent back through pipes, in cell order, so a
+report does not depend on the worker count.  Where ``os.fork`` or
+``os.sched_getaffinity`` is missing, or the process runs more than one
+thread, it runs every cell in this process.  No option sets the worker
+count: it follows the affinity alone, so ``taskset -c 0`` runs every cell
+in one process.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
+import threading
 import time
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -148,18 +168,19 @@ def _lemma21(n: int):
                 if not 1 <= j <= n - 1:
                     continue
                 for d in range((n - 1) // 2 + 1):
-                    yield _bijection({"kind": kind, "n": n, "d": d, "i": i, "j": j},
-                                     idx.cell(d, i, j), small.stat_class(d - 1) if d >= 1 else (),
-                                     lambda p: _contract(p, i, j, False, cyclic),
-                                     lambda q: _contract(q, i, j, True, cyclic))
+                    yield partial(_bijection, {"kind": kind, "n": n, "d": d, "i": i, "j": j},
+                                  idx.cell(d, i, j), small.stat_class(d - 1) if d >= 1 else (),
+                                  partial(_contract, i=i, j=j, inverse=False, is_cycles=cyclic),
+                                  partial(_contract, i=i, j=j, inverse=True, is_cycles=cyclic))
 
 
 def _lemma22(n: int):
-    idx = member_index("ballot", n)
+    # only members of a pivot word's anchor class can split around it
     for i, j in _spread_pairs(n):
         forward, backward = pivot_words(i, j, n)
-        for word, cell in ((forward, (i, j - 1)), (backward, (j, i))):
-            for p in idx.cell_union(*cell):
+        forward_class, _, backward_class = anchor_classes(n, i, j)
+        for word, members in ((forward, forward_class), (backward, backward_class)):
+            for p in members:
                 dec = anchor_decompose(p, word)
                 if dec is None:
                     continue
@@ -174,9 +195,9 @@ def _thm23(n: int):
     for i, j in _spread_pairs(n):
         forward, backward = pivot_words(i, j, n)
         forward_class, _, backward_class = anchor_classes(n, i, j)
-        yield _bijection({"n": n, "i": i, "j": j}, forward_class, backward_class,
-                         lambda p: _flank_swap(p, forward, backward),
-                         lambda q: _flank_swap(q, backward, forward))
+        yield partial(_bijection, {"n": n, "i": i, "j": j}, forward_class, backward_class,
+                      partial(_flank_swap, src=forward, dst=backward),
+                      partial(_flank_swap, src=backward, dst=forward))
 
 
 def _x_lambda(n: int):
@@ -193,8 +214,9 @@ def _phi(n: int):
     idx = member_index("ballot", n)
     for i, j in _spread_pairs(n):
         # on its domain exchange_letters is the swap of j-1 and j, its own inverse
-        yield _bijection({"n": n, "i": i, "j": j}, anchor_classes(n, i, j)[1], idx.cell_union(i, j),
-                         lambda p: swap_letters(p, j - 1, j), lambda q: swap_letters(q, j - 1, j))
+        swap = partial(swap_letters, a=j - 1, b=j)
+        yield partial(_bijection, {"n": n, "i": i, "j": j}, anchor_classes(n, i, j)[1], idx.cell_union(i, j),
+                      swap, swap)
 
 
 def _toeplitz(kind: str, n: int):
@@ -257,9 +279,8 @@ def _t_roundtrip(n: int):
         idx = member_index(kind, n)
         for d in range((n - 1) // 2 + 1):
             for i, j in permutations(range(1, n - 1), 2):
-                yield _bijection({"kind": kind, "n": n, "d": d, "i": i, "j": j},
-                                 idx.cell(d, i, j), idx.cell(d, i + 1, j + 1),
-                                 *_shift_maps(n, i, j, cyclic))
+                yield partial(_bijection, {"kind": kind, "n": n, "d": d, "i": i, "j": j},
+                              idx.cell(d, i, j), idx.cell(d, i + 1, j + 1), *_shift_maps(n, i, j, cyclic))
 
 
 def _conj_spiro(n: int):
@@ -298,8 +319,8 @@ def _lemma42(n: int):
     # so only those are streamed, never the whole member list
     idx = MemberIndex(chain(_odd_stream(n, (1, n, 2)), _odd_stream(n, (1, n, 3))))
     for d in range((n - 1) // 2 + 1):
-        yield _bijection({"n": n, "d": d}, idx.cell(d, 1, 2), idx.cell(d, 1, 3),
-                         _cycle_flip, _cycle_flip, (("cycle_lengths", lengths),))
+        yield partial(_bijection, {"n": n, "d": d}, idx.cell(d, 1, 2), idx.cell(d, 1, 3),
+                      _cycle_flip, _cycle_flip, (("cycle_lengths", lengths),))
 
 
 # The word pairs (u, v) of prop43_words by label: two ascending, each equated
@@ -418,6 +439,114 @@ def list_checks() -> list[tuple[str, str, int]]:
     return [(info.name, info.description, info.default_max_n) for info in _CATALOG]
 
 
+def _workers(deferred: int) -> int:
+    """How many processes share ``deferred`` cells: one per CPU in this
+    process's affinity, and no more than the cells, where the process can
+    fork and runs one thread; otherwise 1, this process alone."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), deferred))
+
+
+def _child(cells: list) -> tuple[int, int]:
+    """Fork a child that runs ``cells``: its pid and the read end of its pipe.
+
+    The child writes one marshal blob, (True, each cell's counterexamples) or
+    (False, the pickled exception a cell raised), and never returns into its
+    parent's stack: it always ends in ``os._exit``, with status 0 once the
+    blob is written and 1 when it could not write it (an exception that does
+    not pickle, say).
+    """
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    status = 1
+    try:
+        os.close(read)
+        try:
+            blob = marshal.dumps((True, [cell() for cell in cells]))
+        except BaseException as exc:  # the parent raises it again
+            import pickle  # only a failing child needs it
+
+            blob = marshal.dumps((False, pickle.dumps(exc)))
+        with open(write, "wb") as pipe:
+            pipe.write(blob)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _deal(cells: list, deferred: list[int], workers: int) -> list[list[int]]:
+    """The deferred cells' indices dealt to the workers, each hand in cell order.
+
+    A deferred cell is a partial of ``_bijection``, whose second argument is
+    its domain.  Cells go largest domain first, each to the worker holding
+    the fewest members so far, so every worker maps about as many members.
+    """
+    members = {k: len(cells[k].args[1]) for k in deferred}
+    loads, hands = [0] * workers, [[] for _ in range(workers)]
+    for k in sorted(deferred, key=members.get, reverse=True):
+        w = loads.index(min(loads))
+        hands[w].append(k)
+        loads[w] += members[k]
+    return [sorted(hand) for hand in hands]
+
+
+def _run_cells(cells: list) -> list[list]:
+    """Each cell's counterexamples, in cell order.
+
+    A cell is its list of counterexamples, or a deferred map check: a
+    callable that returns that list.  The deferred cells are dealt to the
+    workers (``_workers``, ``_deal``).  Worker 0 is this process; each other
+    worker is a child forked once here, which inherits every memo the cells
+    read, since they were read while the cells were made, and sends its
+    results back through a pipe.  A child's exception is raised here again
+    with its type.  Every child is reaped before this returns or raises.
+    """
+    deferred = [k for k, cell in enumerate(cells) if callable(cell)]
+    hands = _deal(cells, deferred, _workers(len(deferred)))
+    found = list(cells)
+    children = []  # (pid, read end) of each child not yet reaped, in worker order
+    try:
+        for hand in hands[1:]:
+            children.append(_child([cells[k] for k in hand]))
+        for k in hands[0]:
+            found[k] = cells[k]()
+        for hand in hands[1:]:
+            pid, read = children[0]
+            with open(read, "rb", closefd=False) as pipe:
+                blob = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            os.close(read)
+            try:
+                ok, payload = marshal.loads(blob)
+            except (EOFError, ValueError, TypeError):
+                raise RuntimeError(f"a check worker ended with exit status {status} before it sent its cells") from None
+            if not ok:
+                import pickle
+
+                raise pickle.loads(payload)
+            for k, result in zip(hand, payload, strict=True):
+                found[k] = result
+    finally:
+        if children:  # only after an error: stop the children still running
+            import signal
+
+            for pid, read in children:
+                os.close(read)
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return found
+
+
 def run_check(name: str, max_n: int | None = None) -> VerificationReport:
     """Run one named check up to ``max_n`` (its recommended budget by default).
 
@@ -437,16 +566,13 @@ def run_check(name: str, max_n: int | None = None) -> VerificationReport:
             f"budgeted up to n={info.budget_cap}; got max_n={max_n}"
         )
     start = time.perf_counter()
-    cells, counterexamples = 0, []
-    for n in range(info.min_n, max_n + 1):
-        for found in info.cells(n):
-            cells += 1
-            counterexamples.extend(found)
+    cells = [cell for n in range(info.min_n, max_n + 1) for cell in info.cells(n)]
+    counterexamples = [ce for found in _run_cells(cells) for ce in found]
     elapsed_ms = round((time.perf_counter() - start) * 1000.0, 3)
     return VerificationReport(
         check=name,
         max_n=max_n,
-        cells_checked=cells,
+        cells_checked=len(cells),
         status="pass" if not counterexamples else "fail",
         counterexamples=tuple(counterexamples),
         wall_time_ms=elapsed_ms,

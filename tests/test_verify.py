@@ -2,6 +2,8 @@ import dataclasses
 import functools
 import itertools
 import json
+import os
+import threading
 
 import pytest
 
@@ -437,6 +439,124 @@ def test_lemma22_reports_a_non_ballot_tail_after_an_ascending_junction(monkeypat
         {"params": {"n": 4, "i": 1, "j": 3, "anchor": "1 4 2 3", "perm": "1 4 2 3"},
          "lhs": "carry_last=3 tail_1=9", "rhs": "anchor_height=1"},
     )
+
+
+def test_lemma22_splits_only_the_anchor_class_members(monkeypatch):
+    # a member outside its pivot word's anchor class has no split, so each
+    # member of each class is split once, by its pivot word, in cell_union order
+    split, calls = verify.anchor_decompose, []
+
+    def counted(p, word):
+        calls.append((p, word))
+        return split(p, word)
+
+    expected = []
+    for n in range(4, 8):
+        for i, j in verify._spread_pairs(n):
+            forward, backward = verify.pivot_words(i, j, n)
+            forward_class, _, backward_class = enumeration.anchor_classes(n, i, j)
+            expected += [(p, forward) for p in forward_class] + [(p, backward) for p in backward_class]
+    monkeypatch.setattr(verify, "anchor_decompose", counted)
+    assert run_check("lemma22", max_n=7).status == "pass"
+    assert calls == expected
+
+
+def _cpus(monkeypatch, count):
+    """Make the process's CPU affinity read as ``count`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _stripped(report):
+    obj = report.to_json_obj()
+    del obj["wall_time_ms"]
+    return obj
+
+
+def test_workers_fall_back_to_this_process(monkeypatch):
+    _cpus(monkeypatch, 2)
+    assert [verify._workers(cells) for cells in (0, 1, 2, 5)] == [1, 1, 2, 2]
+    # a second thread could hold a lock that a forked child would wait on forever
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert verify._workers(5) == 1
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert verify._workers(5) == 2
+    monkeypatch.delattr(os, "fork")
+    assert verify._workers(5) == 1
+
+
+def test_reports_are_the_same_on_one_worker_and_two(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    runs = {}
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        forks.clear()
+        runs[cpus] = [_stripped(run_check(name)) for name in ALL_CHECKS]
+        runs[cpus] += [_stripped(run_check(name, max_n=9)) for name in ("T_roundtrip", "lemma21")]
+        # a child for each check with deferred cells: the five map checks, twice at max_n = 9
+        assert len(forks) == (cpus - 1) * 7
+    assert runs[1] == runs[2]
+    assert [r["check"] for r in runs[2]] == ALL_CHECKS + ["T_roundtrip", "lemma21"]
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+@pytest.mark.parametrize("failure", ["raise", "exit", "parent"])
+def test_a_failing_worker_fails_the_check_and_every_child_is_reaped(monkeypatch, failure, cpus):
+    # a child's exception comes back with its type; a child that ends without
+    # its results is named by its exit status; the children still running
+    # when a worker fails, this process included, are stopped and reaped.
+    # Four CPUs on a smaller host means more workers than cores
+    _cpus(monkeypatch, cpus)
+    parent, swap = os.getpid(), verify._flank_swap
+
+    def fails(p, src, dst):
+        if failure == "parent" and os.getpid() == parent:
+            raise RuntimeError("map core failed in the parent")
+        if failure != "parent" and os.getpid() != parent:
+            if failure == "exit":
+                os._exit(7)
+            raise RuntimeError("map core failed in a child")
+        return swap(p, src, dst)
+
+    monkeypatch.setattr(verify, "_flank_swap", fails)
+    match = {"raise": "^map core failed in a child$", "exit": "exit status 7",
+             "parent": "^map core failed in the parent$"}[failure]
+    with pytest.raises(RuntimeError, match=match):
+        run_check("thm23_bijection", max_n=6)
+    _assert_no_child_left()
+
+
+def test_memos_are_read_in_the_parent(monkeypatch):
+    # the cells read the member indexes and anchor classes while they are
+    # made, before any fork, so the parent keeps what a cold run built and a
+    # warm run misses none of them
+    _cpus(monkeypatch, 2)
+    cached = (enumeration.anchor_classes, enumeration.member_index)
+    enumeration.clear_memo()
+    cold = run_check("thm23_bijection")
+    assert all(fn.cache_info().currsize > 0 for fn in cached)
+    misses = [fn.cache_info().misses for fn in cached]
+    assert _stripped(run_check("thm23_bijection")) == _stripped(cold)
+    assert [fn.cache_info().misses for fn in cached] == misses
+    _assert_no_child_left()
 
 
 def _one_entry_more(monkeypatch, kind, n, d, i=None, j=None):
