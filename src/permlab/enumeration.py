@@ -17,7 +17,9 @@ word pairs against a subset DP over letter sets, the rank DP's witness, and
 the word pairs against a factor search over the members.  Both the stream
 and the counts keep the same budgets.
 ``member_index`` and ``anchor_classes`` (the ballot cells split by the pivot
-words) keep member lists under the "members" budget until ``clear_memo``.
+words) keep member lists under the "members" budget until ``clear_memo``;
+``odd_head_index`` keeps the odd members with given first-cycle openings,
+streamed seeded, under the "odd" budget.
 
 A pattern keeps a word only up to the relative order of its letters: its
 length, the rank of one end letter and one more state (a height, or the rank
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
+from itertools import chain
 from math import comb, factorial
 
 from .bijections import is_anchor_decomposable, pivot_words
@@ -551,10 +554,19 @@ def anchor_classes(n: int, i: int, j: int) -> tuple[tuple, tuple, tuple]:
             tuple(p for p in idx.cell_union(j, i) if is_anchor_decomposable(p, backward)))
 
 
+@lru_cache(maxsize=None, typed=True)  # typed, as member_index: True is refused, not read as 1
+def odd_head_index(n: int, heads: tuple[Word, ...]) -> MemberIndex:
+    """The odd order members of [n] whose canonical first cycle opens with one
+    of ``heads``, grouped: head after head, each in stream order."""
+    return MemberIndex(chain.from_iterable(_odd_stream(n, head) for head in heads))
+
+
 def clear_memo() -> None:
-    """Clear the memos ``_TABLES``, ``member_index``, ``anchor_classes`` and
-    ``_rank_dp``, the rank patterns per n (mainly for tests)."""
+    """Clear the memos ``_TABLES``, ``member_index``, ``anchor_classes``,
+    ``odd_head_index`` and ``_rank_dp``, the rank patterns per n (mainly for
+    tests)."""
     _TABLES.clear()
     member_index.cache_clear()
     anchor_classes.cache_clear()
+    odd_head_index.cache_clear()
     _rank_dp.cache_clear()

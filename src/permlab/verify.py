@@ -24,18 +24,20 @@ deterministic apart from wall time.
 The five map checks (``lemma21``, ``thm23_bijection``, ``phi_bijection``,
 ``T_roundtrip``, ``lemma42``) yield their ``_bijection`` cells deferred, as
 partials with every argument bound, and read every memo they need (member
-indexes, anchor classes, the seeded index of ``lemma42``, the shift kernels)
+indexes, anchor classes, the seeded odd index of ``lemma42``, the shift kernels)
 while they make them; only the tables the cores fill as they meet members,
 such as the shift's relabelings, fill in whichever process meets them.
 ``_run_cells`` runs the deferred cells on every CPU in the process's
-affinity: once per check it forks one child per further CPU, deals each
-worker about the same number of members, runs the first hand itself and
-merges the children's results, sent back through pipes, in cell order, so a
-report does not depend on the worker count.  Where ``os.fork`` or
+affinity, but gives each worker at least ``_MEMBERS_PER_WORKER`` members,
+so that a fork never costs more than the work it takes over: once per
+check it forks one child per further worker, deals each worker about the
+same number of members, runs the first hand itself and merges the
+children's results, sent back through pipes, in cell order, so a report
+does not depend on the worker count.  Where ``os.fork`` or
 ``os.sched_getaffinity`` is missing, or the process runs more than one
 thread, it runs every cell in this process.  No option sets the worker
-count: it follows the affinity alone, so ``taskset -c 0`` runs every cell
-in one process.
+count: it follows the affinity and the member count alone, so
+``taskset -c 0`` runs every cell in one process.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import threading
 import time
 from dataclasses import asdict, dataclass
 from functools import partial
-from itertools import chain, permutations
+from itertools import permutations
 from operator import gt
 from typing import Callable, Iterable
 
@@ -56,13 +58,12 @@ from .cycles import format_cycles
 from .enumeration import (
     BUDGETS,
     KINDS,
-    MemberIndex,
-    _odd_stream,
     anchor_classes,
     ballot_count_closed,
     count_table,
     count_word_pair,
     member_index,
+    odd_head_index,
 )
 from .errors import BudgetError, DomainError
 # T_roundtrip moves members with _mover, the bare shift kernel, built once per
@@ -316,8 +317,8 @@ def _lemma42(n: int):
         return None if sorted(map(len, p)) == sorted(map(len, q)) else (_fmt(p), _fmt(q))
 
     # the cells (d, 1, s) hold the members whose first cycle opens with 1 n s,
-    # so only those are streamed, never the whole member list
-    idx = MemberIndex(chain(_odd_stream(n, (1, n, 2)), _odd_stream(n, (1, n, 3))))
+    # so only those are streamed, never the whole member list, once per n
+    idx = odd_head_index(n, ((1, n, 2), (1, n, 3)))
     for d in range((n - 1) // 2 + 1):
         yield partial(_bijection, {"n": n, "d": d}, idx.cell(d, 1, 2), idx.cell(d, 1, 3),
                       _cycle_flip, _cycle_flip, (("cycle_lengths", lengths),))
@@ -439,13 +440,21 @@ def list_checks() -> list[tuple[str, str, int]]:
     return [(info.name, info.description, info.default_max_n) for info in _CATALOG]
 
 
-def _workers(deferred: int) -> int:
-    """How many processes share ``deferred`` cells: one per CPU in this
-    process's affinity, and no more than the cells, where the process can
-    fork and runs one thread; otherwise 1, this process alone."""
+# Each worker beyond this process costs one fork here, 3.0-3.8 ms with warm
+# memos, and the cheapest map core certifies a member in about 5 us (the
+# letter swap of phi_bijection; both on a 2-vCPU x86-64 host, CPython 3.11),
+# so a worker takes at least this many members.
+_MEMBERS_PER_WORKER = 700
+
+
+def _workers(members: int) -> int:
+    """How many processes share deferred cells of ``members`` members in all:
+    one per CPU in this process's affinity, but no more than give each
+    ``_MEMBERS_PER_WORKER`` members, where the process can fork and runs one
+    thread; otherwise 1, this process alone."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or threading.active_count() > 1:
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), deferred))
+    return max(1, min(len(os.sched_getaffinity(0)), members // _MEMBERS_PER_WORKER))
 
 
 def _child(cells: list) -> tuple[int, int]:
@@ -483,35 +492,35 @@ def _child(cells: list) -> tuple[int, int]:
         os._exit(status)
 
 
-def _deal(cells: list, deferred: list[int], workers: int) -> list[list[int]]:
+def _deal(loads: dict[int, int], workers: int) -> list[list[int]]:
     """The deferred cells' indices dealt to the workers, each hand in cell order.
 
-    A deferred cell is a partial of ``_bijection``, whose second argument is
-    its domain.  Cells go largest domain first, each to the worker holding
-    the fewest members so far, so every worker maps about as many members.
+    ``loads`` maps each deferred cell's index to its member count.  Cells go
+    largest first, each to the worker holding the fewest members so far, so
+    every worker maps about as many members.
     """
-    members = {k: len(cells[k].args[1]) for k in deferred}
-    loads, hands = [0] * workers, [[] for _ in range(workers)]
-    for k in sorted(deferred, key=members.get, reverse=True):
-        w = loads.index(min(loads))
+    held, hands = [0] * workers, [[] for _ in range(workers)]
+    for k in sorted(loads, key=loads.get, reverse=True):
+        w = held.index(min(held))
         hands[w].append(k)
-        loads[w] += members[k]
+        held[w] += loads[k]
     return [sorted(hand) for hand in hands]
 
 
 def _run_cells(cells: list) -> list[list]:
     """Each cell's counterexamples, in cell order.
 
-    A cell is its list of counterexamples, or a deferred map check: a
-    callable that returns that list.  The deferred cells are dealt to the
-    workers (``_workers``, ``_deal``).  Worker 0 is this process; each other
-    worker is a child forked once here, which inherits every memo the cells
-    read, since they were read while the cells were made, and sends its
-    results back through a pipe.  A child's exception is raised here again
+    A cell is its list of counterexamples, or a deferred map check,
+    ``partial(_bijection, params, domain, ...)``, which returns that list
+    when called; its domain's size is its load.  The deferred cells are
+    dealt to the workers (``_workers``, ``_deal``).  Worker 0 is this
+    process; each other worker is a child forked once here, which inherits
+    every memo the cells read, since they were read while the cells were
+    made, and sends its results back through a pipe.  A child's exception is raised here again
     with its type.  Every child is reaped before this returns or raises.
     """
-    deferred = [k for k, cell in enumerate(cells) if callable(cell)]
-    hands = _deal(cells, deferred, _workers(len(deferred)))
+    loads = {k: len(cell.args[1]) for k, cell in enumerate(cells) if callable(cell)}
+    hands = _deal(loads, _workers(sum(loads.values())))
     found = list(cells)
     children = []  # (pid, read end) of each child not yet reaped, in worker order
     try:

@@ -240,6 +240,21 @@ def test_seeded_odd_stream_is_the_index_cell(s):
         assert seeded.cell_union(1, s) == idx.cell_union(1, s), n
 
 
+def test_odd_head_index_is_kept_until_clear_memo():
+    # head after head, each seeded stream grouped as a MemberIndex of its own
+    heads = ((1, 7, 2), (1, 7, 3))
+    enumeration.clear_memo()
+    idx = enumeration.odd_head_index(7, heads)
+    for s, head in ((2, heads[0]), (3, heads[1])):
+        assert idx.cell_union(1, s) == MemberIndex(_odd_stream(7, head)).cell_union(1, s)
+    assert enumeration.odd_head_index(7, heads) is idx
+    enumeration.clear_memo()
+    assert enumeration.odd_head_index.cache_info().currsize == 0
+    with pytest.raises(BudgetError):
+        enumeration.odd_head_index(enumeration.BUDGETS["odd"] + 1, ((1, 2),))
+    assert enumeration.odd_head_index.cache_info().currsize == 0
+
+
 def test_odd_table_at_11():
     p = [count_table("odd", n).grand_total for n in (9, 10, 11)]
     assert p[2] == ballot_count_closed(11) == 893025 * 11

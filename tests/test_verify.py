@@ -479,31 +479,51 @@ def _stripped(report):
 
 def test_workers_fall_back_to_this_process(monkeypatch):
     _cpus(monkeypatch, 2)
-    assert [verify._workers(cells) for cells in (0, 1, 2, 5)] == [1, 1, 2, 2]
+    floor = verify._MEMBERS_PER_WORKER
+    assert [verify._workers(members) for members in (0, 1, 2 * floor - 1, 2 * floor, 5 * floor)] == [1, 1, 1, 2, 2]
     # a second thread could hold a lock that a forked child would wait on forever
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        assert verify._workers(5) == 1
+        assert verify._workers(5 * floor) == 1
     finally:
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
-    assert verify._workers(5) == 2
+    assert verify._workers(5 * floor) == 2
     monkeypatch.delattr(os, "fork")
-    assert verify._workers(5) == 1
+    assert verify._workers(5 * floor) == 1
 
 
-def test_reports_are_the_same_on_one_worker_and_two(monkeypatch):
-    forks = []
-    fork = os.fork
+def test_each_worker_takes_enough_members_to_pay_for_its_fork(monkeypatch):
+    # more CPUs than the members can keep busy: one worker per floor of
+    # members, and a check that small stays in this process
+    _cpus(monkeypatch, 64)
+    floor = verify._MEMBERS_PER_WORKER
+    assert [verify._workers(members) for members in (floor - 1, 3 * floor, 4 * floor - 1, 100 * floor)] \
+        == [1, 3, 3, 64]
+    forks = _counted_forks(monkeypatch)
+    assert run_check("thm23_bijection", max_n=6).status == "pass"
+    assert forks == []
+
+
+def _counted_forks(monkeypatch):
+    """Count the calls of ``os.fork`` in the list this returns."""
+    forks, fork = [], os.fork
 
     def counted():
         forks.append(1)
         return fork()
 
     monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def test_reports_are_the_same_on_one_worker_and_two(monkeypatch):
+    # every check with deferred cells forks, however few its members
+    monkeypatch.setattr(verify, "_MEMBERS_PER_WORKER", 1)
+    forks = _counted_forks(monkeypatch)
     runs = {}
     for cpus in (1, 2):
         _cpus(monkeypatch, cpus)
@@ -525,6 +545,7 @@ def test_a_failing_worker_fails_the_check_and_every_child_is_reaped(monkeypatch,
     # when a worker fails, this process included, are stopped and reaped.
     # Four CPUs on a smaller host means more workers than cores
     _cpus(monkeypatch, cpus)
+    monkeypatch.setattr(verify, "_MEMBERS_PER_WORKER", 1)
     parent, swap = os.getpid(), verify._flank_swap
 
     def fails(p, src, dst):
@@ -544,17 +565,20 @@ def test_a_failing_worker_fails_the_check_and_every_child_is_reaped(monkeypatch,
     _assert_no_child_left()
 
 
-def test_memos_are_read_in_the_parent(monkeypatch):
-    # the cells read the member indexes and anchor classes while they are
-    # made, before any fork, so the parent keeps what a cold run built and a
-    # warm run misses none of them
+@pytest.mark.parametrize("check, memos", [("thm23_bijection", ("anchor_classes", "member_index")),
+                                          ("lemma42", ("odd_head_index",))])
+def test_memos_are_read_in_the_parent(monkeypatch, check, memos):
+    # the cells read the member indexes, anchor classes and seeded odd
+    # indexes while they are made, before any fork, so the parent keeps what
+    # a cold run built and a warm run misses none of them
     _cpus(monkeypatch, 2)
-    cached = (enumeration.anchor_classes, enumeration.member_index)
+    monkeypatch.setattr(verify, "_MEMBERS_PER_WORKER", 1)
+    cached = [getattr(enumeration, name) for name in memos]
     enumeration.clear_memo()
-    cold = run_check("thm23_bijection")
+    cold = run_check(check)
     assert all(fn.cache_info().currsize > 0 for fn in cached)
     misses = [fn.cache_info().misses for fn in cached]
-    assert _stripped(run_check("thm23_bijection")) == _stripped(cold)
+    assert _stripped(run_check(check)) == _stripped(cold)
     assert [fn.cache_info().misses for fn in cached] == misses
     _assert_no_child_left()
 
