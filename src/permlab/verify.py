@@ -24,25 +24,27 @@ deterministic apart from wall time.
 The five map checks (``lemma21``, ``thm23_bijection``, ``phi_bijection``,
 ``T_roundtrip``, ``lemma42``) yield their ``_bijection`` cells deferred, as
 partials with every argument bound, and read every memo they need (member
-indexes, anchor classes, the seeded odd index of ``lemma42``, the shift kernels)
-while they make them; only the tables the cores fill as they meet members,
+indexes, anchor classes, the seeded odd index of ``lemma42``, the shift
+kernels) while they make them, so the memos stay in this process when
+``_run_cells`` forks; only the tables the cores fill as they meet members,
 such as the shift's relabelings, fill in whichever process meets them.
 ``_run_cells`` runs the deferred cells on every CPU in the process's
-affinity, but gives each worker at least ``_MEMBERS_PER_WORKER`` members,
-so that a fork never costs more than the work it takes over: once per
-check it forks one child per further worker, deals each worker about the
-same number of members, runs the first hand itself and merges the
-children's results, sent back through pipes, in cell order, so a report
-does not depend on the worker count.  Where ``os.fork`` or
-``os.sched_getaffinity`` is missing, or the process runs more than one
-thread, it runs every cell in this process.  No option sets the worker
-count: it follows the affinity and the member count alone, so
-``taskset -c 0`` runs every cell in one process.
+affinity, with at least ``_MEMBERS_PER_WORKER`` members a worker so that a
+fork never costs more than the work it takes over, and merges the results
+in cell order, so a report does not depend on the worker count.  No option
+sets that count: ``taskset -c 0`` runs every cell in one process, as does a
+process without ``os.fork`` or ``os.sched_getaffinity``, or with a second
+thread, which could hold a lock that a child would wait on forever.  Each
+child writes one pickle envelope, (True, its cells' counterexamples) or
+(False, the exception a cell raised): pickle carries exceptions as well as
+results, so the parent raises a child's exception again with its type.  A
+child exits with status 0 only once its envelope is written, so an envelope
+that does not load, from a child that died or whose exception does not
+pickle or unpickle, is reported by that status.
 """
 
 from __future__ import annotations
 
-import marshal
 import os
 import threading
 import time
@@ -457,41 +459,6 @@ def _workers(members: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), members // _MEMBERS_PER_WORKER))
 
 
-def _child(cells: list) -> tuple[int, int]:
-    """Fork a child that runs ``cells``: its pid and the read end of its pipe.
-
-    The child writes one marshal blob, (True, each cell's counterexamples) or
-    (False, the pickled exception a cell raised), and never returns into its
-    parent's stack: it always ends in ``os._exit``, with status 0 once the
-    blob is written and 1 when it could not write it (an exception that does
-    not pickle, say).
-    """
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid:
-        os.close(write)
-        return pid, read
-    status = 1
-    try:
-        os.close(read)
-        try:
-            blob = marshal.dumps((True, [cell() for cell in cells]))
-        except BaseException as exc:  # the parent raises it again
-            import pickle  # only a failing child needs it
-
-            blob = marshal.dumps((False, pickle.dumps(exc)))
-        with open(write, "wb") as pipe:
-            pipe.write(blob)
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def _deal(loads: dict[int, int], workers: int) -> list[list[int]]:
     """The deferred cells' indices dealt to the workers, each hand in cell order.
 
@@ -511,46 +478,64 @@ def _run_cells(cells: list) -> list[list]:
     """Each cell's counterexamples, in cell order.
 
     A cell is its list of counterexamples, or a deferred map check,
-    ``partial(_bijection, params, domain, ...)``, which returns that list
-    when called; its domain's size is its load.  The deferred cells are
-    dealt to the workers (``_workers``, ``_deal``).  Worker 0 is this
-    process; each other worker is a child forked once here, which inherits
-    every memo the cells read, since they were read while the cells were
-    made, and sends its results back through a pipe.  A child's exception is raised here again
-    with its type.  Every child is reaped before this returns or raises.
+    ``partial(_bijection, params, domain, ...)``, whose load is its domain's
+    size.  The deferred cells are dealt to the workers (``_workers``,
+    ``_deal``): this process runs hand 0, and a child forked here runs each
+    other hand.  Every child is reaped before this returns or raises.
     """
     loads = {k: len(cell.args[1]) for k, cell in enumerate(cells) if callable(cell)}
     hands = _deal(loads, _workers(sum(loads.values())))
     found = list(cells)
-    children = []  # (pid, read end) of each child not yet reaped, in worker order
+    children = []  # (pid, read end of its pipe) of each child not yet reaped, in worker order
     try:
         for hand in hands[1:]:
-            children.append(_child([cells[k] for k in hand]))
+            import pickle  # only a check that forks needs it
+
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if not pid:  # the child never returns into this stack
+                status = 1
+                try:
+                    os.close(read)
+                    try:
+                        envelope = (True, [cells[k]() for k in hand])
+                    except BaseException as exc:  # raised again in the parent
+                        envelope = (False, exc)
+                    blob = pickle.dumps(envelope)
+                    with open(write, "wb") as pipe:
+                        pipe.write(blob)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
         for k in hands[0]:
             found[k] = cells[k]()
         for hand in hands[1:]:
-            pid, read = children[0]
-            with open(read, "rb", closefd=False) as pipe:
+            pid, pipe = children[0]
+            with pipe:
                 blob = pipe.read()
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             children.pop(0)
-            os.close(read)
             try:
-                ok, payload = marshal.loads(blob)
-            except (EOFError, ValueError, TypeError):
-                raise RuntimeError(f"a check worker ended with exit status {status} before it sent its cells") from None
+                ok, payload = pickle.loads(blob)
+            except Exception as exc:
+                raise RuntimeError(f"the results of a check worker did not load (exit status {status})") from exc
             if not ok:
-                import pickle
-
-                raise pickle.loads(payload)
+                raise payload
             for k, result in zip(hand, payload, strict=True):
                 found[k] = result
     finally:
         if children:  # only after an error: stop the children still running
             import signal
 
-            for pid, read in children:
-                os.close(read)
+            for pid, pipe in children:
+                pipe.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
     return found

@@ -426,6 +426,8 @@ def test_disk_cache_rejects_wrong_content_with_valid_checksum(tmp_path):
     negative[1][0][1] = -negative[1][0][1]
     overfull = [[list(row) for row in layer] for layer in table.cells]
     overfull[0][0][1] += table.totals[0] + 1
+    long_row = [[list(row) for row in layer] for layer in table.cells]
+    long_row[1][2].append(0)
     forgeries = (
         {"totals": [7], "cells": []},
         {"totals": [1, 22, 21, 1]},                # right sum, wrong length
@@ -433,6 +435,7 @@ def test_disk_cache_rejects_wrong_content_with_valid_checksum(tmp_path):
         {"totals": [1, 22.0, 22]},                 # not ints
         {"cells": cells[:2]},                      # a layer missing
         {"cells": [layer[:3] for layer in cells]}, # a row missing
+        {"cells": long_row},                       # a row too long, every sum kept
         {"cells": diagonal},
         {"cells": negative},
         {"cells": overfull},
@@ -448,18 +451,24 @@ def test_disk_cache_rejects_wrong_content_with_valid_checksum(tmp_path):
 def test_forged_cache_file_is_recomputed(tmp_path, capsys):
     cache = DiskCache(tmp_path)
     enumeration.clear_memo()
-    cache.save(enumeration.count_table("ballot", 5))
-    _forge(cache, "ballot", 5, totals=[7], cells=[])
+    table = enumeration.count_table("ballot", 5)
+    # a zero appended to one row keeps every sum and the diagonal, so only
+    # the row rule of _well_formed refuses that file
+    long_row = [[list(row) for row in layer] for layer in table.cells]
+    long_row[1][2].append(0)
     base = ("--cache-dir", str(tmp_path))
-    for argv, expected in ((("count", "--kind", "ballot", "--n", "5"), "45"),
-                           (("count", "--kind", "ballot", "--n", "5", "--d", "2"), "22"),
-                           (("matrix", "--kind", "ballot", "--n", "5"),
-                            "0 3 2 1\n3 0 3 2\n4 3 0 3\n5 4 3 0")):
-        enumeration.clear_memo()
-        code, out, err = run_cli(capsys, *base, *argv)
-        assert (code, out.strip(), err) == (0, expected, "")
-    # the recomputed table replaced the forged file
-    assert cache.load("ballot", 5) == enumeration.count_table("ballot", 5)
+    for forgery in ({"totals": [7], "cells": []}, {"cells": long_row}):
+        cache.save(table)
+        _forge(cache, "ballot", 5, **forgery)
+        for argv, expected in ((("count", "--kind", "ballot", "--n", "5"), "45"),
+                               (("count", "--kind", "ballot", "--n", "5", "--d", "2"), "22"),
+                               (("matrix", "--kind", "ballot", "--n", "5"),
+                                "0 3 2 1\n3 0 3 2\n4 3 0 3\n5 4 3 0")):
+            enumeration.clear_memo()
+            code, out, err = run_cli(capsys, *base, *argv)
+            assert (code, out.strip(), err) == (0, expected, "")
+        # the recomputed table replaced the forged file
+        assert cache.load("ballot", 5) == table
 
 
 def test_cache_file_that_is_not_a_json_object_is_recomputed(tmp_path, capsys):

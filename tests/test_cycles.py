@@ -25,6 +25,8 @@ def test_cycle_stats_examples():
     assert cycle_stats((1, 4, 3)) == (2, 1, 1)
     assert cycle_stats((5,)) == (0, 1, 0)
     assert cycle_stats((1, 4, 5)) == (1, 2, 1)
+    with pytest.raises(DomainError, match="empty cycle"):
+        cycle_stats(())
 
 
 def test_cycle_stats_matches_the_definition_exhaustive():
@@ -111,6 +113,8 @@ def test_parse_and_format_cycles():
         parse_cycles("1 2 3")
     with pytest.raises(DomainError):
         parse_cycles("(1 2)(3")
+    with pytest.raises(DomainError, match=r"cannot parse cycle \(1 x\)"):
+        parse_cycles("(1 x)")
 
 
 @given(cycle_words, st.integers(0, 8))

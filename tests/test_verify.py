@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import functools
 import itertools
 import json
@@ -562,6 +563,55 @@ def test_a_failing_worker_fails_the_check_and_every_child_is_reaped(monkeypatch,
              "parent": "^map core failed in the parent$"}[failure]
     with pytest.raises(RuntimeError, match=match):
         run_check("thm23_bijection", max_n=6)
+    _assert_no_child_left()
+
+
+def test_a_failed_fork_fails_the_check_and_the_child_forked_first_is_reaped(monkeypatch):
+    _cpus(monkeypatch, 4)
+    monkeypatch.setattr(verify, "_MEMBERS_PER_WORKER", 1)
+    assert run_check("thm23_bijection", max_n=6).status == "pass"  # warm memos
+    refused, fork, forks = OSError(errno.EAGAIN, "no process left"), os.fork, []
+
+    def fails_second():
+        forks.append(1)
+        if len(forks) == 2:
+            raise refused
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fails_second)
+    fds = os.listdir("/proc/self/fd")
+    with pytest.raises(OSError) as caught:
+        run_check("thm23_bijection", max_n=6)
+    assert caught.value is refused
+    _assert_no_child_left()
+    assert os.listdir("/proc/self/fd") == fds
+
+
+class _TwoPartError(Exception):
+    """Pickles, but its unpickling calls it with one argument of two."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} in {where}")
+
+
+@pytest.mark.parametrize("error, status, cause", [
+    (lambda: RuntimeError(lambda: None), 1, EOFError),  # a local function does not pickle
+    (lambda: _TwoPartError("map core failed", "a child"), 0, TypeError),
+], ids=["dumps", "loads"])
+def test_a_child_exception_that_does_not_come_back_is_named_by_its_exit_status(monkeypatch, error, status, cause):
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(verify, "_MEMBERS_PER_WORKER", 1)
+    parent, swap = os.getpid(), verify._flank_swap
+
+    def fails_in_a_child(p, src, dst):
+        if os.getpid() != parent:
+            raise error()
+        return swap(p, src, dst)
+
+    monkeypatch.setattr(verify, "_flank_swap", fails_in_a_child)
+    with pytest.raises(RuntimeError, match=f"exit status {status}") as caught:
+        run_check("thm23_bijection", max_n=6)
+    assert isinstance(caught.value.__cause__, cause)
     _assert_no_child_left()
 
 
