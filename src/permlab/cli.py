@@ -24,7 +24,6 @@ import os
 import sys
 import tempfile
 from itertools import chain
-from pathlib import Path
 
 from . import bijections, enumeration, toeplitz, verify
 from .cycles import format_cycles, parse_cycles
@@ -33,40 +32,28 @@ from .errors import BudgetError, DomainError
 from .words import format_word, parse_word
 
 CACHE_ENV_VAR = "PERMLAB_CACHE"
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
+_PAYLOAD_KEYS = {"cells", "format_version", "kind", "n", "totals"}
 
 
 class DiskCache:
     """Count tables persisted as checksummed JSON files, one per (kind, n).
 
-    Files are written atomically (temp file, then rename).  A file is trusted
-    only if its content equals what ``save`` would write for a well-formed
-    table at its (kind, n): the table's payload plus that payload's checksum,
-    and no other key.  Any other file is ignored and recomputed, never trusted.
+    A file is two lines: the table's payload as compact, key-sorted JSON
+    (format version, kind, n, totals and cells), then the hex SHA-256 of
+    exactly those payload bytes.  Files are written atomically (temp file,
+    then rename).  A file is trusted only if its digest matches, its payload
+    has exactly those five keys, its version, kind and int n are the ones
+    asked for, and its table is well-formed.  Any other file is ignored and
+    recomputed, never trusted; files of other format versions have other
+    names and are never opened.
     """
 
-    def __init__(self, root: Path):
-        self.root = Path(root)
+    def __init__(self, root):
+        self.root = os.fspath(root)
 
-    def _path(self, kind: str, n: int) -> Path:
-        return self.root / f"{kind}-n{n}.v{CACHE_FORMAT_VERSION}.json"
-
-    @staticmethod
-    def _checksum(payload: dict) -> str:
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
-
-    @staticmethod
-    def _blob(table: CountTable) -> dict:
-        """What ``save`` writes for a table: its payload and the payload's checksum."""
-        payload = {
-            "format_version": CACHE_FORMAT_VERSION,
-            "kind": table.kind,
-            "n": table.n,
-            "totals": list(table.totals),
-            "cells": [[list(row) for row in layer] for layer in table.cells],
-        }
-        return dict(payload, checksum=DiskCache._checksum(payload))
+    def _path(self, kind: str, n: int) -> str:
+        return os.path.join(self.root, f"{kind}-n{n}.v{CACHE_FORMAT_VERSION}.json")
 
     @staticmethod
     def _well_formed(n: int, totals, cells) -> bool:
@@ -96,28 +83,37 @@ class DiskCache:
         return sum(totals) == enumeration.ballot_count_closed(n)
 
     def load(self, kind: str, n: int) -> CountTable | None:
-        """The table cached at (kind, n), or None unless the file equals what ``save`` writes for it."""
+        """The table cached at (kind, n), or None unless the file passes every rule above."""
         try:
-            with open(self._path(kind, n), encoding="utf-8") as fh:
-                blob = json.load(fh)
+            with open(self._path(kind, n), "rb", buffering=0) as fh:
+                payload, digest, rest = fh.read().split(b"\n")
+            if rest or hashlib.sha256(payload).hexdigest().encode() != digest:
+                return None
+            blob = json.loads(payload)
+            if not (type(blob) is dict and blob.keys() == _PAYLOAD_KEYS
+                    and type(blob["format_version"]) is int and type(blob["n"]) is int
+                    and (blob["format_version"], blob["kind"], blob["n"])
+                    == (CACHE_FORMAT_VERSION, kind, n)):
+                return None
             totals, cells = blob["totals"], blob["cells"]
             if not self._well_formed(n, totals, cells):
                 return None
-            table = CountTable(kind=kind, n=n, totals=tuple(totals),
-                               cells=tuple(tuple(map(tuple, layer)) for layer in cells))
-            return table if blob == self._blob(table) else None
-        except (OSError, ValueError, KeyError, TypeError, RecursionError):
+            return CountTable(kind=kind, n=n, totals=tuple(totals),
+                              cells=tuple(tuple(map(tuple, layer)) for layer in cells))
+        except (OSError, ValueError, RecursionError):
             return None
 
     def save(self, table: CountTable) -> None:
         """Write one table; a cache directory that cannot be written is a DomainError."""
-        blob = self._blob(table)
+        payload = json.dumps({"cells": table.cells, "format_version": CACHE_FORMAT_VERSION,
+                              "kind": table.kind, "n": table.n, "totals": table.totals},
+                             sort_keys=True, separators=(",", ":")).encode()
         tmp = None
         try:
-            self.root.mkdir(parents=True, exist_ok=True)
+            os.makedirs(self.root, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(blob, fh, sort_keys=True)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(payload + b"\n" + hashlib.sha256(payload).hexdigest().encode() + b"\n")
             os.replace(tmp, self._path(table.kind, table.n))
         except OSError as exc:
             if tmp is not None and os.path.exists(tmp):
@@ -127,7 +123,7 @@ class DiskCache:
 
 def _store(args) -> DiskCache | None:
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR)
-    return DiskCache(Path(cache_dir)) if cache_dir else None
+    return DiskCache(cache_dir) if cache_dir else None
 
 
 def _cmd_count(args) -> int:

@@ -185,13 +185,18 @@ def _lemma22(n: int):
         for word, members in ((forward, forward_class), (backward, backward_class)):
             for p in members:
                 dec = anchor_decompose(p, word)
-                if dec is None:
+                broken = dec is None or (dec.tail and not is_ballot(dec.tail)
+                                         and not (dec.carry_last > dec.tail[0] and height(word) != 1))
+                if not broken:
+                    yield []
                     continue
-                broken = (dec.tail and not is_ballot(dec.tail)
-                          and not (dec.carry_last > dec.tail[0] and height(word) != 1))
-                yield [_ce({"n": n, "i": i, "j": j, "anchor": format_word(word), "perm": format_word(p)},
-                           f"carry_last={dec.carry_last} tail_1={dec.tail[0]}",
-                           f"anchor_height={height(word)}")] if broken else []
+                params = {"n": n, "i": i, "j": j, "anchor": format_word(word), "perm": format_word(p)}
+                if dec is None:
+                    # a class member that does not split is a fault, not a skip
+                    yield [_ce(dict(params, property="no split"), "no split", "a split around the anchor")]
+                else:
+                    yield [_ce(params, f"carry_last={dec.carry_last} tail_1={dec.tail[0]}",
+                               f"anchor_height={height(word)}")]
 
 
 def _thm23(n: int):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -395,25 +396,70 @@ def test_disk_cache_round_trip(tmp_path):
     assert cache.load("ballot", 6) is None
 
 
+def test_disk_cache_file_is_payload_then_its_digest(tmp_path):
+    cache = DiskCache(tmp_path)
+    table = enumeration.count_table("odd", 5)
+    cache.save(table)
+    assert os.listdir(tmp_path) == ["odd-n5.v2.json"]
+    payload, digest, end = _read(cache, "odd", 5).split(b"\n")
+    assert (digest, end) == (hashlib.sha256(payload).hexdigest().encode(), b"")
+    assert payload == json.dumps({"cells": table.cells, "format_version": 2, "kind": "odd", "n": 5,
+                                  "totals": table.totals}, sort_keys=True, separators=(",", ":")).encode()
+
+
+def _read(cache, kind, n) -> bytes:
+    with open(cache._path(kind, n), "rb") as fh:
+        return fh.read()
+
+
+def _write(cache, kind, n, data: bytes) -> None:
+    with open(cache._path(kind, n), "wb") as fh:
+        fh.write(data)
+
+
+def _signed(payload: bytes) -> bytes:
+    """A cache file's bytes: the payload line, then the digest of exactly that payload."""
+    return payload + b"\n" + hashlib.sha256(payload).hexdigest().encode() + b"\n"
+
+
+def _forge(cache, kind, n, content: dict):
+    """Overwrite a cache file's payload and give it a matching digest."""
+    payload = json.loads(_read(cache, kind, n).split(b"\n")[0])
+    payload.update(content)
+    _write(cache, kind, n, _signed(json.dumps(payload).encode()))
+
+
+def _refused_then_recomputed(capsys, cache, table, data: bytes):
+    """``data`` at the table's cache path is not trusted: ``load`` refuses it,
+    and ``count`` (and ``matrix`` from n = 3) rebuild the table and rewrite the file."""
+    kind, n = table.kind, table.n
+    _write(cache, kind, n, data)
+    assert cache.load(kind, n) is None, data[:40]
+    runs = [(("count", "--kind", kind, "--n", str(n)), str(table.grand_total))]
+    if n >= 3:
+        matrix = enumeration.build_matrix(kind, n).to_text()
+        runs.append((("matrix", "--kind", kind, "--n", str(n)), matrix))
+    for argv, expected in runs:
+        _write(cache, kind, n, data)
+        enumeration.clear_memo()
+        code, out, err = run_cli(capsys, "--cache-dir", cache.root, *argv)
+        assert (code, out.strip(), err) == (0, expected, ""), data[:40]
+        assert cache.load(kind, n) == table
+
+
 def test_disk_cache_rejects_corruption(tmp_path):
     cache = DiskCache(tmp_path)
     table = enumeration.count_table("ballot", 5)
     cache.save(table)
-    path = cache._path("ballot", 5)
-    blob = json.loads(path.read_text())
-    blob["totals"][0] += 1  # tamper without fixing the checksum
-    path.write_text(json.dumps(blob))
+    good = _read(cache, "ballot", 5)
+    # tamper with one total without fixing the digest, then with one digest character
+    _write(cache, "ballot", 5, good.replace(b'"totals":[1,', b'"totals":[2,'))
     assert cache.load("ballot", 5) is None
-    path.write_text("not json at all")
+    flipped = good[:-2] + (b"0" if good[-2:-1] != b"0" else b"1") + b"\n"
+    _write(cache, "ballot", 5, flipped)
     assert cache.load("ballot", 5) is None
-
-
-def _forge(cache, kind, n, **content):
-    """Overwrite a cache file's content and give it a matching checksum."""
-    path = cache._path(kind, n)
-    payload = {k: v for k, v in json.loads(path.read_text()).items() if k != "checksum"}
-    payload.update(content)
-    path.write_text(json.dumps(dict(payload, checksum=DiskCache._checksum(payload))))
+    _write(cache, "ballot", 5, b"not json at all")
+    assert cache.load("ballot", 5) is None
 
 
 def test_disk_cache_rejects_wrong_content_with_valid_checksum(tmp_path):
@@ -444,7 +490,7 @@ def test_disk_cache_rejects_wrong_content_with_valid_checksum(tmp_path):
     for content in forgeries:
         cache.save(table)
         assert cache.load("ballot", 5) == table
-        _forge(cache, "ballot", 5, **content)
+        _forge(cache, "ballot", 5, content)
         assert cache.load("ballot", 5) is None, content
 
 
@@ -459,7 +505,7 @@ def test_forged_cache_file_is_recomputed(tmp_path, capsys):
     base = ("--cache-dir", str(tmp_path))
     for forgery in ({"totals": [7], "cells": []}, {"cells": long_row}):
         cache.save(table)
-        _forge(cache, "ballot", 5, **forgery)
+        _forge(cache, "ballot", 5, forgery)
         for argv, expected in ((("count", "--kind", "ballot", "--n", "5"), "45"),
                                (("count", "--kind", "ballot", "--n", "5", "--d", "2"), "22"),
                                (("matrix", "--kind", "ballot", "--n", "5"),
@@ -471,16 +517,108 @@ def test_forged_cache_file_is_recomputed(tmp_path, capsys):
         assert cache.load("ballot", 5) == table
 
 
+def test_cache_file_with_a_wrong_digest_or_line_count_is_recomputed(tmp_path, capsys):
+    cache = DiskCache(tmp_path)
+    table = enumeration.count_table("ballot", 5)
+    cache.save(table)
+    good = _read(cache, "ballot", 5)
+    payload, digest, _ = good.split(b"\n")
+    for data in (
+        payload + b"\n" + hashlib.sha256(payload + b" ").hexdigest().encode() + b"\n",
+        payload + b"\n" + hashlib.sha256(good).hexdigest().encode() + b"\n",
+        payload + b"\n",                        # the digest line missing
+        payload + b"\n" + digest,               # the digest line unterminated
+        good + b"\n",                           # an empty line too many
+        good + digest + b"\n",                  # the digest twice
+        good + b"x",                            # bytes after the digest line
+        b"\n" + good,                           # an empty line first
+    ):
+        _refused_then_recomputed(capsys, cache, table, data)
+
+
+def test_cache_file_in_the_first_format_is_recomputed(tmp_path, capsys):
+    cache = DiskCache(tmp_path)
+    table = enumeration.count_table("ballot", 5)
+    body = {"format_version": 1, "kind": "ballot", "n": 5, "totals": list(table.totals),
+            "cells": [[list(row) for row in layer] for layer in table.cells]}
+    old = dict(body, checksum=hashlib.sha256(
+        json.dumps(body, sort_keys=True, separators=(",", ":")).encode()).hexdigest())
+    # a valid first-format file under its own name is never opened
+    (tmp_path / "ballot-n5.v1.json").write_text(json.dumps(old, sort_keys=True))
+    assert cache.load("ballot", 5) is None
+    # nor is one under the current name, bare or with a valid digest
+    for data in (json.dumps(old, sort_keys=True).encode(), _signed(json.dumps(old).encode())):
+        _refused_then_recomputed(capsys, cache, table, data)
+    assert sorted(os.listdir(tmp_path)) == ["ballot-n5.v1.json", "ballot-n5.v2.json"]
+
+
+def test_cache_file_with_a_wrong_header_and_a_valid_digest_is_recomputed(tmp_path, capsys):
+    cache = DiskCache(tmp_path)
+    table = enumeration.count_table("ballot", 5)
+    for content in ({"format_version": 1}, {"format_version": 2.0}, {"format_version": "2"},
+                    {"kind": "odd"}, {"n": 5.0}, {"n": "5"}):
+        cache.save(table)
+        _forge(cache, "ballot", 5, content)
+        _refused_then_recomputed(capsys, cache, table, _read(cache, "ballot", 5))
+    # at n = 1, true equals the n asked for, so only the int rule refuses it
+    table = enumeration.count_table("ballot", 1)
+    cache.save(table)
+    assert cache.load("ballot", 1) == table
+    _forge(cache, "ballot", 1, {"n": True})
+    _refused_then_recomputed(capsys, cache, table, _read(cache, "ballot", 1))
+
+
 def test_cache_file_that_is_not_a_json_object_is_recomputed(tmp_path, capsys):
     cache = DiskCache(tmp_path)
-    # the last blob is nested too deeply for the JSON parser to read
+    # the last blob is nested too deeply for the JSON parser to read; each
+    # blob is refused bare and with a valid digest
     for blob in ("[]", "null", "5", '"x"', "[" * 200_000 + "]" * 200_000):
-        cache._path("ballot", 5).write_text(blob)
-        assert cache.load("ballot", 5) is None, blob
-        enumeration.clear_memo()
-        code, out, err = run_cli(capsys, "--cache-dir", str(tmp_path),
-                                 "count", "--kind", "ballot", "--n", "5")
-        assert (code, out.strip(), err) == (0, "45", ""), blob[:8]
+        for data in (blob.encode(), _signed(blob.encode())):
+            _write(cache, "ballot", 5, data)
+            assert cache.load("ballot", 5) is None, blob[:8]
+            enumeration.clear_memo()
+            code, out, err = run_cli(capsys, "--cache-dir", str(tmp_path),
+                                     "count", "--kind", "ballot", "--n", "5")
+            assert (code, out.strip(), err) == (0, "45", ""), blob[:8]
+            assert cache.load("ballot", 5) == enumeration.count_table("ballot", 5)
+
+
+def test_a_cache_hit_encodes_nothing(tmp_path, monkeypatch):
+    cache = DiskCache(tmp_path)
+    tables = [enumeration.count_table(kind, n) for kind in enumeration.KINDS for n in (1, 5, 9)]
+    for table in tables:
+        cache.save(table)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cache hit encoded JSON")
+
+    monkeypatch.setattr(json, "dump", refuse)
+    monkeypatch.setattr(json, "dumps", refuse)
+    assert [cache.load(table.kind, table.n) for table in tables] == tables
+
+
+def test_count_and_matrix_print_the_same_bytes_on_a_miss_and_a_hit(tmp_path, capsys, monkeypatch):
+    cache = str(tmp_path)
+    for kind in enumeration.KINDS:
+        for n in range(3, 10):
+            queries = [("count", "--kind", kind, "--n", str(n)),
+                       ("count", "--kind", kind, "--n", str(n), "--d", "1"),
+                       ("count", "--kind", kind, "--n", str(n), "--d", "1", "--i", "1", "--j", "2"),
+                       *(("matrix", "--kind", kind, "--n", str(n), "--format", fmt)
+                         for fmt in ("text", "json", "csv"))]
+            for argv in queries:
+                enumeration.clear_memo()
+                expected = run_cli(capsys, *argv)
+                for path in os.listdir(cache):
+                    os.unlink(os.path.join(cache, path))
+                enumeration.clear_memo()
+                assert run_cli(capsys, "--cache-dir", cache, *argv) == expected, argv
+                assert os.listdir(cache) == [f"{kind}-n{n}.v2.json"]
+                enumeration.clear_memo()
+                with monkeypatch.context() as patch:
+                    # a hit builds nothing
+                    patch.setitem(enumeration._BUILDERS, kind, None)
+                    assert run_cli(capsys, "--cache-dir", cache, *argv) == expected, argv
 
 
 def test_unusable_cache_dir_exits_2_without_traceback(tmp_path):

@@ -462,6 +462,23 @@ def test_lemma22_splits_only_the_anchor_class_members(monkeypatch):
     assert calls == expected
 
 
+def test_lemma22_reports_a_class_member_that_does_not_split(monkeypatch):
+    # the member is still one cell of the check, now a failed one
+    i, j = next(verify._spread_pairs(5))
+    forward, _ = verify.pivot_words(i, j, 5)
+    target = enumeration.anchor_classes(5, i, j)[0][0]
+    split, cells = verify.anchor_decompose, run_check("lemma22", max_n=5).cells_checked
+    monkeypatch.setattr(verify, "anchor_decompose",
+                        lambda p, word: None if (p, word) == (target, forward) else split(p, word))
+    report = run_check("lemma22", max_n=5)
+    assert (report.status, report.cells_checked) == ("fail", cells)
+    assert report.counterexamples == (
+        {"params": {"n": 5, "i": i, "j": j, "anchor": " ".join(map(str, forward)),
+                    "perm": " ".join(map(str, target)), "property": "no split"},
+         "lhs": "no split", "rhs": "a split around the anchor"},
+    )
+
+
 def _cpus(monkeypatch, count):
     """Make the process's CPU affinity read as ``count`` CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
