@@ -156,29 +156,14 @@ def exchange_letters(p: Word, i: int, j: int) -> Word:
     return swap_letters(p, j - 1, j)
 
 
-@cache
-def _contract_tables(n: int, j: int) -> tuple[Word, Word]:
-    """(kept, rank) for contracting [n] by the letters j and n.
-
-    ``kept`` lists the other letters in increasing order after a leading 0,
-    so ``kept[r]`` is the letter of rank r; ``rank`` is indexed by letter and
-    holds each kept letter's rank, and 0 for j and n.
-    """
-    kept = (0, *(x for x in range(1, n + 1) if x not in (j, n)))
-    rank = [0] * (n + 1)
-    for r, x in enumerate(kept[1:], start=1):
-        rank[x] = r
-    return kept, tuple(rank)
-
-
 def contract(p, i: int, j: int, inverse: bool = False):
     """Remove (or re-insert, with inverse=True) the letters j and n around i.
 
     Needs int letters with |i - j| = 1.  Forward input must contain the
     factor i n j (a cyclic factor for decompositions); the remaining letters
-    are relabeled in the order-preserving way, read from tables cached per
-    (n, j).  Accepts a one-line permutation or a cycle decomposition, whose
-    cycles may be tuples or lists, and returns the same kind.
+    are relabeled in the order-preserving way by a kernel cached per key,
+    which holds its tables.  Accepts a one-line permutation or a cycle
+    decomposition, whose cycles may be tuples or lists, and returns the same kind.
     """
     if not _all_ints((i, j)) or abs(i - j) != 1:
         raise DomainError(f"contract needs int letters with |i - j| = 1, got ({i}, {j})")
@@ -188,31 +173,49 @@ def contract(p, i: int, j: int, inverse: bool = False):
 
 
 def _contract(p, i: int, j: int, inverse: bool, is_cycles: bool):
-    """:func:`contract` on canonical cycles (is_cycles=True) or a one-line permutation."""
-    # A word is one non-cyclic row; a decomposition is its cycles.
-    rows = p if is_cycles else (p,)
-    n = sum(map(len, rows)) + (2 if inverse else 0)
-    out = []
-    if inverse:
-        if not (1 <= i <= n - 1 and 1 <= j <= n - 1):
+    """:func:`contract` on canonical cycles (is_cycles=True) or a one-line permutation: its
+    letters are checked here, so a refused call builds no kernel; the kernel checks the factor."""
+    n = sum(map(len, p if is_cycles else (p,))) + (2 if inverse else 0)
+    if not (1 <= i <= n - 1 and 1 <= j <= n - 1):
+        if inverse:
             raise DomainError(f"letters must lie in [1, {n - 1}], got ({i}, {j})")
-        letter = _contract_tables(n, j)[0].__getitem__
-        for row in rows:
-            row = tuple(map(letter, row))
-            if i in row:
-                t = row.index(i) + 1
-                row = row[:t] + (n, j) + row[t:]
-            out.append(row)
-    else:
-        found = max_letter_neighbors(p) == (i, j) if is_cycles else find_factor(p, (i, n, j)) is not None
-        if not found:
-            kind = "cyclic factor" if is_cycles else "factor"
-            raise DomainError(f"{p} does not contain the {kind} {i} {n} {j}")
-        # No row empties: j and n share their row with i.  They rank 0, so
-        # dropping the zeros drops them.
-        rank = _contract_tables(n, j)[1].__getitem__
-        out = [tuple(filter(None, map(rank, row))) for row in rows]
-    return _normalize(out) if is_cycles else out[0]
+        raise _no_factor(p, i, n, j, is_cycles)
+    return _contractor(n, i, j, inverse, is_cycles)(p)
+
+
+def _no_factor(p, i: int, n: int, j: int, is_cycles: bool) -> DomainError:
+    return DomainError(f"{p} does not contain the {'cyclic factor' if is_cycles else 'factor'} {i} {n} {j}")
+
+
+@cache
+def _contractor(n: int, i: int, j: int, inverse: bool, is_cycles: bool):
+    """The contraction (expansion if inverse) at one key: a function of one input that
+    trusts its form and letters and refuses only a forward input without the factor.
+    Its tables are bound once: ``letter(r)`` is the letter of rank r among [n] without
+    j and n (0 for r = 0), and ``rank(x)`` the rank of the letter x (0 for j and n)."""
+    letter = (0, *(x for x in range(1, n) if x != j)).__getitem__
+    rank = [0 if x in (j, n) else x - (x > j) for x in range(n + 1)].__getitem__
+
+    def kernel(p):
+        # A word is one non-cyclic row; a decomposition is its cycles.
+        rows = p if is_cycles else (p,)
+        if inverse:
+            out = []
+            for row in rows:
+                row = tuple(map(letter, row))
+                if i in row:
+                    t = row.index(i) + 1
+                    row = row[:t] + (n, j) + row[t:]
+                out.append(row)
+        else:
+            if not (max_letter_neighbors(p) == (i, j) if is_cycles else find_factor(p, (i, n, j)) is not None):
+                raise _no_factor(p, i, n, j, is_cycles)
+            # No row empties: j and n share their row with i.  They rank 0, so
+            # dropping the zeros drops them.
+            out = [tuple(filter(None, map(rank, row))) for row in rows]
+        return _normalize(out) if is_cycles else out[0]
+
+    return kernel
 
 
 def cycle_flip(cycles: CycleDecomposition) -> CycleDecomposition:

@@ -5,13 +5,13 @@ sends a permutation whose largest letter n has neighbors (i, j) to one with
 neighbors (i+1, j+1), preserving the descent number (one-line form) or every
 cycle's length and cyclic descent number (cycle form).
 
-One kernel serves both directions.  ``_mover(n, i, j, cyclic, upper)`` binds
-everything that depends only on that key once: m and M, the factor letters
-it expects, the walk direction, the width-0 stop letter and the full run.
-It returns a function of one member, so a caller that moves many members of
-one cell (``verify``'s ``T_roundtrip``) builds it once per cell and
-direction, and a single call builds it for one member.  No kernel is cached
-between cells.
+One kernel serves both directions.  ``_mover(n, i, j, cyclic, upper)`` is
+cached per key, at most 4(n-2)(n-3) kernels per n, and binds everything
+that depends only on its key once: m and M, the factor letters it expects,
+the walk direction, the width-0 stop letter, the full run and the relabel
+table of every core width.  It returns a function of one member, so
+``verify`` builds every kernel and table ``T_roundtrip`` reads while it
+makes the cells, and a forked worker inherits them all.
 
 The kernel finds the core at one end of the interval [m, M+1]: the widest
 run of "discretely continuous" letters anchored next to n.  Its search is
@@ -25,7 +25,7 @@ so the run can only grow away from n and the walk finds its whole width.
 The kernel then writes the core of the same width at the other end and
 relabels the interval letters displaced by the rewrite in the
 order-preserving way.  That relabeling depends only on (n, i, j, width, end),
-so it is built once per key as a table from letter to image.  The shift
+so its kernel holds one table from letter to image per width.  The shift
 reads the core at the lower end (neighbors i, j) and writes it at the upper
 end (neighbors i+1, j+1); its inverse reads and writes the other way round.
 The two cores are mirror images under x -> m + M + 1 - x, and the whole
@@ -48,7 +48,6 @@ from .errors import DomainError
 from .words import Word, _all_ints, check_permutation, is_ballot
 
 
-@cache
 def _run(m: int, M: int, length: int, upper: bool) -> Word:
     """Run of the given length at one end of [m, M+1]: m, m+1, ... writing M+1
     in place of M at the lower end, or its mirror image M+1, M, ... writing m
@@ -58,7 +57,6 @@ def _run(m: int, M: int, length: int, upper: bool) -> Word:
     return tuple(M + 1 if x == M else x for x in range(m, m + length))
 
 
-@cache
 def _core_word(n: int, i: int, j: int, width: int, upper: bool) -> Word:
     """The core of the given width next to n, at neighbors (i, j) on the lower
     end or (i+1, j+1) on the upper end."""
@@ -72,7 +70,6 @@ def _checked(p, cyclic: bool):
     return canonicalize_cycles(p) if cyclic else check_permutation(p)
 
 
-@cache
 def _relabel(n: int, i: int, j: int, width: int, upper: bool) -> Word:
     """Letter images, indexed by letter, of the rewrite that replaces the core at
     one end of [m, M+1] by the core of the same width at the other end and
@@ -88,6 +85,7 @@ def _relabel(n: int, i: int, j: int, width: int, upper: bool) -> Word:
     return tuple(table)
 
 
+@cache
 def _mover(n: int, i: int, j: int, cyclic: bool, upper: bool):
     """The move at one key: a function p -> (image, width) that rewrites the
     core at one end of [m, M+1] (the lower end for the shift, upper=False)
@@ -107,6 +105,7 @@ def _mover(n: int, i: int, j: int, cyclic: bool, upper: bool):
     step = 1 if (i < j) == upper else -1
     stop = m if upper else M + 1
     run = _run(m, M, M - m + 1, upper)
+    tables = tuple(_relabel(n, i, j, width, upper) for width in range(M - m + 2))
 
     def move(p):
         # Letters are distinct, so a factor occurs exactly when its letters
@@ -133,7 +132,7 @@ def _mover(n: int, i: int, j: int, cyclic: bool, upper: bool):
                 if ring[t + step * (width + 1)] != x:
                     break
                 width += 1
-        image = _relabel(n, i, j, width, upper).__getitem__
+        image = tables[width].__getitem__
         if cyclic:
             return _normalize([tuple(map(image, c)) for c in p]), width
         return tuple(map(image, p)), width
@@ -142,8 +141,8 @@ def _mover(n: int, i: int, j: int, cyclic: bool, upper: bool):
 
 
 def _move(p, i: int, j: int, cyclic: bool, upper: bool):
-    """(image, width) of one normalized input: the int letters 1 <= i != j <= n-2
-    are checked here, then the kernel ``_mover`` checks the factor."""
+    """(image, width) of one normalized input: the int letters 1 <= i != j <= n-2 are
+    checked here, so a refused call builds no kernel, then ``_mover`` checks the factor."""
     n = decomposition_size(p) if cyclic else len(p)
     if not _all_ints((i, j)) or i == j or not (1 <= i <= n - 2 and 1 <= j <= n - 2):
         if cyclic:

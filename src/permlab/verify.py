@@ -24,10 +24,9 @@ deterministic apart from wall time.
 The five map checks (``lemma21``, ``thm23_bijection``, ``phi_bijection``,
 ``T_roundtrip``, ``lemma42``) yield their ``_bijection`` cells deferred, as
 partials with every argument bound, and read every memo they need (member
-indexes, anchor classes, the seeded odd index of ``lemma42``, the shift
-kernels) while they make them, so the memos stay in this process when
-``_run_cells`` forks; only the tables the cores fill as they meet members,
-such as the shift's relabelings, fill in whichever process meets them.
+indexes, anchor classes, the seeded odd index of ``lemma42``, the shift and
+contraction kernels with every table they read) while they make them, so
+the memos stay in this process when ``_run_cells`` forks.
 ``_run_cells`` runs the deferred cells on every CPU in the process's
 affinity, with at least ``_MEMBERS_PER_WORKER`` members a worker so that a
 fork never costs more than the work it takes over, and merges the results
@@ -54,7 +53,7 @@ from itertools import permutations
 from operator import gt
 from typing import Callable, Iterable
 
-from .bijections import _contract, _cycle_flip, _flank_swap, anchor_decompose, pivot_words
+from .bijections import _contractor, _cycle_flip, _flank_swap, anchor_decompose, pivot_words
 from .bijections import contract, cycle_flip, exchange_letters, flank_swap, is_anchor_decomposable  # noqa: F401
 from .cycles import format_cycles
 from .enumeration import (
@@ -68,12 +67,12 @@ from .enumeration import (
     odd_head_index,
 )
 from .errors import BudgetError, DomainError
-# T_roundtrip moves members with _mover, the bare shift kernel, built once per
-# cell and direction: its members are in the domain and its letters in range
-# by construction.  No check calls contract, cycle_flip, exchange_letters,
-# flank_swap, is_anchor_decomposable, shift, shift_inv, lower_core or
-# upper_core; they stay bound because perfbench's traced catalog run rebinds
-# each (tests/test_verify.py holds the list).
+# T_roundtrip and lemma21 move members with the bare kernels _mover and
+# _contractor, cached per key: their members are in the domain and their
+# letters in range by construction.  No check calls contract, cycle_flip,
+# exchange_letters, flank_swap, is_anchor_decomposable, shift, shift_inv,
+# lower_core or upper_core; they stay bound because perfbench's traced
+# catalog run rebinds each (tests/test_verify.py holds the list).
 from .toeplitz import _mover, lower_core, shift, shift_inv, upper_core  # noqa: F401
 from .words import _all_ints, format_word, height, is_ballot, swap_letters
 
@@ -170,11 +169,10 @@ def _lemma21(n: int):
             for j in (i - 1, i + 1):
                 if not 1 <= j <= n - 1:
                     continue
+                maps = _contractor(n, i, j, False, cyclic), _contractor(n, i, j, True, cyclic)
                 for d in range((n - 1) // 2 + 1):
                     yield partial(_bijection, {"kind": kind, "n": n, "d": d, "i": i, "j": j},
-                                  idx.cell(d, i, j), small.stat_class(d - 1) if d >= 1 else (),
-                                  partial(_contract, i=i, j=j, inverse=False, is_cycles=cyclic),
-                                  partial(_contract, i=i, j=j, inverse=True, is_cycles=cyclic))
+                                  idx.cell(d, i, j), small.stat_class(d - 1) if d >= 1 else (), *maps)
 
 
 def _lemma22(n: int):
@@ -252,7 +250,7 @@ def _cycle_profile(cycles):
 def _shift_maps(n: int, i: int, j: int, cyclic: bool):
     """(fwd, inv, invariants) of one shift cell, each member moved once each way.
 
-    The cell's two shift kernels are built once.  ``_bijection`` maps p to
+    The cell reads its two shift kernels once.  ``_bijection`` maps p to
     q = fwd(p), then q back by inv, then reads the invariants of (p, q).
     Each move records the width of the core it read, so the width invariant
     compares the width found on p at the lower end with the width found on q

@@ -3,7 +3,7 @@ import pytest
 from permlab.bijections import (
     AnchorDecomposition,
     _carry_candidates,
-    _contract_tables,
+    _contractor,
     anchor_decompose,
     contract,
     cycle_flip,
@@ -12,7 +12,7 @@ from permlab.bijections import (
     is_anchor_decomposable,
     pivot_words,
 )
-from permlab.cycles import max_letter_neighbors, perm_weight
+from permlab.cycles import _normalize, max_letter_neighbors, perm_weight
 from permlab.enumeration import anchor_classes, member_index
 from permlab.errors import DomainError
 from permlab.toeplitz import shift
@@ -210,19 +210,24 @@ def test_contract_reads_cycles_spelled_as_lists_like_shift():
 
 def test_contract_tables_are_the_sorted_set_and_rank_dict():
     # by the definition: the letters of [n] other than j and n in increasing
-    # order, and the rank of each among them
+    # order, and the rank of each among them.  The tables live in the kernels,
+    # so they are pinned through the images: a member holding i n j, in either
+    # form, maps each kept letter to its rank, and the expansion maps each
+    # rank back to its letter.  No kernel reads the tables at j = n, where
+    # the factor i n j cannot occur
     for n in range(1, 13):
-        for j in range(1, n + 1):
-            kept, rank = _contract_tables(n, j)
+        for j in range(1, n):
             old_kept = sorted(set(range(1, n + 1)) - {j, n})
             old_rank = {x: r for r, x in enumerate(old_kept, start=1)}
-            assert kept == (0, *old_kept)
-            assert len(rank) == n + 1
-            assert {x: rank[x] for x in range(1, n + 1) if rank[x]} == old_rank
-            assert rank[0] == rank[j] == rank[n] == 0
-            # so the contraction's letter map is a bijection of the kept
-            # letters onto [n-2], and the expansion's its inverse fixing 0
-            assert [kept[rank[x]] for x in kept] == list(kept)
+            for i in (j - 1, j + 1):
+                if not 1 <= i <= n - 1:
+                    continue
+                line = (i, n, j, *(x for x in old_kept if x != i))
+                image = tuple(old_rank[x] for x in line if x not in (j, n))
+                for is_cycles, member, contracted in ((False, line, image),
+                                                      (True, _normalize([line]), _normalize([image]))):
+                    assert _contractor(n, i, j, False, is_cycles)(member) == contracted, (n, i, j)
+                    assert _contractor(n, i, j, True, is_cycles)(contracted) == member, (n, i, j)
 
 
 def test_contract_round_trip_exhaustive():

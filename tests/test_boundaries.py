@@ -5,17 +5,19 @@ The cores (``toeplitz._move``, ``bijections._contract``,
 again, which is sound because every rewrite is a letter bijection (pinned
 by the relabel and contraction table tests).  These tests pin the boundary:
 the public entries agree with the cores on any spelling of a member, and
-bad input still gets the same refusal from every public map.
+bad input still gets the same refusal from every public map.  Each core
+runs a kernel cached per key (``toeplitz._mover``, ``bijections._contractor``);
+one key builds one kernel, and a refused call builds none.
 """
 
 from itertools import permutations
 
 import pytest
 
-from permlab.bijections import _contract, _cycle_flip, contract, cycle_flip, exchange_letters, flank_swap
+from permlab.bijections import _contract, _contractor, _cycle_flip, contract, cycle_flip, exchange_letters, flank_swap
 from permlab.enumeration import _ballot_stream, _odd_stream
 from permlab.errors import DomainError
-from permlab.toeplitz import _move, lower_core, shift, shift_inv, upper_core
+from permlab.toeplitz import _move, _mover, lower_core, shift, shift_inv, upper_core
 
 
 def outcome(call):
@@ -140,3 +142,50 @@ def test_each_public_map_refuses_a_word_whose_letters_are_not_ints(op, first):
     with pytest.raises(DomainError) as exc:
         LINE_MAPS[op](word)
     assert str(exc.value) == f"not a one-line permutation of [5]: {word}"
+
+
+def _kernel_caches():
+    return _mover.cache_info(), _contractor.cache_info()
+
+
+def test_one_key_builds_one_kernel():
+    # the single-call path: calls on members of one key read one cached
+    # kernel, and lower_core reads the shift's
+    _mover.cache_clear()
+    _contractor.cache_clear()
+    first, second = (1, 5, 2, 3, 4), (1, 5, 2, 4, 3)  # ballot, 5 flanked by (1, 2)
+    for p in (first, second):
+        shift(p, 1, 2)
+    lower_core(first, 1, 2)
+    for p in (first, second):
+        contract(p, 1, 2)
+    mover, contractor = _kernel_caches()
+    assert (mover.misses, mover.hits, contractor.misses, contractor.hits) == (1, 2, 1, 1)
+
+
+# Calls refused before any kernel is built, as (map, input, i, j, cyclic or inverse)
+WORD, CYCLES, SMALL = (1, 5, 2, 3, 4), ((1, 5, 2), (3,), (4,)), (1, 2, 3)
+REFUSED = [
+    # shift letters out of range, equal, bool or float
+    *((fn, p, i, j, cyclic) for fn in (shift, shift_inv, lower_core) for p, cyclic in ((WORD, False), (CYCLES, True))
+      for i, j in ((0, 2), (1, 1), (1, 4), (4, 1), (-1, 2), (True, 2), (1, False), (1.0, 2))),
+    # outside the shift's domain: not ballot, not of odd order
+    (shift, (2, 1, 5, 3, 4), 1, 2, False),
+    (shift, ((1, 5, 2, 3), (4,)), 1, 2, True),
+    # the wrong form: a repeated letter, overlapping cycles, a word given as cycles
+    *((fn, p, 1, 2, cyclic) for fn in (shift, shift_inv, lower_core)
+      for p, cyclic in (((1, 1, 2, 3, 4), False), (((1, 5, 2), (2, 3, 4)), True), ((1, 5, 2, 3, 4), True))),
+    # contraction letters at n or 0, where no factor i n j can hold them,
+    # not adjacent, or bool, both ways; then inputs of the wrong form
+    *((contract, p, i, j, False) for p in (WORD, CYCLES) for i, j in ((4, 5), (5, 4), (0, 1), (1, 3), (True, 2))),
+    *((contract, SMALL, i, j, True) for i, j in ((4, 5), (5, 4), (0, 1), (1, 3), (True, 2))),
+    *((contract, p, 1, 2, inverse) for p in ((1, 1, 2), ((1, 5, 2), (2, 3, 4)), (1.0, 2, 3)) for inverse in (False, True)),
+]
+
+
+def test_a_refused_call_builds_no_kernel():
+    before = _kernel_caches()
+    for fn, p, i, j, flag in REFUSED:
+        with pytest.raises(DomainError):
+            fn(p, i, j, cyclic=flag) if fn is not contract else fn(p, i, j, inverse=flag)
+        assert _kernel_caches() == before, (fn.__name__, p, i, j, flag)

@@ -312,14 +312,19 @@ def test_verify_reports_a_refused_member_red(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--check", "lemma21", "--max-n", "5", "--format", "json")
     assert code == 0
     cells = json.loads(out)["cells_checked"]
-    real = verify._contract
+    real = verify._contractor
 
-    def contract(p, i, j, inverse, is_cycles):
-        if p == (1, 4, 2, 3):
-            raise DomainError("refused for the test")
-        return real(p, i, j, inverse, is_cycles)
+    def contractor(n, i, j, inverse, is_cycles):
+        kernel = real(n, i, j, inverse, is_cycles)
 
-    monkeypatch.setattr(verify, "_contract", contract)
+        def refusing(p):
+            if p == (1, 4, 2, 3):
+                raise DomainError("refused for the test")
+            return kernel(p)
+
+        return refusing
+
+    monkeypatch.setattr(verify, "_contractor", contractor)
     code, out, err = run_cli(capsys, "verify", "--check", "lemma21", "--max-n", "5", "--format", "json")
     report = json.loads(out)
     assert (code, err, report["status"], report["cells_checked"]) == (1, "", "fail", cells)

@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import threading
+import warnings
 
 import pytest
 
@@ -64,17 +65,23 @@ def _memos_empty():
     return enumeration._TABLES == {} and all(fn.cache_info().currsize == 0 for fn in cached)
 
 
+def _kernels():
+    """The sizes of the two kernel caches, which ``clear_memo`` leaves alone."""
+    return verify._mover.cache_info().currsize, verify._contractor.cache_info().currsize
+
+
 def test_every_check_refuses_past_its_cap_before_any_work(capsys):
     for name, info in CHECKS.items():
         enumeration.clear_memo()
+        kernels = _kernels()
         with pytest.raises(BudgetError, match=f"check {name} reads"):
             run_check(name, max_n=info.budget_cap + 1)
-        assert _memos_empty(), name
+        assert _memos_empty() and _kernels() == kernels, name
         code = main(["verify", "--check", name, "--max-n", str(info.budget_cap + 1)])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, ""), name
         assert "budget" in captured.err
-        assert _memos_empty(), name
+        assert _memos_empty() and _kernels() == kernels, name
 
 
 def test_lemma22_runs_at_its_members_budget():
@@ -647,6 +654,42 @@ def test_memos_are_read_in_the_parent(monkeypatch, check, memos):
     misses = [fn.cache_info().misses for fn in cached]
     assert _stripped(run_check(check)) == _stripped(cold)
     assert [fn.cache_info().misses for fn in cached] == misses
+    _assert_no_child_left()
+
+
+def test_the_kernels_are_built_in_the_parent(monkeypatch, capsys):
+    # the shift and contraction kernels hold every table their maps read and
+    # are built while the cells are made, so a cold catalog forking workers
+    # leaves the parent the same kernels as one run in one process, and a
+    # warm catalog builds none
+    monkeypatch.setattr(verify, "_MEMBERS_PER_WORKER", 1)
+    sizes = {}
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        verify._mover.cache_clear()
+        verify._contractor.cache_clear()
+        enumeration.clear_memo()
+        assert main(["verify", "--check", "all"]) == 1  # prop43_words is red by design
+        sizes[cpus] = _kernels()
+    assert sizes[1] == sizes[2] and min(sizes[2]) > 0, sizes
+    misses = verify._mover.cache_info().misses, verify._contractor.cache_info().misses
+    assert main(["verify", "--check", "all"]) == 1
+    assert (verify._mover.cache_info().misses, verify._contractor.cache_info().misses) == misses
+    capsys.readouterr()
+    _assert_no_child_left()
+
+
+def test_forking_workers_sees_no_second_thread(monkeypatch):
+    # CPython 3.12 and later warn when a process with more than one thread
+    # forks, so there this fails if any thread, started through threading or
+    # not, is alive at a fork
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(verify, "_MEMBERS_PER_WORKER", 1)
+    forks = _counted_forks(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", message="This process", category=DeprecationWarning)
+        assert run_check("T_roundtrip").status == "pass"
+    assert forks == [1]
     _assert_no_child_left()
 
 
