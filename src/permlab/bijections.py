@@ -16,13 +16,23 @@
 
 ``flank_swap``, ``contract`` and ``cycle_flip`` validate and normalize their input
 once, then run their underscored cores, which trust the normalized form.
+
+The maximal carry is found in one scan past the anchor.  For the leftmost
+occurrence p[start:split] of the anchor, let rel(g) be the height of
+p[split-1:split+g], the anchor's last letter followed by a carry of length g.
+Then height(p[:split+g]) = height(p[:start+1]) + height(anchor) + rel(g), so the
+height condition reads rel(g) = -height(p[:start+1]).  A word is ballot when
+its prefixes have height >= 0, and height(reversed w) = -height(w), so the
+reversed carry followed by the anchor's last letter is ballot exactly when
+every suffix of p[split-1:split+g] has height <= 0.  The suffix that starts
+after g' letters of the carry has height rel(g) - rel(g'), so that holds
+exactly when rel(g) is a running minimum: rel(g) <= rel(g') for every g' <= g.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate
 
 from .cycles import (
     CycleDecomposition,
@@ -59,27 +69,34 @@ class AnchorDecomposition:
         return self.carry[-1] if self.carry else self.anchor[-1]
 
 
-def _carry_candidates(p: Word, anchor: Word):
-    """(start, split, lengths): the start index of the leftmost anchor occurrence,
-    the index just past it, and the carry lengths satisfying the height
-    condition; None when the anchor does not occur."""
+def _carry_scan(p: Word, anchor: Word):
+    """(start, split, fits, best) for the leftmost occurrence of ``anchor`` in ``p``:
+    its start index, the index just past it, whether some carry meets the height
+    condition, and the length of the longest carry that also passes the ballot
+    test, or None; (None, None, False, None) when the anchor does not occur."""
     if not anchor:
         raise DomainError("anchor must be a nonempty word")
     pos = find_factor(p, anchor)
     if pos is None:
-        return None
-    start, split, target = pos - 1, pos - 1 + len(anchor), height(anchor)
-    # the heights of p[:split + g] for g = 0, 1, ..., one adjacent pair at a time
-    steps = (1 if a < b else -1 for a, b in zip(p[split - 1:], p[split:]))
-    heights = accumulate(steps, initial=height(p[:split]))
-    return start, split, [g for g, h in enumerate(heights) if h == target]
+        return None, None, False, None
+    start, split = pos - 1, pos - 1 + len(anchor)
+    # rel is the height of p[split - 1:k + 1] and low its running minimum
+    need, rel, low = -height(p[:start + 1]), 0, 0
+    fits, best = need == 0, (0 if need == 0 else None)
+    for k in range(split, len(p)):
+        rel += 1 if p[k - 1] < p[k] else -1
+        if rel < low:
+            low = rel
+        if rel == need == low:
+            best = k + 1 - split
+        fits = fits or rel == need
+    return start, split, fits, best
 
 
 def is_anchor_decomposable(p: Word, anchor: Word) -> bool:
     """Whether some factorization head + anchor + carry + tail of ``p`` gives
     head+anchor+carry the same height as the anchor."""
-    found = _carry_candidates(tuple(p), tuple(anchor))
-    return found is not None and bool(found[2])
+    return _carry_scan(tuple(p), tuple(anchor))[2]
 
 
 def anchor_decompose(p: Word, anchor: Word) -> AnchorDecomposition | None:
@@ -92,15 +109,9 @@ def anchor_decompose(p: Word, anchor: Word) -> AnchorDecomposition | None:
     value, not an error.
     """
     p, anchor = tuple(p), tuple(anchor)
-    found = _carry_candidates(p, anchor)
-    if found is None:
-        return None
-    start, split, lengths = found
-    best = max((g for g in lengths if is_ballot(p[split:split + g][::-1] + (anchor[-1],))), default=None)
-    if best is None:
-        return None
-    return AnchorDecomposition(head=p[:start], anchor=anchor,
-                               carry=p[split:split + best], tail=p[split + best:])
+    start, split, _, best = _carry_scan(p, anchor)
+    return None if best is None else AnchorDecomposition(
+        head=p[:start], anchor=anchor, carry=p[split:split + best], tail=p[split + best:])
 
 
 def pivot_words(i: int, j: int, n: int) -> tuple[Word, Word]:

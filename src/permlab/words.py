@@ -95,7 +95,7 @@ def find_factor(host: Word, needle: Word) -> int | None:
 
 def swap_letters(w: Word, a: int, b: int) -> Word:
     """Exchange the letters ``a`` and ``b`` wherever they occur in ``w``."""
-    return tuple(b if x == a else a if x == b else x for x in w)
+    return tuple(map({a: b, b: a}.get, w, w))
 
 
 def format_word(w: Word) -> str:

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, settings
 
 from permlab.cycles import max_letter_neighbors, perm_weight
 from permlab.enumeration import _ballot_stream, _odd_stream
-from permlab.words import descents, is_ballot
+from permlab.words import descents, height, is_ballot
 
 settings.register_profile(
     "ci", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -44,6 +44,34 @@ def oracle_odd_order(n):
         if all(len(c) % 2 == 1 for c in cycles):
             out.append(cycles)
     return out
+
+
+def oracle_anchor_split(p, anchor):
+    """(fits, parts) of ``p`` around a nonempty ``anchor`` by the two-filter search.
+
+    The search the one-scan carry replaced, kept as its oracle: a plain slice
+    search for the leftmost occurrence, the height of every prefix
+    p[:split + g] against the anchor's, then the ballot test of each reversed
+    carry followed by the anchor's last letter.  ``fits`` is whether some
+    carry meets the height condition, and ``parts`` the (head, anchor, carry,
+    tail) with the longest carry passing both filters, or None.
+    """
+    k = len(anchor)
+    start = next((s for s in range(len(p) - k + 1) if p[s:s + k] == anchor), None)
+    if start is None:
+        return False, None
+    split = start + k
+    lengths = [g for g in range(len(p) - split + 1) if height(p[:split + g]) == height(anchor)]
+    kept = [g for g in lengths if is_ballot(p[split:split + g][::-1] + anchor[-1:])]
+    if not kept:
+        return bool(lengths), None
+    g = max(kept)
+    return True, (p[:start], anchor, p[split:split + g], p[split + g:])
+
+
+def oracle_swap_letters(w, a, b):
+    """The letter swap as the comprehension it was first written as."""
+    return tuple(b if x == a else a if x == b else x for x in w)
 
 
 def ballot_cell(p):

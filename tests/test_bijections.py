@@ -1,8 +1,13 @@
-import pytest
+import itertools
+import random
 
+import pytest
+from conftest import oracle_anchor_split, oracle_ballot, oracle_swap_letters
+
+from permlab import bijections
 from permlab.bijections import (
     AnchorDecomposition,
-    _carry_candidates,
+    _carry_scan,
     _contractor,
     anchor_decompose,
     contract,
@@ -79,19 +84,112 @@ def test_anchor_decompose_general_words():
 
 
 def test_carry_lengths_match_the_height_of_every_prefix(small_ballot):
-    # the running height against measuring each prefix p[:split + g] afresh
+    # the one scan against measuring each prefix p[:split + g] afresh and
+    # testing each reversed carry followed by the anchor's last letter
     for n in range(4, 8):
         for p in small_ballot[n]:
             for i, j in spread_pairs(n):
                 for word in pivot_words(i, j, n):
-                    found = _carry_candidates(p, word)
+                    start, split, fits, best = _carry_scan(p, word)
                     if find_factor(p, word) is None:
-                        assert found is None
+                        assert (start, split, fits, best) == (None, None, False, None)
                         continue
-                    start, split, lengths = found
                     assert p[start:split] == word
-                    assert lengths == [g for g in range(n - split + 1)
-                                       if height(p[:split + g]) == height(word)], (p, word)
+                    lengths = [g for g in range(n - split + 1) if height(p[:split + g]) == height(word)]
+                    assert fits is bool(lengths), (p, word)
+                    assert best == max((g for g in lengths if is_ballot(p[split:split + g][::-1] + word[-1:])),
+                                       default=None), (p, word)
+
+
+def assert_split_matches_the_oracle(p, anchor):
+    fits, parts = oracle_anchor_split(p, anchor)
+    dec = anchor_decompose(p, anchor)
+    assert (None if dec is None else (dec.head, dec.anchor, dec.carry, dec.tail)) == parts, (p, anchor)
+    assert is_anchor_decomposable(p, anchor) is fits, (p, anchor)
+    return fits, parts
+
+
+def test_anchor_split_matches_the_two_filter_search_on_every_small_ballot_member(small_ballot):
+    # the oracle reads (False, None) for a word that is not a factor of p
+    members = {**small_ballot, 8: oracle_ballot(8)}
+    for n in range(4, 9):
+        words = [word for i, j in spread_pairs(n) for word in pivot_words(i, j, n)]
+        for p in members[n]:
+            factors = {p[s:s + 4] for s in range(n - 3)}
+            for word in words:
+                if word in factors:
+                    assert_split_matches_the_oracle(p, word)
+                else:
+                    assert anchor_decompose(p, word) is None and is_anchor_decomposable(p, word) is False
+
+
+def test_anchor_split_matches_the_two_filter_search_on_random_words():
+    # words of distinct letters, most not ballot, against factors of the word
+    # (suffixes among them), single letters and words that mostly do not occur
+    rng, seen = random.Random(20), set()
+    for _ in range(6000):
+        n = rng.randint(1, 12)
+        p = tuple(rng.sample(range(1, 2 * n + 2), n))
+        a = rng.randrange(n)
+        for word in (p[a:rng.randint(a + 1, n)], p[a:], p[a:a + 1],
+                     tuple(rng.sample(range(1, 2 * n + 5), rng.randint(1, 4)))):
+            fits, parts = assert_split_matches_the_oracle(p, word)
+            seen.add("ballot" if is_ballot(p) else "not ballot")
+            if parts is None:
+                seen.add("fits, no split" if fits else "absent" if find_factor(p, word) is None else "no fit")
+            else:
+                seen.add("empty carry" if not parts[2] else "carry")
+                if not parts[2] and not parts[3]:
+                    seen.add("anchor at the end")
+    assert seen == {"ballot", "not ballot", "fits, no split", "absent", "no fit", "empty carry", "carry",
+                    "anchor at the end"}
+    for call in (anchor_decompose, is_anchor_decomposable):
+        with pytest.raises(DomainError) as exc:
+            call((2, 1, 3), ())
+        assert str(exc.value) == "anchor must be a nonempty word"
+
+
+def test_anchor_split_runs_no_ballot_test(monkeypatch):
+    # the ballot side condition is read off the running minimum of one scan,
+    # so a split costs O(n), not a ballot test per candidate carry
+    def refused(w):
+        raise AssertionError("the split ran a ballot test")
+
+    monkeypatch.setattr(bijections, "is_ballot", refused)
+    for p in itertools.permutations(range(1, 7)):
+        for word in ((1, 6, 2, 3), (2, 3, 6, 1), p[1:3], p[4:]):
+            assert_split_matches_the_oracle(p, word)
+
+
+def _ballot_word(ups):
+    """The ballot permutation of [len(ups) + 1] whose adjacent pairs rise exactly
+    where ``ups`` is true: each run of descents is a reversed block of 1..n."""
+    word, block = [], [1]
+    for x, up in enumerate(ups, 2):
+        if up:
+            word += reversed(block)
+            block = [x]
+        else:
+            block.append(x)
+    return tuple(word + block[::-1])
+
+
+def test_anchor_split_of_a_long_ballot_word_with_a_late_anchor():
+    # 300 letters: a walk kept >= 0 that drifts down from step 250, so late
+    # anchors are followed by long carries
+    carries = []
+    for seed in range(3):
+        rng, ups, h = random.Random(seed), [], 0
+        for k in range(299):
+            up = h == 0 or rng.random() < (0.5 if k < 250 else 0.3)
+            h += 1 if up else -1
+            ups.append(up)
+        p = _ballot_word(ups)
+        assert is_ballot(p) and sorted(p) == list(range(1, 301))
+        for k in range(200, 297):
+            _, parts = assert_split_matches_the_oracle(p, p[k:k + 4])
+            carries.append(0 if parts is None else len(parts[2]))
+    assert max(carries) >= 30
 
 
 def test_flank_swap_examples():
@@ -176,12 +274,16 @@ def test_exchange_letters_is_involution_on_values():
 
 
 def test_exchange_letters_domain_errors():
-    with pytest.raises(DomainError):
-        exchange_letters((1, 5, 2, 3, 4), 1, 3)  # anchor-decomposable
-    with pytest.raises(DomainError):
-        exchange_letters((1, 2, 3, 4, 5), 1, 3)  # missing factor
-    with pytest.raises(DomainError):
-        exchange_letters((2, 1, 4, 3, 5), 1, 3)  # not a valid shape at all
+    for p, message in (
+        ((1, 5, 2, 3, 4), "(1, 5, 2, 3, 4) is anchor-decomposable for (1, 5, 2, 3), outside the swap domain"),
+        ((1, 2, 3, 4, 5), "(1, 2, 3, 4, 5) does not contain the factor 1 5 2"),
+        ((2, 1, 4, 3, 5), "(2, 1, 4, 3, 5) is not ballot"),
+        ((1, 5, 2, 4), "not a one-line permutation of [4]: (1, 5, 2, 4)"),
+        ((1, 5, 2, 4, 3.0), "not a one-line permutation of [5]: (1, 5, 2, 4, 3.0)"),
+    ):
+        with pytest.raises(DomainError) as exc:
+            exchange_letters(p, 1, 3)
+        assert str(exc.value) == message
 
 
 def test_contract_examples():
@@ -267,9 +369,21 @@ def test_cycle_flip_examples():
     assert perm_weight(((1, 5, 2, 3, 4),)) == perm_weight(((1, 5, 3, 2, 4),)) == 2
 
 
-def test_cycle_flip_exchange_branch():
+def test_cycle_flip_exchange_branch(small_odd):
     assert cycle_flip(((1, 4, 2), (3,))) == ((1, 4, 3), (2,))
     assert cycle_flip(((1, 4, 3), (2,))) == ((1, 4, 2), (3,))
+    # every canonical decomposition the flip answers by exchanging 2 and 3
+    swapped = 0
+    for n in range(4, 8):
+        for p in small_odd[n]:
+            if max_letter_neighbors(p) not in ((1, 2), (1, 3)):
+                continue
+            c = p[0]
+            if len(c) >= 4 and c[3] == 5 - c[2]:
+                continue
+            assert cycle_flip(p) == _normalize([oracle_swap_letters(cycle, 2, 3) for cycle in p])
+            swapped += 1
+    assert swapped == 92
 
 
 def test_cycle_flip_involution_exhaustive():

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 
 import pytest
+from conftest import oracle_swap_letters
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -182,6 +183,22 @@ def test_every_validator_refuses_letters_that_are_not_ints():
 def test_swap_letters():
     assert swap_letters((1, 5, 2, 4, 3), 2, 3) == (1, 5, 3, 4, 2)
     assert swap_letters((1, 2), 3, 4) == (1, 2)
+    assert swap_letters((), 1, 2) == ()
+
+
+def test_swap_letters_matches_the_comprehension():
+    # seeded words holding both letters, one of them, neither, and a == b
+    rng, seen = random.Random(7), set()
+    for _ in range(3000):
+        n = rng.randint(0, 12)
+        w = tuple(rng.sample(range(1, 2 * n + 3), n))
+        a, b = rng.randint(1, 2 * n + 2), rng.randint(1, 2 * n + 2)
+        if rng.random() < 0.1:
+            b = a
+        got = swap_letters(w, a, b)
+        assert type(got) is tuple and got == oracle_swap_letters(w, a, b), (w, a, b)
+        seen.add("a == b" if a == b else (a in w) + (b in w))
+    assert seen == {"a == b", 0, 1, 2}
 
 
 def test_parse_and_format():
