@@ -12,6 +12,16 @@ call in the process, so in-process callers (tests, notebooks, the
 benchmark) pay for the argparse tree once.  Handlers and the
 ``verify --check`` choices are bound when that parser is built.
 ``build_parser`` itself returns a fresh parser on every call.
+
+That parser's ``parse_args`` hands a plain line, ``COMMAND ARGS`` or
+``--cache-dir DIR COMMAND ARGS``, straight to the subcommand's parser and
+sets ``cache_dir`` and ``command`` itself; argparse's top-level pass would
+only read those tokens and hand ARGS to the same subparser.  Every other
+line (help or an unknown command at the top level, ``--cache-dir=DIR``, an
+abbreviation such as ``--cache``, a ``--`` token, leftover arguments) takes
+argparse's full parse, so help, usage errors and exit codes are argparse's
+own; a subparser's error reads the same on either route, because both hand
+ARGS to the same subparser.  ``_Parser`` states the rule exactly.
 """
 
 from __future__ import annotations
@@ -231,14 +241,43 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """The top-level parser, whose ``parse_args`` hands a plain line to its subcommand's parser.
+
+    A plain line is ``COMMAND ARGS`` or ``--cache-dir DIR COMMAND ARGS``,
+    where ``--cache-dir`` is its own token, DIR does not start with ``-``,
+    COMMAND is a subcommand's exact name, and no token is ``--`` or starts
+    with ``--=`` (on some CPython releases argparse's top-level pass
+    refuses that one as an abbreviation of both ``--help`` and
+    ``--cache-dir``).  Every other line, and a plain line with arguments
+    left over, takes argparse's full parse.
+    """
+
+    commands: dict[str, argparse.ArgumentParser] = {}
+
+    def parse_args(self, args=None, namespace=None):
+        argv = sys.argv[1:] if args is None else list(args)
+        at = 2 if argv[:1] == ["--cache-dir"] else 0
+        if (namespace is None and len(argv) > at and argv[at] in self.commands
+                and not (at and argv[1].startswith("-"))
+                and not any(arg == "--" or arg.startswith("--=") for arg in argv)):
+            parsed, rest = self.commands[argv[at]].parse_known_args(argv[at + 1:])
+            if not rest:
+                parsed.cache_dir = argv[1] if at else None
+                parsed.command = argv[at]
+                return parsed
+        return super().parse_args(argv, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="permlab",
         description="Exhaustive laboratory for ballot and odd order permutations.",
     )
     parser.add_argument("--cache-dir", default=None,
                         help=f"directory for on-disk count tables (or ${CACHE_ENV_VAR})")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     count = sub.add_parser("count", help="refined count for one query key")
     count.add_argument("--kind", choices=enumeration.KINDS, required=True)

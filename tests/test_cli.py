@@ -1,4 +1,8 @@
+import argparse
+import contextlib
+import functools
 import hashlib
+import io
 import json
 import os
 import re
@@ -8,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permlab import cli, enumeration, verify
 from permlab.cli import DiskCache, main
@@ -211,6 +217,18 @@ MIXED_CALLS = (
     ("count", "--kind", "ballot"),
     ("verify", "--check", "prop43_words", "--max-n", "5", "--format", "json"),
     ("map", "--op", "expand", "--kind", "cyclic", "--i", "1", "--j", "2", "--perm", "(1 2)(3)"),
+    # lines that take argparse's full parse: --cache-dir joined to its value
+    # or abbreviated, a value that starts with "-", --cache-dir after the
+    # command, a "--" token, help at the top level, and a leftover argument;
+    # help after the command goes straight to its subparser
+    ("--cache-dir=unused", "map", "--op", "flip", "--kind", "cyclic", "--perm", "(1 7 2 3 6 5 4)"),
+    ("--cache", "unused", "enumerate", "--kind", "odd", "--n", "3"),
+    ("--cache-dir", "-unused", "enumerate", "--kind", "odd", "--n", "3"),
+    ("enumerate", "--kind", "odd", "--n", "3", "--cache-dir", "unused"),
+    ("enumerate", "--kind", "odd", "--", "--n", "3"),
+    ("-h",),
+    ("matrix", "-h"),
+    ("count", "--kind", "ballot", "--n", "3", "3"),
 )
 
 
@@ -269,6 +287,127 @@ def test_rebound_build_parser_gets_its_own_parser(capsys, monkeypatch):
     assert (codes, len(built), parsed) == ([0, 0, 0], 1, [argv] * 3)
     assert cli._parser(traced) is built[0] is not cli._parser(real)
     assert capsys.readouterr().out == "3\n" * 4
+
+
+# Valid options of each subcommand, (name, values): the required ones, then the optional ones.
+_VALID_OPTIONS = {
+    "count": ((("--kind", enumeration.KINDS), ("--n", ("3", "9"))),
+              (("--d", ("0", "1")), ("--i", ("1", "2")), ("--j", ("2", "3")))),
+    "matrix": ((("--kind", enumeration.KINDS), ("--n", ("4", "5"))),
+               (("--d", ("0", "2")), ("--format", ("text", "json", "csv")))),
+    "enumerate": ((("--kind", enumeration.KINDS), ("--n", ("3", "4"))), ()),
+    "map": ((("--op", tuple(cli._MAP_OPS)), ("--perm", ("3 1 2", "(1 2)(3)"))),
+            (("--kind", ("linear", "cyclic")), ("--i", ("1", "2")), ("--j", ("2", "3")))),
+    "verify": ((("--check", ("toeplitz_B", "all")),),
+               (("--max-n", ("5", "6")), ("--format", ("text", "json")))),
+}
+# Tokens a mutation inserts: names, values and the shapes at the routing's edges
+_TOKENS = st.sampled_from(sorted(
+    {name for groups in _VALID_OPTIONS.values() for group in groups for name, _ in group}
+    | set(_VALID_OPTIONS)
+    | {"--", "--=x", "--= x", "-", "-h", "--help", "--he", "--cache-dir", "--cache", "--c",
+       "--cache-dir=d", "--cache-dir=", "--kind=odd", "--k", "--n=3", "-x", "-1", "-3",
+       "3", "1.5", "", "a b", "ballot", "cyclic", "json", "frobnicate"}))
+_DIRS = st.sampled_from(("d", "count", "", "a b", "-d", "--", "-1"))
+
+
+@st.composite
+def _mutated_lines(draw):
+    """A valid line of some subcommand, maybe after --cache-dir DIR, with up to three edits."""
+    command = draw(st.sampled_from(sorted(_VALID_OPTIONS)))
+    required, optional = _VALID_OPTIONS[command]
+    chosen = [*required, *(option for option in optional if draw(st.booleans()))]
+    pairs = [(name, draw(st.sampled_from(values))) for name, values in chosen]
+    argv = [command, *(token for pair in draw(st.permutations(pairs)) for token in pair)]
+    if draw(st.booleans()):
+        argv = ["--cache-dir", draw(_DIRS), *argv]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(("insert", "delete", "replace")))
+        if edit == "insert":
+            argv.insert(at, draw(_TOKENS))
+        elif at < len(argv) and edit == "delete":
+            del argv[at]
+        elif at < len(argv):
+            argv[at] = draw(_TOKENS)
+    return argv
+
+
+def _answer(parse, argv):
+    """The namespace as a dict, or the exit code; then stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            answer = vars(parse(argv))
+        except SystemExit as exc:
+            answer = exc.code
+    return answer, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def parser():
+    return cli.build_parser()
+
+
+@settings(max_examples=600)
+@given(_mutated_lines())
+def test_parser_answers_as_argparse_full_parse(parser, argv):
+    full = functools.partial(argparse.ArgumentParser.parse_args, parser)
+    assert _answer(parser.parse_args, argv) == _answer(full, argv)
+
+
+PLAIN_LINES = (
+    ["count", "--kind", "ballot", "--n", "3"],
+    ["--cache-dir", "unused", "map", "--op", "T", "--i", "1", "--j", "2", "--perm", "1 2"],
+    ["--cache-dir", "", "verify", "--check", "all", "--max-n", "x"],
+    ["enumerate", "--n", "3"],
+    ["matrix", "-h"],
+)
+FALLBACK_LINES = (
+    [],
+    ["-h"],
+    ["frobnicate"],
+    ["--cache-dir"],
+    ["--cache-dir", "unused"],
+    ["--cache-dir=unused", "enumerate", "--kind", "odd", "--n", "3"],
+    ["--cache", "unused", "enumerate", "--kind", "odd", "--n", "3"],
+    ["--cache-dir", "-unused", "enumerate", "--kind", "odd", "--n", "3"],
+    ["enumerate", "--kind", "odd", "--n", "3", "--cache-dir", "unused"],
+    ["enumerate", "--kind", "odd", "--", "--n", "3"],
+    ["enumerate", "--kind", "odd", "--n", "3", "--=x"],
+    ["enumerate", "--kind", "odd", "--n", "3", "3"],
+)
+
+
+def _entries(parser, monkeypatch):
+    """The calls that enter ``parser``'s own parse_known_args from now on."""
+    entered, inner = [], parser.parse_known_args
+    monkeypatch.setattr(parser, "parse_known_args",
+                        lambda *args: entered.append(args) or inner(*args))
+    return entered
+
+
+def test_plain_lines_go_straight_to_the_subparser(parser, monkeypatch):
+    entered = _entries(parser, monkeypatch)
+    for lines, each in ((PLAIN_LINES, 0), (FALLBACK_LINES, 1)):
+        for argv in lines:
+            before = len(entered)
+            _answer(parser.parse_args, argv)
+            assert len(entered) - before == each, argv
+
+
+def test_main_routes_the_command_line_the_same_way(tmp_path, capsys, monkeypatch):
+    # each route hands its cache directory on: the table is written to it
+    entered = _entries(cli._parser(cli.build_parser), monkeypatch)
+    plain, joined = tmp_path / "plain", tmp_path / "joined"
+    for prefix, each in ((["--cache-dir", str(plain)], 0), ([f"--cache-dir={joined}"], 1)):
+        monkeypatch.setattr(sys, "argv", ["permlab", *prefix, "count", "--kind", "ballot", "--n", "5"])
+        enumeration.clear_memo()
+        before = len(entered)
+        assert (main(), capsys.readouterr().out) == (0, "45\n")
+        assert len(entered) - before == each
+    for cache in (plain, joined):
+        assert [f.name for f in cache.iterdir()] == ["ballot-n5.v2.json"]
 
 
 def test_verify_text_pass(capsys):
