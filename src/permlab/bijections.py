@@ -46,6 +46,7 @@ from .errors import DomainError
 from .words import (
     Word,
     _all_ints,
+    _swapped,
     check_permutation,
     find_factor,
     height,
@@ -257,4 +258,5 @@ def _cycle_flip(cycles: CycleDecomposition) -> CycleDecomposition:
     other = 5 - small
     if len(c) >= 4 and c[3] == other:
         return ((1, n, other, small) + c[4:][::-1],) + cycles[1:]
-    return _normalize([swap_letters(cycle, 2, 3) for cycle in cycles])
+    swap = {2: 3, 3: 2}.get  # one table for every cycle
+    return _normalize([_swapped(cycle, swap) for cycle in cycles])

@@ -7,6 +7,8 @@ permutations) and the two neighbors (i, j) of the largest letter, read as
 the factor i n j (cyclic inside the decomposition's cycles).  Member lists
 and the test suite's reference tables read those triples, and the tests
 hold the streams to classifiers that read a finished member from scratch.
+Each stream is one generator frame that walks its search tree with a stack
+and places the last letters of each member in place.
 Nothing else is counted by classifying members: the rank patterns of ballot
 prefixes and suffixes, built once per n, count the ballot table and every
 word pair, a cell (i, j) being the pair ((i,), (j,)), and the exponential
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
-from itertools import chain
+from itertools import chain, permutations
 from math import comb, factorial
 
 from .bijections import is_anchor_decomposable, pivot_words
@@ -102,31 +104,58 @@ def ballot_count_closed(n: int) -> int:
     return double_factorial(n) * double_factorial(n - 2)
 
 
+# The 3! relative orders of three letters, in lexicographic order: the ballot
+# stream places the last three letters of each member by one of them.
+_ORDERS3 = tuple(permutations(range(3)))
+
+
 def _ballot_stream(n: int):
     """Yield (member, descents, neighbors of n) for the ballot permutations of [n],
     once each, in lexicographic order; the neighbors are None when n is last.
 
     Backtracking over one-line prefixes, pruned as soon as a prefix height
     would go negative.  A whole word of height h has (n - 1 - h) / 2 descents.
+    One frame walks the prefixes depth first with a stack, so no generator is
+    made per prefix and no member climbs a chain of frames.  A prefix that
+    lacks three letters is finished in place: the three are placed in each
+    relative order of ``_ORDERS3``, each placed letter taking the same height
+    step as any other.  The order is the recursion's: a prefix's extensions
+    are pushed largest letter first, so they pop smallest first and each is
+    finished before the next, and the three letters left are sorted, so the
+    relative orders, taken lexicographically, place them lexicographically.
     """
     _check_budget("ballot", n)
-
-    def rec(prefix, h, last, avail):
-        if len(avail) == 1:  # the last letter completes the word
-            x = avail[0]
-            h += 1 if x > last else -1
-            if h >= 0:
-                p = prefix + (x,)
-                pos = p.index(n)
-                yield p, (n - 1 - h) // 2, None if pos == n - 1 else (p[pos - 1], p[pos + 1])
-            return
-        for idx, x in enumerate(avail):
-            nh = h + 1 if x > last else h - 1
-            if nh >= 0:
-                yield from rec(prefix + (x,), nh, x, avail[:idx] + avail[idx + 1:])
-
+    if n < 3:  # too few letters for the tail: the identity is the one ballot word
+        yield tuple(range(1, n + 1)), 0, None
+        return
     # a virtual letter 0 at height -1 makes the first letter an ascent to height 0
-    yield from rec((), -1, 0, tuple(range(1, n + 1)))
+    stack = [((), -1, 0, tuple(range(1, n + 1)))]
+    pop, push = stack.pop, stack.append
+    while stack:
+        prefix, h, last, avail = pop()
+        if len(avail) > 3:
+            for idx in range(len(avail) - 1, -1, -1):
+                x = avail[idx]
+                nh = h + 1 if x > last else h - 1
+                if nh >= 0:
+                    push((prefix + (x,), nh, x, avail[:idx] + avail[idx + 1:]))
+            continue
+        for a, b, c in _ORDERS3:
+            x = avail[a]
+            h1 = h + 1 if x > last else h - 1
+            if h1 < 0:
+                continue
+            y = avail[b]
+            h2 = h1 + 1 if y > x else h1 - 1
+            if h2 < 0:
+                continue
+            z = avail[c]
+            h3 = h2 + 1 if z > y else h2 - 1
+            if h3 < 0:
+                continue
+            p = prefix + (x, y, z)
+            pos = p.index(n)
+            yield p, (n - 1 - h3) // 2, None if pos == n - 1 else (p[pos - 1], p[pos + 1])
 
 
 def _odd_stream(n: int, head: Word = (1,)):
@@ -138,7 +167,16 @@ def _odd_stream(n: int, head: Word = (1,)):
     offered before every extension, so the stream is lexicographic on the
     canonical cycle encoding.  The open cycle counts its descents as it grows;
     closing it adds the wrap-around descent back to its smallest letter, and
-    the cycle's weight min(cdes, k - cdes) joins the total.
+    the cycle's weight min(cdes, k - cdes) joins the total.  One frame walks
+    the partial decompositions depth first with a stack, so no generator is
+    made per node and no member climbs a chain of frames.  A node's
+    extensions are pushed largest letter first and its closing last, so the
+    closing pops first and the extensions smallest first, the recursion's
+    order.  A node with two unused letters u < v is completed in place, in
+    that same order: when the open cycle has odd length, closing it (u and v
+    then fixed), then closing it after u v, then after v u; when even,
+    extending it by u (v fixed), then by v (u fixed).  One helper, ``close``,
+    is the weight and neighbor rule for those cycles and at every other node.
 
     ``head`` is the opening of the first cycle, which starts with 1: only the
     members whose canonical first cycle opens with these letters are yielded,
@@ -147,25 +185,43 @@ def _odd_stream(n: int, head: Word = (1,)):
     """
     _check_budget("odd", n)
 
-    def rec(done, cyc, unused, weight, des, nb):
+    def close(cyc, weight, des, nb):
+        """(weight, neighbors of n) once the odd cycle ``cyc``, with ``des``
+        descents from its first letter to its last, is closed."""
         k = len(cyc)
-        if k % 2 == 1:
-            cdes = des + (k > 1)
-            total = weight + min(cdes, k - cdes)
-            found = nb
-            if k > 1 and n in cyc:
-                t = cyc.index(n)
-                found = cyc[t - 1], cyc[(t + 1) % k]
-            if not unused:
-                yield done + (cyc,), total, found
-            else:  # the next cycle opens at the smallest unused letter
-                yield from rec(done + (cyc,), unused[:1], unused[1:], total, 0, found)
-        last = cyc[-1]
-        for idx, x in enumerate(unused):
-            yield from rec(done, cyc + (x,), unused[:idx] + unused[idx + 1:], weight, des + (last > x), nb)
+        if k == 1:  # a fixed point weighs nothing and gives n no neighbors
+            return weight, nb
+        des += 1  # the wrap-around descent back to the smallest letter
+        if n in cyc:
+            t = cyc.index(n)
+            nb = cyc[t - 1], cyc[(t + 1) % k]
+        return weight + min(des, k - des), nb
 
     rest = tuple(x for x in range(1, n + 1) if x not in head)
-    yield from rec((), head, rest, 0, descents(head), None)
+    stack = [((), head, rest, 0, descents(head), None)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        done, cyc, unused, weight, des, nb = pop()
+        last, odd = cyc[-1], len(cyc) % 2
+        if len(unused) == 2:
+            u, v = unused
+            if odd:
+                yield (*done, cyc, (u,), (v,)), *close(cyc, weight, des, nb)
+                yield (*done, cyc + (u, v)), *close(cyc + (u, v), weight, des + (last > u), nb)
+                yield (*done, cyc + (v, u)), *close(cyc + (v, u), weight, des + (last > v) + 1, nb)  # v > u
+            else:
+                yield (*done, cyc + (u,), (v,)), *close(cyc + (u,), weight, des + (last > u), nb)
+                yield (*done, cyc + (v,), (u,)), *close(cyc + (v,), weight, des + (last > v), nb)
+            continue
+        for idx in range(len(unused) - 1, -1, -1):
+            x = unused[idx]
+            push((done, cyc + (x,), unused[:idx] + unused[idx + 1:], weight, des + (last > x), nb))
+        if odd:
+            total, found = close(cyc, weight, des, nb)
+            if unused:  # the next cycle opens at the smallest unused letter
+                push((done + (cyc,), unused[:1], unused[1:], total, 0, found))
+            else:
+                yield done + (cyc,), total, found
 
 
 def enumerate_ballot(n: int):

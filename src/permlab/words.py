@@ -95,7 +95,14 @@ def find_factor(host: Word, needle: Word) -> int | None:
 
 def swap_letters(w: Word, a: int, b: int) -> Word:
     """Exchange the letters ``a`` and ``b`` wherever they occur in ``w``."""
-    return tuple(map({a: b, b: a}.get, w, w))
+    return _swapped(w, {a: b, b: a}.get)
+
+
+def _swapped(w: Word, swap) -> Word:
+    """``w`` with each letter x read as ``swap(x, x)``: ``swap`` is the ``get`` of a
+    dict sending each swapped letter to its partner, so every other letter stays.
+    One table serves any number of words."""
+    return tuple(map(swap, w, w))
 
 
 def format_word(w: Word) -> str:

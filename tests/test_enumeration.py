@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import json
 import random
@@ -10,9 +11,10 @@ import pytest
 from conftest import ballot_cell, odd_cell
 
 from permlab import enumeration
-from permlab.cycles import format_cycles
+from permlab.cycles import canonicalize_cycles, format_cycles, is_odd_order
 from permlab.enumeration import (
     MemberIndex,
+    _ballot_stream,
     _ballot_table,
     _odd_stream,
     _odd_table,
@@ -29,7 +31,7 @@ from permlab.enumeration import (
     member_index,
 )
 from permlab.errors import BudgetError, DomainError
-from permlab.words import find_factor
+from permlab.words import find_factor, is_ballot
 
 CLOSED = [1, 1, 3, 9, 45, 225, 1575, 11025, 99225, 893025]
 
@@ -88,6 +90,55 @@ def test_streams_deterministic_and_duplicate_free():
     cycles = list(enumerate_odd_order(6))
     assert cycles == list(enumerate_odd_order(6))
     assert len(set(cycles)) == len(cycles)
+
+
+def _is_ballot_member(p, n):
+    return sorted(p) == list(range(1, n + 1)) and is_ballot(p)
+
+
+def _is_odd_member(cycles, n):
+    return canonicalize_cycles(cycles) == cycles and len(sum(cycles, ())) == n and is_odd_order(cycles)
+
+
+@pytest.mark.parametrize("kind, is_member", [("ballot", _is_ballot_member), ("odd", _is_odd_member)],
+                         ids=["ballot", "odd"])
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_streams_rise_strictly_through_members_counted_by_the_closed_form(kind, is_member, n, drained):
+    # lexicographic, on the canonical cycle encoding for odd members, so no
+    # member repeats; the tails placed in place must keep this order
+    prev, seen = (), 0
+    for member, _, _ in drained(kind, n):
+        assert prev < member and is_member(member, n), (prev, member)
+        prev, seen = member, seen + 1
+    assert seen == ballot_count_closed(n)
+
+
+def test_ballot_stream_edge_tails():
+    # below three letters there is no tail to place; at three the whole word is one
+    assert list(_ballot_stream(1)) == [((1,), 0, None)]
+    assert list(_ballot_stream(2)) == [((1, 2), 0, None)]
+    assert list(_ballot_stream(3)) == [((1, 2, 3), 0, None), ((1, 3, 2), 1, (1, 2)), ((2, 3, 1), 1, (2, 1))]
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_seeded_odd_streams_filter_the_whole_stream(n, drained):
+    # a seeded stream is the whole stream's members whose first cycle opens
+    # with the head, each with its weight and neighbors, in the same order;
+    # (1, n, 2) leaves no letter at n = 3 and one at n = 4
+    heads = [(1,), (1, n, 2)] + [(1, n, 3)] * (n > 3)
+    for head in heads:
+        want = [triple for triple in drained("odd", n) if triple[0][0][:len(head)] == head]
+        assert list(_odd_stream(n, head)) == want, (n, head)
+    if n == 3:
+        assert list(_odd_stream(3, (1, 3, 2))) == [(((1, 3, 2),), 1, (1, 2))]
+
+
+def test_streams_are_lazy_and_refuse_the_budget_on_first_next():
+    for stream, n in ((_ballot_stream, 11), (_odd_stream, 12)):
+        gen = stream(n)
+        assert inspect.isgenerator(gen)
+        with pytest.raises(BudgetError):
+            next(gen)
 
 
 def test_enumeration_budgets():
