@@ -33,7 +33,6 @@ import json
 import os
 import sys
 import tempfile
-from itertools import chain
 
 from . import bijections, enumeration, toeplitz, verify
 from .cycles import format_cycles, parse_cycles
@@ -43,20 +42,17 @@ from .words import format_word, parse_word
 
 CACHE_ENV_VAR = "PERMLAB_CACHE"
 CACHE_FORMAT_VERSION = 2
-_PAYLOAD_KEYS = {"cells", "format_version", "kind", "n", "totals"}
 
 
 class DiskCache:
     """Count tables persisted as checksummed JSON files, one per (kind, n).
 
-    A file is two lines: the table's payload as compact, key-sorted JSON
-    (format version, kind, n, totals and cells), then the hex SHA-256 of
-    exactly those payload bytes.  Files are written atomically (temp file,
-    then rename).  A file is trusted only if its digest matches, its payload
-    has exactly those five keys, its version, kind and int n are the ones
-    asked for, and its table is well-formed.  Any other file is ignored and
-    recomputed, never trusted; files of other format versions have other
-    names and are never opened.
+    A file is two lines: the table's JSON form (``CountTable.to_json_obj``)
+    with the format version as compact, key-sorted JSON, then the hex SHA-256
+    of exactly those bytes, written atomically (temp file, then rename).  It
+    is trusted only if the digest and the version match, ``from_json_obj``
+    accepts the rest and the table is the (kind, n) asked for; any other
+    file is recomputed.  Other versions have other names and are never opened.
     """
 
     def __init__(self, root):
@@ -64,33 +60,6 @@ class DiskCache:
 
     def _path(self, kind: str, n: int) -> str:
         return os.path.join(self.root, f"{kind}-n{n}.v{CACHE_FORMAT_VERSION}.json")
-
-    @staticmethod
-    def _well_formed(n: int, totals, cells) -> bool:
-        """Shape and invariants of a table at n, checked without recounting it.
-
-        ``totals`` has one non-negative int per statistic and sums to the
-        closed form; ``cells`` is one (n-1) x (n-1) layer per statistic of
-        non-negative ints, zero on the diagonal, each layer summing to at most
-        its total.
-        """
-        size = (n - 1) // 2 + 1
-        if not (isinstance(totals, list) and isinstance(cells, list)
-                and len(totals) == len(cells) == size):
-            return False
-        if not all(isinstance(layer, list) and len(layer) == n - 1 for layer in cells):
-            return False
-        rows = [row for layer in cells for row in layer]
-        if not all(isinstance(row, list) and len(row) == n - 1 for row in rows):
-            return False
-        flat = list(chain(totals, *rows))
-        if set(map(type, flat)) != {int} or min(flat) < 0:
-            return False
-        if any(layer[t][t] for layer in cells for t in range(n - 1)):
-            return False
-        if any(sum(map(sum, layer)) > total for total, layer in zip(totals, cells)):
-            return False
-        return sum(totals) == enumeration.ballot_count_closed(n)
 
     def load(self, kind: str, n: int) -> CountTable | None:
         """The table cached at (kind, n), or None unless the file passes every rule above."""
@@ -100,23 +69,17 @@ class DiskCache:
             if rest or hashlib.sha256(payload).hexdigest().encode() != digest:
                 return None
             blob = json.loads(payload)
-            if not (type(blob) is dict and blob.keys() == _PAYLOAD_KEYS
-                    and type(blob["format_version"]) is int and type(blob["n"]) is int
-                    and (blob["format_version"], blob["kind"], blob["n"])
-                    == (CACHE_FORMAT_VERSION, kind, n)):
+            version = blob.pop("format_version", None) if type(blob) is dict else None
+            if type(version) is not int or version != CACHE_FORMAT_VERSION:
                 return None
-            totals, cells = blob["totals"], blob["cells"]
-            if not self._well_formed(n, totals, cells):
-                return None
-            return CountTable(kind=kind, n=n, totals=tuple(totals),
-                              cells=tuple(tuple(map(tuple, layer)) for layer in cells))
+            table = CountTable.from_json_obj(blob)  # a DomainError is a ValueError
         except (OSError, ValueError, RecursionError):
             return None
+        return table if (table.kind, table.n) == (kind, n) else None
 
     def save(self, table: CountTable) -> None:
         """Write one table; a cache directory that cannot be written is a DomainError."""
-        payload = json.dumps({"cells": table.cells, "format_version": CACHE_FORMAT_VERSION,
-                              "kind": table.kind, "n": table.n, "totals": table.totals},
+        payload = json.dumps(dict(table.to_json_obj(), format_version=CACHE_FORMAT_VERSION),
                              sort_keys=True, separators=(",", ":")).encode()
         tmp = None
         try:

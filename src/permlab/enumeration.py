@@ -20,8 +20,8 @@ the word pairs against a factor search over the members.  Both the stream
 and the counts keep the same budgets.
 ``member_index`` and ``anchor_classes`` (the ballot cells split by the pivot
 words) keep member lists under the "members" budget until ``clear_memo``;
-``odd_head_index`` keeps the odd members with given first-cycle openings,
-streamed seeded, under the "odd" budget.
+``odd_head_index`` keeps the odd members of the cells (d, 1, 2) and
+(d, 1, 3), streamed seeded, under the "odd" budget.
 
 A pattern keeps a word only up to the relative order of its letters: its
 length, the rank of one end letter and one more state (a height, or the rank
@@ -43,8 +43,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
-from itertools import chain, permutations
+from itertools import chain, cycle, permutations
 from math import comb, factorial
+from operator import getitem, lt
 
 from .bijections import is_anchor_decomposable, pivot_words
 from .errors import BudgetError, DomainError
@@ -243,13 +244,50 @@ class CountTable:
 
     ``totals[d]`` counts all members with statistic d; ``cells[d][i-1][j-1]``
     counts those whose largest letter has neighbors (i, j).  Counts are
-    immutable mathematical facts and never invalidated.
+    immutable mathematical facts and never invalidated.  A well-formed table
+    has one total and one (n-1) x (n-1) layer per d in [0, d_max], every
+    count a non-negative int, zero diagonals, layer sums of at most their
+    totals, and totals summing to the closed form.  ``to_json_obj`` gives the
+    four fields, with lists for the sequences; ``from_json_obj`` reads them
+    back, checked without recounting, and refuses other keys, an unknown
+    kind, an n that is not an int >= 1, other sequences or a malformed table.
     """
 
     kind: str
     n: int
     totals: tuple[int, ...]
     cells: tuple[tuple[tuple[int, ...], ...], ...]
+
+    def to_json_obj(self) -> dict:
+        return {"cells": [[list(row) for row in layer] for layer in self.cells],
+                "kind": self.kind, "n": self.n, "totals": list(self.totals)}
+
+    @classmethod
+    def from_json_obj(cls, obj) -> CountTable:
+        """The table whose JSON form is ``obj``; a DomainError for anything else (see above)."""
+        if type(obj) is not dict or obj.keys() != {"cells", "kind", "n", "totals"}:
+            raise DomainError("a count table's JSON form needs exactly the keys cells, kind, n and totals")
+        kind, n, totals, cells = obj["kind"], obj["n"], obj["totals"], obj["cells"]
+        _check_kind(kind)
+        _check_n(n)
+        if not (type(totals) is type(cells) is list and {*map(type, cells)} <= {list}
+                and {*map(type, chain.from_iterable(cells))} <= {list}):
+            raise DomainError("a count table needs lists for its totals, layers and rows")
+        table = cls(kind, n, tuple(totals), tuple(tuple(map(tuple, layer)) for layer in cells))
+        if not (len(table.totals) == len(table.cells) == table.d_max + 1
+                and {*map(len, table.cells), *map(len, chain.from_iterable(table.cells))} <= {n - 1}):
+            raise DomainError(f"a count table at n={n} needs one total and one {n - 1} x {n - 1} layer per d")
+        if not (_all_ints(table.totals) and min(table.totals) >= 0
+                and _all_ints(chain.from_iterable(chain.from_iterable(table.cells)))
+                and min(chain.from_iterable(chain.from_iterable(table.cells)), default=0) >= 0):
+            raise DomainError("a count table needs ints of at least 0 for its counts")
+        # row t of each layer holds its diagonal count at t; lt(total, s) is a layer sum s past its total
+        if (any(map(getitem, chain.from_iterable(table.cells), cycle(range(n - 1))))
+                or any(map(lt, table.totals, map(sum, map(chain.from_iterable, table.cells))))):
+            raise DomainError("a count table needs zero diagonals and layer sums of at most their totals")
+        if table.grand_total != ballot_count_closed(n):
+            raise DomainError(f"a count table at n={n} needs totals that sum to {ballot_count_closed(n)}")
+        return table
 
     @property
     def d_max(self) -> int:
@@ -611,10 +649,11 @@ def anchor_classes(n: int, i: int, j: int) -> tuple[tuple, tuple, tuple]:
 
 
 @lru_cache(maxsize=None, typed=True)  # typed, as member_index: True is refused, not read as 1
-def odd_head_index(n: int, heads: tuple[Word, ...]) -> MemberIndex:
-    """The odd order members of [n] whose canonical first cycle opens with one
-    of ``heads``, grouped: head after head, each in stream order."""
-    return MemberIndex(chain.from_iterable(_odd_stream(n, head) for head in heads))
+def odd_head_index(n: int) -> MemberIndex:
+    """The odd order members of [n] in the cells (d, 1, 2) and (d, 1, 3), grouped: those
+    whose canonical first cycle opens with 1 n 2, then 1 n 3, each in stream order."""
+    _check_budget("odd", n)
+    return MemberIndex(chain.from_iterable(_odd_stream(n, (1, n, s)) for s in (2, 3) if s < n))
 
 
 def clear_memo() -> None:

@@ -321,9 +321,8 @@ def _lemma42(n: int):
     def lengths(p, q):
         return None if sorted(map(len, p)) == sorted(map(len, q)) else (_fmt(p), _fmt(q))
 
-    # the cells (d, 1, s) hold the members whose first cycle opens with 1 n s,
-    # so only those are streamed, never the whole member list, once per n
-    idx = odd_head_index(n, ((1, n, 2), (1, n, 3)))
+    # only the cells (d, 1, 2) and (d, 1, 3) are streamed, once per n, never the whole member list
+    idx = odd_head_index(n)
     for d in range((n - 1) // 2 + 1):
         yield partial(_bijection, {"n": n, "d": d}, idx.cell(d, 1, 2), idx.cell(d, 1, 3),
                       _cycle_flip, _cycle_flip, (("cycle_lengths", lengths),))
@@ -380,7 +379,7 @@ class CheckInfo:
         return min(BUDGETS[resource] for resource in self.reads)
 
 
-_CATALOG: tuple[CheckInfo, ...] = (
+CHECKS: dict[str, CheckInfo] = {info.name: info for info in (
     CheckInfo("closed_form",
               "enumerated ballot and odd order totals match the double factorial closed form",
               10, 1, _closed_form, ("ballot", "odd")),
@@ -435,14 +434,12 @@ _CATALOG: tuple[CheckInfo, ...] = (
     CheckInfo("eq_bnd_pnd",
               "class totals split over the neighbor cells of the largest letter",
               8, 2, _eq_bnd_pnd, ("ballot", "odd")),
-)
-
-CHECKS: dict[str, CheckInfo] = {info.name: info for info in _CATALOG}
+)}
 
 
 def list_checks() -> list[tuple[str, str, int]]:
     """The fixed catalog: (check id, description, recommended max_n) triples."""
-    return [(info.name, info.description, info.default_max_n) for info in _CATALOG]
+    return [(info.name, info.description, info.default_max_n) for info in CHECKS.values()]
 
 
 # Each worker beyond this process costs one fork here, 3.0-3.8 ms with warm

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from permlab import cli, enumeration, verify
 from permlab.cli import DiskCache, main
+from permlab.enumeration import CountTable
 from permlab.errors import DomainError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -541,14 +542,25 @@ def test_disk_cache_round_trip(tmp_path):
 
 
 def test_disk_cache_file_is_payload_then_its_digest(tmp_path):
+    # the version 2 bytes, stated here, for every table within budget
     cache = DiskCache(tmp_path)
-    table = enumeration.count_table("odd", 5)
-    cache.save(table)
-    assert os.listdir(tmp_path) == ["odd-n5.v2.json"]
-    payload, digest, end = _read(cache, "odd", 5).split(b"\n")
-    assert (digest, end) == (hashlib.sha256(payload).hexdigest().encode(), b"")
-    assert payload == json.dumps({"cells": table.cells, "format_version": 2, "kind": "odd", "n": 5,
-                                  "totals": table.totals}, sort_keys=True, separators=(",", ":")).encode()
+    for kind in enumeration.KINDS:
+        for n in range(1, enumeration.BUDGETS[kind] + 1):
+            table = enumeration.count_table(kind, n)
+            cache.save(table)
+            assert f"{kind}-n{n}.v2.json" in os.listdir(tmp_path)
+            payload, digest, end = _read(cache, kind, n).split(b"\n")
+            assert (digest, end) == (hashlib.sha256(payload).hexdigest().encode(), b"")
+            assert payload == json.dumps({"cells": table.cells, "format_version": 2, "kind": kind, "n": n,
+                                          "totals": table.totals}, sort_keys=True, separators=(",", ":")).encode()
+    assert len(os.listdir(tmp_path)) == sum(enumeration.BUDGETS[kind] for kind in enumeration.KINDS)
+
+
+def test_count_table_json_form_round_trips():
+    for kind in enumeration.KINDS:
+        for n in range(1, enumeration.BUDGETS[kind] + 1):
+            table = enumeration.count_table(kind, n)
+            assert CountTable.from_json_obj(json.loads(json.dumps(table.to_json_obj()))) == table
 
 
 def _read(cache, kind, n) -> bytes:
@@ -636,6 +648,10 @@ def test_disk_cache_rejects_wrong_content_with_valid_checksum(tmp_path):
         assert cache.load("ballot", 5) == table
         _forge(cache, "ballot", 5, content)
         assert cache.load("ballot", 5) is None, content
+        blob = json.loads(_read(cache, "ballot", 5).split(b"\n")[0])
+        del blob["format_version"]
+        with pytest.raises(DomainError):
+            CountTable.from_json_obj(blob)
 
 
 def test_forged_cache_file_is_recomputed(tmp_path, capsys):
@@ -643,7 +659,7 @@ def test_forged_cache_file_is_recomputed(tmp_path, capsys):
     enumeration.clear_memo()
     table = enumeration.count_table("ballot", 5)
     # a zero appended to one row keeps every sum and the diagonal, so only
-    # the row rule of _well_formed refuses that file
+    # the row rule of CountTable.from_json_obj refuses that file
     long_row = [[list(row) for row in layer] for layer in table.cells]
     long_row[1][2].append(0)
     base = ("--cache-dir", str(tmp_path))

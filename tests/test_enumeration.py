@@ -292,17 +292,18 @@ def test_seeded_odd_stream_is_the_index_cell(s):
 
 
 def test_odd_head_index_is_kept_until_clear_memo():
-    # head after head, each seeded stream grouped as a MemberIndex of its own
-    heads = ((1, 7, 2), (1, 7, 3))
+    # the cells (d, 1, 2), then (d, 1, 3), each seeded stream grouped as a MemberIndex of its own
     enumeration.clear_memo()
-    idx = enumeration.odd_head_index(7, heads)
-    for s, head in ((2, heads[0]), (3, heads[1])):
-        assert idx.cell_union(1, s) == MemberIndex(_odd_stream(7, head)).cell_union(1, s)
-    assert enumeration.odd_head_index(7, heads) is idx
+    idx = enumeration.odd_head_index(7)
+    for s in (2, 3):
+        assert idx.cell_union(1, s) == MemberIndex(_odd_stream(7, (1, 7, s))).cell_union(1, s)
+    assert enumeration.odd_head_index(7) is idx
+    # at n = 3 the letter 3 is n itself, so only the cell (1, 2) is streamed
+    assert enumeration.odd_head_index(3).by_cell == {(1, 1, 2): (((1, 3, 2),),)}
     enumeration.clear_memo()
     assert enumeration.odd_head_index.cache_info().currsize == 0
     with pytest.raises(BudgetError):
-        enumeration.odd_head_index(enumeration.BUDGETS["odd"] + 1, ((1, 2),))
+        enumeration.odd_head_index(enumeration.BUDGETS["odd"] + 1)
     assert enumeration.odd_head_index.cache_info().currsize == 0
 
 
