@@ -15,7 +15,9 @@
   (1, 2) and (1, 3) while preserving the cyclic weight.
 
 ``flank_swap``, ``contract`` and ``cycle_flip`` validate and normalize their input
-once, then run their underscored cores, which trust the normalized form.
+once, then run their underscored cores, which trust the normalized form.  The
+forward contraction reads i n j around n itself, and the cycle flip reads its
+factor from the first cycle, which holds n after 1 exactly when it is (1 n s).
 
 The maximal carry is found in one scan past the anchor.  For the leftmost
 occurrence p[start:split] of the anchor, let rel(g) be the height of
@@ -40,7 +42,6 @@ from .cycles import (
     canonicalize_cycles,
     decomposition_size,
     is_odd_order,
-    max_letter_neighbors,
 )
 from .errors import DomainError
 from .words import (
@@ -220,7 +221,11 @@ def _contractor(n: int, i: int, j: int, inverse: bool, is_cycles: bool):
                     row = row[:t] + (n, j) + row[t:]
                 out.append(row)
         else:
-            if not (max_letter_neighbors(p) == (i, j) if is_cycles else find_factor(p, (i, n, j)) is not None):
+            for row in rows:  # n's row: t - 1 and t + 1 - len(row) wrap round a cycle; a word needs 0 < t < len - 1
+                if n in row:
+                    break
+            t = row.index(n)
+            if row[t - 1] != i or row[t + 1 - len(row)] != j or not (is_cycles or 0 < t < len(row) - 1):
                 raise _no_factor(p, i, n, j, is_cycles)
             # No row empties: j and n share their row with i.  They rank 0, so
             # dropping the zeros drops them.
@@ -249,13 +254,11 @@ def _cycle_flip(cycles: CycleDecomposition) -> CycleDecomposition:
         raise DomainError(f"cycle flip needs n >= 4, got n={n}")
     if not is_odd_order(cycles):
         raise DomainError(f"cycle flip is defined on odd order permutations, got {cycles}")
-    neighbors = max_letter_neighbors(cycles)
-    if neighbors not in ((1, 2), (1, 3)):
-        raise DomainError(f"no cycle with the largest letter flanked by 1 and 2 or 3: {cycles}")
-    # n follows 1, so n's cycle is the first and reads (1, n, small, ...), as does its flip.
+    # n follows 1 exactly when n's cycle is the first, (1, n, small, ...), as is its flip.
     c = cycles[0]
-    small = neighbors[1]
-    other = 5 - small
+    if not (len(c) >= 3 and c[1] == n and c[2] in (2, 3)):
+        raise DomainError(f"no cycle with the largest letter flanked by 1 and 2 or 3: {cycles}")
+    small, other = c[2], 5 - c[2]
     if len(c) >= 4 and c[3] == other:
         return ((1, n, other, small) + c[4:][::-1],) + cycles[1:]
     swap = {2: 3, 3: 2}.get  # one table for every cycle

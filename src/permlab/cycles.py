@@ -6,10 +6,12 @@ letter sets partition {1, ..., n}.  Cyclic descents count the pairs
 c[t] > c[t+1] read around the cycle including the wrap-around pair, and the
 weight of a cycle is min(cyclic descents, cyclic ascents).
 
-``_normalize`` is the one min-first rotation and sort, and
+``_normalize`` is the one min-first rotation and sort, and keeps a cycle
+that already starts with its minimum, as nearly every one does, as it is.
 ``canonicalize_cycles`` is the partition check followed by it.  The maps
 validate their input with ``canonicalize_cycles`` once and pass their
-images, letter bijections of a partition, through ``_normalize`` only.
+images, letter bijections of a partition, through ``_normalize`` only (the
+shift kernel makes the same rotation as it relabels each cycle).
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ CycleDecomposition = tuple[Cycle, ...]
 
 
 def _normalize(cycles) -> CycleDecomposition:
-    """Rotate each tuple cycle min-first, then sort the cycles by minimum; the letters are not checked."""
+    """Rotate each tuple cycle min-first unless it is, then sort the cycles by minimum; the letters are not checked."""
     out = []
     for c in cycles:
-        k = c.index(min(c))
+        k = 0 if c[0] == min(c) else c.index(min(c))
         out.append(c[k:] + c[:k] if k else c)
     out.sort()
     return tuple(out)

@@ -41,6 +41,7 @@ at most n letters, fewer than n! < 2^W.  No count lands past d_max either, and
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from itertools import chain, cycle, permutations
@@ -76,10 +77,15 @@ def _check_budget(resource: str, n: int) -> None:
         raise BudgetError(f"{resource!r} is budgeted up to n={BUDGETS[resource]}, got n={n}")
 
 
+def d_range(n: int) -> range:
+    """The statistics d at n, 0 to (n-1)/2: descents of ballot, weights of odd order permutations."""
+    return range((n - 1) // 2 + 1)
+
+
 def _check_d(n: int, d: int | None) -> None:
-    """A statistic d, when given, must be an int in [0, (n-1)/2]."""
-    if d is not None and not (_all_ints((d,)) and 0 <= d <= (n - 1) // 2):
-        raise DomainError(f"d must be an int with 0 <= d <= {(n - 1) // 2}, got {d!r}")
+    """A statistic d, when given, must be an int in ``d_range(n)``."""
+    if d is not None and not (_all_ints((d,)) and d in d_range(n)):
+        raise DomainError(f"d must be an int with 0 <= d <= {d_range(n)[-1]}, got {d!r}")
 
 
 def _check_letters(n: int, i: int, j: int) -> None:
@@ -291,7 +297,7 @@ class CountTable:
 
     @property
     def d_max(self) -> int:
-        return (self.n - 1) // 2
+        return len(d_range(self.n)) - 1
 
     @property
     def grand_total(self) -> int:
@@ -322,7 +328,7 @@ class CountTable:
 def _unpack(vec: int, n: int) -> tuple[int, ...]:
     """Digits 0..d_max of the packed statistic vector ``vec`` at n; a count past
     d_max is refused rather than dropped."""
-    w, size = factorial(n).bit_length(), (n - 1) // 2 + 1
+    w, size = factorial(n).bit_length(), len(d_range(n))
     if vec >> (size * w):
         raise ValueError(f"statistic vector spills past d_max={size - 1} at n={n}")
     digit = (1 << w) - 1
@@ -331,9 +337,9 @@ def _unpack(vec: int, n: int) -> tuple[int, ...]:
 
 def _freeze(kind: str, n: int, totals: int, cell) -> CountTable:
     """A CountTable from the packed totals and ``cell(i, j)``, the packed vector of each cell."""
-    zero = (0,) * ((n - 1) // 2 + 1)
+    zero = (0,) * len(d_range(n))
     rows = [[zero if i == j else _unpack(cell(i, j), n) for j in range(1, n)] for i in range(1, n)]
-    cells = tuple(tuple(tuple(vec[d] for vec in row) for row in rows) for d in range(len(zero)))
+    cells = tuple(tuple(tuple(vec[d] for vec in row) for row in rows) for d in d_range(n))
     return CountTable(kind=kind, n=n, totals=_unpack(totals, n), cells=cells)
 
 
@@ -591,7 +597,7 @@ def count_word_pair(n: int, d: int, u, v) -> int:
         raise DomainError(f"word pair letters must lie in [1, n-1] = [1, {n - 1}]: {u} and {v}")
     if not _all_ints((d,)):
         raise DomainError(f"d must be an int, got {d!r}")
-    return _unpack(_pair_vector(n, u, v), n)[d] if 0 <= d <= (n - 1) // 2 else 0
+    return _unpack(_pair_vector(n, u, v), n)[d] if d in d_range(n) else 0
 
 
 class MemberIndex:
@@ -604,12 +610,11 @@ class MemberIndex:
     """
 
     def __init__(self, stream):
-        by_d: dict[int, list] = {}
-        by_cell: dict[tuple[int, int, int], list] = {}
+        by_d, by_cell = defaultdict(list), defaultdict(list)
         for member, d, nb in stream:
-            by_d.setdefault(d, []).append(member)
+            by_d[d].append(member)
             if nb is not None:
-                by_cell.setdefault((d, nb[0], nb[1]), []).append(member)
+                by_cell[d, nb[0], nb[1]].append(member)
         self.by_d = {d: tuple(ms) for d, ms in by_d.items()}
         self.by_cell = {k: tuple(ms) for k, ms in by_cell.items()}
 

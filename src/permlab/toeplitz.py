@@ -15,23 +15,21 @@ makes the cells, and a forked worker inherits them all.
 
 The kernel finds the core at one end of the interval [m, M+1]: the widest
 run of "discretely continuous" letters anchored next to n.  Its search is
-the only one; ``lower_core`` and ``upper_core`` read their width from the
-same kernel.  It is index arithmetic on the host (around the cycle for
-decompositions), all read at fixed offsets from the position of n: the
+the only one: ``lower_core`` and ``upper_core`` read their width from the
+same kernel, which returns it with the image, so a check of the width
+invariant needs no second search.  The kernel finds n in the word, or n's
+cycle in its own loop, and reads everything at fixed offsets from n: the
 factor i n j, the adjacent pair test, and one walk outward from n on the
-core's side that counts how many letters of the full run follow in order.
-Once i n j is a factor, the run's first letter is n's neighbor on that side,
-so the run can only grow away from n and the walk finds its whole width.
-The kernel then writes the core of the same width at the other end and
-relabels the interval letters displaced by the rewrite in the
-order-preserving way.  That relabeling depends only on (n, i, j, width, end),
-so its kernel holds one table from letter to image per width.  The shift
-reads the core at the lower end (neighbors i, j) and writes it at the upper
-end (neighbors i+1, j+1); its inverse reads and writes the other way round.
-The two cores are mirror images under x -> m + M + 1 - x, and the whole
-rewrite is one letter bijection, so the cycle structure is carried along for
-free.  The kernel returns the image together with the width of the core it
-read, so a check of the width invariant needs no second core search.
+core's side over the full run.  Once i n j is a factor, the run's first
+letter is n's neighbor on that side, so the run can only grow away from n
+and the walk finds its whole width.  The kernel then writes the core of the
+same width at the other end and relabels the displaced interval letters in
+order, by that width's table.  The shift reads the lower end (neighbors
+i, j) and writes the upper end (neighbors i+1, j+1); its inverse the other
+way round.  The two cores are mirror images under x -> m + M + 1 - x, and
+the rewrite is one letter bijection, so the cycle structure is carried
+along for free: each image cycle is relabeled and rotated min-first in one
+loop, and the cycles are sorted once.
 
 Each input rule is checked once: the public entries validate and normalize
 their input, ``shift`` and ``shift_inv`` then refuse it outside the domain,
@@ -43,7 +41,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .cycles import _normalize, canonicalize_cycles, cycle_containing, decomposition_size, is_odd_order
+from .cycles import canonicalize_cycles, cycle_containing, decomposition_size, is_odd_order
 from .errors import DomainError
 from .words import Word, _all_ints, check_permutation, is_ballot
 
@@ -114,7 +112,9 @@ def _mover(n: int, i: int, j: int, cyclic: bool, upper: bool):
         # the cycle written twice, or the word padded with a letter 0 that
         # matches nothing.
         if cyclic:
-            host = cycle_containing(p, n)
+            for host in p:
+                if n in host:
+                    break
             t = host.index(n)
             ring = host + host
         else:
@@ -133,9 +133,15 @@ def _mover(n: int, i: int, j: int, cyclic: bool, upper: bool):
                     break
                 width += 1
         image = tables[width].__getitem__
-        if cyclic:
-            return _normalize([tuple(map(image, c)) for c in p]), width
-        return tuple(map(image, p)), width
+        if not cyclic:
+            return tuple(map(image, p)), width
+        out = []  # _normalize, each image cycle rotated min-first as it is made
+        for c in p:
+            c = tuple(map(image, c))
+            k = 0 if c[0] == min(c) else c.index(min(c))
+            out.append(c[k:] + c[:k] if k else c)
+        out.sort()
+        return tuple(out), width
 
     return move
 

@@ -4,27 +4,25 @@ Each check is a generator of the cells at one size n.  ``run_check`` owns the
 one sweep, from the check's ``min_n`` up to the requested bound: it makes the
 cells of every size, then evaluates and counts them.  A cell is one of two
 kinds: ``_same`` compares the two sides of an identity between table cells
-(or class sizes) exactly and is the list of counterexamples it found, and
-``_bijection`` certifies a map between member cells by round trip through
-its inverse (so the map is injective), per-member invariants, and image-set
+(or class sizes) exactly and is the list of counterexamples it found, and a
+map cell certifies a map between member cells by round trip through its
+inverse (so the map is injective), per-member invariants, and image-set
 equality against exhaustive enumeration; a member that either map refuses is
-a counterexample of its cell.  ``T_roundtrip`` shifts each member once
-forward and each image once back, and takes both core widths of its width
-invariant from those two moves.  The map checks call the maps' cores, which
-trust the streams' normalized members, and the three anchor checks share one
-split per cell, ``anchor_classes``.  The public maps and core searches
-imported beside the cores (``contract``, ``cycle_flip``, ``exchange_letters``,
-``flank_swap``, ``is_anchor_decomposable``, ``shift``, ``shift_inv``,
-``lower_core``, ``upper_core``) are bound only for perfbench's traced catalog
-run, which rebinds them.  Every violated cell is recorded, so
-conjecture-style checks report counterexamples instead of raising and the
-harness doubles as a counterexample search at larger budgets.  Reports are
-deterministic apart from wall time.
+a counterexample of its cell.  ``T_roundtrip``'s map cell, ``_shift_cell``,
+calls its two shift kernels itself; the other map checks' is ``_bijection``,
+and both end in ``_verdict``.  The map checks call the maps' cores, which
+trust the streams' normalized members, and the three anchor checks share
+one split per cell, ``anchor_classes``.  The public maps and core searches
+imported beside the cores are bound only for perfbench's traced catalog run,
+which rebinds them (tests/test_verify.py holds the list).  Every violated
+cell is recorded, so conjecture-style checks report counterexamples instead
+of raising and the harness doubles as a counterexample search at larger
+budgets.  Reports are deterministic apart from wall time.
 
 The five map checks (``lemma21``, ``thm23_bijection``, ``phi_bijection``,
-``T_roundtrip``, ``lemma42``) yield their ``_bijection`` cells deferred, as
-partials with every argument bound, and read every memo they need (member
-indexes, anchor classes, the seeded odd index of ``lemma42``, the shift and
+``T_roundtrip``, ``lemma42``) yield their map cells deferred, as partials
+with every argument bound, and read every memo they need (member indexes,
+anchor classes, the seeded odd index of ``lemma42``, the shift and
 contraction kernels with every table they read) while they make them, so
 the memos stay in this process when ``_run_cells`` forks.
 ``_run_cells`` runs the deferred cells on every CPU in the process's
@@ -63,16 +61,11 @@ from .enumeration import (
     ballot_count_closed,
     count_table,
     count_word_pair,
+    d_range,
     member_index,
     odd_head_index,
 )
 from .errors import BudgetError, DomainError
-# T_roundtrip and lemma21 move members with the bare kernels _mover and
-# _contractor, cached per key: their members are in the domain and their
-# letters in range by construction.  No check calls contract, cycle_flip,
-# exchange_letters, flank_swap, is_anchor_decomposable, shift, shift_inv,
-# lower_core or upper_core; they stay bound because perfbench's traced
-# catalog run rebinds each (tests/test_verify.py holds the list).
 from .toeplitz import _mover, lower_core, shift, shift_inv, upper_core  # noqa: F401
 from .words import _all_ints, format_word, height, is_ballot, swap_letters
 
@@ -92,8 +85,8 @@ class VerificationReport:
         return dict(asdict(self), counterexamples=list(self.counterexamples))
 
 
-def _ce(params: dict, lhs, rhs) -> dict:
-    return {"params": params, "lhs": lhs, "rhs": rhs}
+def _ce(params: dict, lhs, rhs, **more) -> dict:
+    return {"params": dict(params, **more), "lhs": lhs, "rhs": rhs}
 
 
 def _fmt(member) -> str:
@@ -123,22 +116,24 @@ def _bijection(params: dict, domain, target, fwd, inv, invariants=()) -> list:
             q = fwd(p)
             roundtrip &= inv(q) == p
         except DomainError as exc:
-            bad.append(_ce(dict(params, property="refused", perm=_fmt(p)), str(exc), "mapped"))
+            bad.append(_ce(params, str(exc), "mapped", property="refused", perm=_fmt(p)))
             continue
         for prop, broken in invariants:
             sides = broken(p, q)
             if sides is not None:
-                bad.append(_ce(dict(params, property=prop, perm=_fmt(p)), *sides))
+                bad.append(_ce(params, *sides, property=prop, perm=_fmt(p)))
         image.add(q)
+    return _verdict(params, bad, roundtrip, image, target)
+
+
+def _verdict(params: dict, bad: list, roundtrip: bool, image: set, target) -> list:
+    """A map cell's counterexamples: its members' ``bad``, a broken round trip, an image off the target."""
     if not roundtrip:
-        bad.append(_ce(dict(params, property="roundtrip"), "round trip", "identity"))
+        bad.append(_ce(params, "round trip", "identity", property="roundtrip"))
     wanted = set(target)
     if image != wanted:
-        bad.append(_ce(
-            dict(params, property="image"),
-            "missing " + "; ".join(_fmt(x) for x in sorted(wanted - image)[:3]),
-            "extra " + "; ".join(_fmt(x) for x in sorted(image - wanted)[:3]),
-        ))
+        bad.append(_ce(params, "missing " + "; ".join(_fmt(x) for x in sorted(wanted - image)[:3]),
+                       "extra " + "; ".join(_fmt(x) for x in sorted(image - wanted)[:3]), property="image"))
     return bad
 
 
@@ -170,7 +165,7 @@ def _lemma21(n: int):
                 if not 1 <= j <= n - 1:
                     continue
                 maps = _contractor(n, i, j, False, cyclic), _contractor(n, i, j, True, cyclic)
-                for d in range((n - 1) // 2 + 1):
+                for d in d_range(n):
                     yield partial(_bijection, {"kind": kind, "n": n, "d": d, "i": i, "j": j},
                                   idx.cell(d, i, j), small.stat_class(d - 1) if d >= 1 else (), *maps)
 
@@ -191,7 +186,7 @@ def _lemma22(n: int):
                 params = {"n": n, "i": i, "j": j, "anchor": format_word(word), "perm": format_word(p)}
                 if dec is None:
                     # a class member that does not split is a fault, not a skip
-                    yield [_ce(dict(params, property="no split"), "no split", "a split around the anchor")]
+                    yield [_ce(params, "no split", "a split around the anchor", property="no split")]
                 else:
                     yield [_ce(params, f"carry_last={dec.carry_last} tail_1={dec.tail[0]}",
                                f"anchor_height={height(word)}")]
@@ -236,7 +231,7 @@ def _toeplitz(kind: str, n: int):
 
 def _symmetry_p(n: int):
     table = count_table("odd", n)
-    for d in range((n - 1) // 2 + 1):
+    for d in d_range(n):
         for i in range(1, n):
             for j in range(i + 1, n):
                 yield _same({"n": n, "d": d, "i": i, "j": j}, table.cell(d, i, j), table.cell(d, j, i))
@@ -244,62 +239,51 @@ def _symmetry_p(n: int):
 
 def _cycle_profile(cycles):
     """(length, cyclic descents) of each cycle, sorted."""
-    return sorted([(len(c), sum(map(gt, c, c[1:] + c[:1]))) for c in cycles])
+    return sorted([(len(c), sum(map(gt, c, c[1:] + c[:1]))) if len(c) > 1 else (1, 0) for c in cycles])
 
 
-def _shift_maps(n: int, i: int, j: int, cyclic: bool):
-    """(fwd, inv, invariants) of one shift cell, each member moved once each way.
-
-    The cell reads its two shift kernels once.  ``_bijection`` maps p to
-    q = fwd(p), then q back by inv, then reads the invariants of (p, q).
-    Each move records the width of the core it read, so the width invariant
-    compares the width found on p at the lower end with the width found on q
-    at the upper end without searching either core again.  On
-    decompositions each cycle's length and weight must also stay.
-    """
-    forward, backward = _mover(n, i, j, cyclic, False), _mover(n, i, j, cyclic, True)
-    widths = [0, 0]
-
-    def fwd(p):
-        q, widths[0] = forward(p)
-        return q
-
-    def inv(q):
-        p, widths[1] = backward(q)
-        return p
-
-    def width(p, q):
-        lower, upper = widths
-        return None if lower == upper else (lower, upper)
-
-    def stats(p, q):
-        before, after = _cycle_profile(p), _cycle_profile(q)
-        return None if before == after else (str(before), str(after))
-
-    invariants = (("width", width), ("cycle_stats", stats)) if cyclic else (("width", width),)
-    return fwd, inv, invariants
+def _shift_cell(params: dict, domain, target, forward, backward, cyclic: bool) -> list:
+    """One ``T_roundtrip`` cell: ``_bijection`` with its two shift kernels called in place.  Each
+    move returns the width of the core it read, so the width invariant compares p's lower core with
+    q's upper core; on decompositions each cycle's length and cyclic descents must also stay."""
+    bad, image, roundtrip = [], set(), True
+    for p in domain:
+        try:
+            q, lower = forward(p)
+            back, upper = backward(q)
+        except DomainError as exc:
+            bad.append(_ce(params, str(exc), "mapped", property="refused", perm=_fmt(p)))
+            continue
+        roundtrip &= back == p
+        if lower != upper:
+            bad.append(_ce(params, lower, upper, property="width", perm=_fmt(p)))
+        if cyclic and (before := _cycle_profile(p)) != (after := _cycle_profile(q)):
+            bad.append(_ce(params, str(before), str(after), property="cycle_stats", perm=_fmt(p)))
+        image.add(q)
+    return _verdict(params, bad, roundtrip, image, target)
 
 
 def _t_roundtrip(n: int):
     for kind, cyclic in (("ballot", False), ("odd", True)):
         idx = member_index(kind, n)
-        for d in range((n - 1) // 2 + 1):
+        for d in d_range(n):
             for i, j in permutations(range(1, n - 1), 2):
-                yield partial(_bijection, {"kind": kind, "n": n, "d": d, "i": i, "j": j},
-                              idx.cell(d, i, j), idx.cell(d, i + 1, j + 1), *_shift_maps(n, i, j, cyclic))
+                yield partial(_shift_cell, {"kind": kind, "n": n, "d": d, "i": i, "j": j},
+                              idx.cell(d, i, j), idx.cell(d, i + 1, j + 1),
+                              _mover(n, i, j, cyclic, False), _mover(n, i, j, cyclic, True), cyclic)
 
 
 def _conj_spiro(n: int):
     bt = count_table("ballot", n)
     pt = count_table("odd", n)
-    for d in range((n - 1) // 2 + 1):
+    for d in d_range(n):
         yield _same({"n": n, "d": d}, bt.total(d), pt.total(d))
 
 
 def _conj_refined(n: int):
     bt = count_table("ballot", n)
     pt = count_table("odd", n)
-    for d in range((n - 1) // 2 + 1):
+    for d in d_range(n):
         for j in range(2, n):
             yield _same({"n": n, "d": d, "j": j}, bt.cell(d, 1, j) + bt.cell(d, j, 1), 2 * pt.cell(d, 1, j))
 
@@ -323,7 +307,7 @@ def _lemma42(n: int):
 
     # only the cells (d, 1, 2) and (d, 1, 3) are streamed, once per n, never the whole member list
     idx = odd_head_index(n)
-    for d in range((n - 1) // 2 + 1):
+    for d in d_range(n):
         yield partial(_bijection, {"n": n, "d": d}, idx.cell(d, 1, 2), idx.cell(d, 1, 3),
                       _cycle_flip, _cycle_flip, (("cycle_lengths", lengths),))
 
@@ -337,7 +321,7 @@ _PROP43_PAIRS = {"u=1 v=23": ((1,), (2, 3)), "u=23 v=1": ((2, 3), (1,)),
 def _prop43(n: int):
     bt = count_table("ballot", n)
     small = count_table("ballot", n - 3)
-    for d in range((n - 1) // 2 + 1):
+    for d in d_range(n):
         counts = [count_word_pair(n, d, u, v) for u, v in _PROP43_PAIRS.values()]
         for k, (label, lhs) in enumerate(zip(_PROP43_PAIRS, counts)):
             yield _same({"n": n, "d": d, "pair": label}, lhs, small.total(d - 1 - k // 2))
@@ -352,7 +336,7 @@ def _eq_bnd_pnd(n: int):
     for kind in KINDS:
         table = count_table(kind, n)
         prev = count_table(kind, n - 1)
-        for d in range((n - 1) // 2 + 1):
+        for d in d_range(n):
             yield _same({"kind": kind, "n": n, "d": d}, table.total(d),
                         prev.total(d) + sum(table.cell(d, i, j) for i, j in permutations(range(1, n), 2)))
 
@@ -477,11 +461,11 @@ def _deal(loads: dict[int, int], workers: int) -> list[list[int]]:
 def _run_cells(cells: list) -> list[list]:
     """Each cell's counterexamples, in cell order.
 
-    A cell is its list of counterexamples, or a deferred map check,
-    ``partial(_bijection, params, domain, ...)``, whose load is its domain's
-    size.  The deferred cells are dealt to the workers (``_workers``,
-    ``_deal``): this process runs hand 0, and a child forked here runs each
-    other hand.  Every child is reaped before this returns or raises.
+    A cell is its list of counterexamples, or a deferred map cell, a
+    ``partial`` whose ``args[1]`` is its domain, whose size is its load.
+    The deferred cells are dealt to the workers (``_workers``, ``_deal``):
+    this process runs hand 0, and a child forked here runs each other hand.
+    Every child is reaped before this returns or raises.
     """
     loads = {k: len(cell.args[1]) for k, cell in enumerate(cells) if callable(cell)}
     hands = _deal(loads, _workers(sum(loads.values())))

@@ -74,6 +74,29 @@ def oracle_swap_letters(w, a, b):
     return tuple(b if x == a else a if x == b else x for x in w)
 
 
+def oracle_normalize(cycles):
+    """Min-first rotation and sort as first written: every cycle rotated at its
+    minimum's index, even a cycle that already starts with its minimum."""
+    out = []
+    for c in cycles:
+        k = c.index(min(c))
+        out.append(c[k:] + c[:k] if k else c)
+    out.sort()
+    return tuple(out)
+
+
+def oracle_member_index(stream):
+    """(by_d, by_cell) of a classified stream, grouped as first written: one
+    ``setdefault`` per member and key, then each group frozen in stream order."""
+    by_d, by_cell = {}, {}
+    for member, d, nb in stream:
+        by_d.setdefault(d, []).append(member)
+        if nb is not None:
+            by_cell.setdefault((d, nb[0], nb[1]), []).append(member)
+    return ({d: tuple(ms) for d, ms in by_d.items()},
+            {k: tuple(ms) for k, ms in by_cell.items()})
+
+
 def ballot_cell(p):
     """(descents, neighbors of n) for a ballot permutation; None when n is last."""
     n = len(p)

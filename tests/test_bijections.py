@@ -362,6 +362,44 @@ def test_contract_errors():
         assert str(exc.value) == "letters must lie in [1, 4], got (5, 6)"
 
 
+def test_contract_answers_exactly_where_n_is_flanked_by_i_and_j(small_odd):
+    # every odd order decomposition of n = 3..7 and every pair |i - j| = 1 of
+    # letters in [0, n]: contract answers exactly where i n j is a cyclic
+    # factor, and refuses every other pair with _no_factor's message, whether
+    # a letter lies outside [1, n-1] or the factor is absent
+    answered = 0
+    for n in range(3, 8):
+        for p in small_odd[n]:
+            for i in range(n + 1):
+                for j in (i - 1, i + 1):
+                    if max_letter_neighbors(p) == (i, j):
+                        assert contract(contract(p, i, j), i, j, inverse=True) == p
+                        answered += 1
+                        continue
+                    with pytest.raises(DomainError) as exc:
+                        contract(p, i, j)
+                    assert str(exc.value) == f"{p} does not contain the cyclic factor {i} {n} {j}"
+    assert answered == 546  # the odd count tables' cells (i, i +- 1) summed over n = 3..7
+
+
+def test_contract_answers_exactly_where_a_word_holds_i_n_j():
+    # the one-line counterpart, over every permutation of n = 3..7: the factor
+    # i n j never wraps round the word's ends
+    answered = 0
+    for n in range(3, 8):
+        for p in itertools.permutations(range(1, n + 1)):
+            for i in range(n + 1):
+                for j in (i - 1, i + 1):
+                    if find_factor(p, (i, n, j)) is not None:
+                        assert contract(contract(p, i, j), i, j, inverse=True) == p
+                        answered += 1
+                        continue
+                    with pytest.raises(DomainError) as exc:
+                        contract(p, i, j)
+                    assert str(exc.value) == f"{p} does not contain the factor {i} {n} {j}"
+    assert answered == 1438  # the block i n j: 2(n-2) pairs times (n-2)! words, summed over n = 3..7
+
+
 def test_cycle_flip_examples():
     assert cycle_flip(((1, 7, 2, 3, 6, 5, 4),)) == ((1, 7, 3, 2, 4, 5, 6),)
     assert perm_weight(((1, 7, 2, 3, 6, 5, 4),)) == perm_weight(((1, 7, 3, 2, 4, 5, 6),)) == 3
@@ -410,6 +448,23 @@ def test_cycle_flip_domain_errors():
     with pytest.raises(DomainError) as exc:
         cycle_flip(((1, 2), (3,), (4,)))
     assert str(exc.value) == "cycle flip is defined on odd order permutations, got ((1, 2), (3,), (4,))"
+
+
+def test_cycle_flip_answers_exactly_where_n_is_flanked_by_1_and_2_or_3(small_odd):
+    # every odd order decomposition of n = 4..7 passes the n and odd order
+    # checks, so the flip answers exactly on the cells (1, 2) and (1, 3) and
+    # refuses every other member with the factor message
+    answered = 0
+    for n in range(4, 8):
+        for p in small_odd[n]:
+            if max_letter_neighbors(p) in ((1, 2), (1, 3)):
+                assert cycle_flip(cycle_flip(p)) == p
+                answered += 1
+                continue
+            with pytest.raises(DomainError) as exc:
+                cycle_flip(p)
+            assert str(exc.value) == f"no cycle with the largest letter flanked by 1 and 2 or 3: {p}"
+    assert answered == 116  # the odd count tables' cells (1, 2) and (1, 3) summed over n = 4..7
 
 
 def test_tail_of_pivot_decomposition_is_ballot():

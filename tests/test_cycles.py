@@ -1,6 +1,8 @@
 import itertools
+import random
 
 import pytest
+from conftest import oracle_normalize
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -123,6 +125,24 @@ def test_canonicalize_is_rotation_invariant(c, r):
     rotated = c[k:] + c[:k]
     assert _normalize([rotated]) == _normalize([c])
     assert _normalize([c])[0][0] == min(c)
+
+
+def test_normalize_matches_rotate_then_sort_on_seeded_decompositions():
+    # each cycle of a random permutation of [n], n <= 12, rotated at random,
+    # and the cycles shuffled; a rotation by 0 leaves a cycle min-first, which
+    # _normalize keeps as it is, so both of its branches run
+    rng = random.Random(38)
+    kept = rotated = 0
+    for _ in range(2000):
+        n = rng.randint(1, 12)
+        cycles = []
+        for c in cycles_from_one_line(tuple(rng.sample(range(1, n + 1), n))):
+            k = rng.randrange(len(c))
+            cycles.append(c[k:] + c[:k])
+            kept, rotated = kept + (c[k] == min(c)), rotated + (c[k] != min(c))
+        rng.shuffle(cycles)
+        assert _normalize(cycles) == oracle_normalize(cycles), cycles
+    assert kept > 1000 and rotated > 1000
 
 
 def test_canonicalize_idempotent(small_odd):

@@ -8,7 +8,7 @@ from math import factorial
 from pathlib import Path
 
 import pytest
-from conftest import ballot_cell, odd_cell
+from conftest import STREAMS, ballot_cell, odd_cell, oracle_member_index
 
 from permlab import enumeration
 from permlab.cycles import canonicalize_cycles, format_cycles, is_odd_order
@@ -289,6 +289,20 @@ def test_seeded_odd_stream_is_the_index_cell(s):
         seeded = MemberIndex(_odd_stream(n, (1, n, s)))
         assert seeded.by_cell == {(d, 1, s): ms for d, ms in cells.items()}, n
         assert seeded.cell_union(1, s) == idx.cell_union(1, s), n
+
+
+@pytest.mark.parametrize("kind", ["ballot", "odd"])
+def test_member_index_groups_as_one_setdefault_per_member_and_key(kind):
+    # the same (d, i, j) keys, plain dicts of tuples, keys in first-seen order
+    # and every group in stream order, over every whole stream up to n = 8
+    for n in range(1, 9):
+        idx = MemberIndex(STREAMS[kind](n))
+        by_d, by_cell = oracle_member_index(STREAMS[kind](n))
+        assert type(idx.by_d) is type(idx.by_cell) is dict, n
+        assert list(idx.by_d.items()) == list(by_d.items()), n
+        assert list(idx.by_cell.items()) == list(by_cell.items()), n
+        for i, j in itertools.permutations(range(1, n), 2):
+            assert idx.cell_union(i, j) == tuple(p for d in sorted(by_d) for p in by_cell.get((d, i, j), ())), n
 
 
 def test_odd_head_index_is_kept_until_clear_memo():
