@@ -17,7 +17,8 @@
 ``flank_swap``, ``contract`` and ``cycle_flip`` validate and normalize their input
 once, then run their underscored cores, which trust the normalized form.  The
 forward contraction reads i n j around n itself, and the cycle flip reads its
-factor from the first cycle, which holds n after 1 exactly when it is (1 n s).
+factor from the first cycle, which holds n after 1 exactly when it is (1 n s),
+and exchanges 2 and 3 through one module-level table.
 
 The maximal carry is found in one scan past the anchor.  For the leftmost
 occurrence p[start:split] of the anchor, let rel(g) be the height of
@@ -247,6 +248,9 @@ def cycle_flip(cycles: CycleDecomposition) -> CycleDecomposition:
     return _cycle_flip(canonicalize_cycles(cycles))
 
 
+_SWAP_2_3 = {2: 3, 3: 2}.get  # the exchange of 2 and 3, one table for every cycle of every flip
+
+
 def _cycle_flip(cycles: CycleDecomposition) -> CycleDecomposition:
     """:func:`cycle_flip` on a canonical decomposition."""
     n = decomposition_size(cycles)
@@ -261,5 +265,4 @@ def _cycle_flip(cycles: CycleDecomposition) -> CycleDecomposition:
     small, other = c[2], 5 - c[2]
     if len(c) >= 4 and c[3] == other:
         return ((1, n, other, small) + c[4:][::-1],) + cycles[1:]
-    swap = {2: 3, 3: 2}.get  # one table for every cycle
-    return _normalize([_swapped(cycle, swap) for cycle in cycles])
+    return _normalize([_swapped(cycle, _SWAP_2_3) for cycle in cycles])

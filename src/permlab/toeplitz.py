@@ -29,7 +29,8 @@ i, j) and writes the upper end (neighbors i+1, j+1); its inverse the other
 way round.  The two cores are mirror images under x -> m + M + 1 - x, and
 the rewrite is one letter bijection, so the cycle structure is carried
 along for free: each image cycle is relabeled and rotated min-first in one
-loop, and the cycles are sorted once.
+loop, which takes its minimum once and relabels a fixed point as a
+one-letter tuple, and the cycles are sorted once.
 
 Each input rule is checked once: the public entries validate and normalize
 their input, ``shift`` and ``shift_inv`` then refuse it outside the domain,
@@ -132,14 +133,21 @@ def _mover(n: int, i: int, j: int, cyclic: bool, upper: bool):
                 if ring[t + step * (width + 1)] != x:
                     break
                 width += 1
-        image = tables[width].__getitem__
+        table = tables[width]
+        image = table.__getitem__
         if not cyclic:
             return tuple(map(image, p)), width
         out = []  # _normalize, each image cycle rotated min-first as it is made
         for c in p:
+            if len(c) == 1:  # a fixed point stays one, under its new letter
+                out.append((table[c[0]],))
+                continue
             c = tuple(map(image, c))
-            k = 0 if c[0] == min(c) else c.index(min(c))
-            out.append(c[k:] + c[:k] if k else c)
+            low = min(c)
+            if c[0] != low:
+                k = c.index(low)
+                c = c[k:] + c[:k]
+            out.append(c)
         out.sort()
         return tuple(out), width
 

@@ -1,13 +1,16 @@
 import itertools
 from functools import cache
 from math import factorial
+from operator import gt
 
 import pytest
 from hypothesis import HealthCheck, settings
 
-from permlab.cycles import max_letter_neighbors, perm_weight
+from permlab.cycles import _normalize, decomposition_size, is_odd_order, max_letter_neighbors, perm_weight
 from permlab.enumeration import _ballot_stream, _odd_stream
-from permlab.words import descents, height, is_ballot
+from permlab.errors import DomainError
+from permlab.toeplitz import _relabel, _run
+from permlab.words import _swapped, descents, height, is_ballot
 
 settings.register_profile(
     "ci", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -83,6 +86,68 @@ def oracle_normalize(cycles):
         out.append(c[k:] + c[:k] if k else c)
     out.sort()
     return tuple(out)
+
+
+def oracle_cycle_mover(n, i, j, upper):
+    """The cycle-form shift kernel at one key, p -> (image, width), as it was
+    before fixed points skipped the relabel map: every image cycle relabeled
+    through ``tuple(map(...))``, its minimum computed for the test and again
+    for the index.  The key's tables come from the same ``_run`` and
+    ``_relabel``, which test_toeplitz holds to their own formulas."""
+    m, M = (i, j) if i < j else (j, i)
+    left, right = (i + 1, j + 1) if upper else (i, j)
+    step = 1 if (i < j) == upper else -1
+    stop = m if upper else M + 1
+    run = _run(m, M, M - m + 1, upper)
+    tables = tuple(_relabel(n, i, j, width, upper) for width in range(M - m + 2))
+
+    def move(p):
+        for host in p:
+            if n in host:
+                break
+        t = host.index(n)
+        ring = host + host
+        if ring[t - 1] != left or ring[t + 1] != right:
+            raise DomainError(f"input does not contain the cyclic factor {left} {n} {right}")
+        width = 0
+        if ring[t - 2 * step] != stop:
+            for x in run:
+                if ring[t + step * (width + 1)] != x:
+                    break
+                width += 1
+        image = tables[width].__getitem__
+        out = []
+        for c in p:
+            c = tuple(map(image, c))
+            k = 0 if c[0] == min(c) else c.index(min(c))
+            out.append(c[k:] + c[:k] if k else c)
+        out.sort()
+        return tuple(out), width
+
+    return move
+
+
+def oracle_cycle_profile(cycles):
+    """(length, cyclic descents) of each cycle, sorted, as one comprehension
+    sorted into a new list."""
+    return sorted([(len(c), sum(map(gt, c, c[1:] + c[:1]))) if len(c) > 1 else (1, 0) for c in cycles])
+
+
+def oracle_cycle_flip(cycles):
+    """The cycle flip of a canonical decomposition with a swap table made per call."""
+    n = decomposition_size(cycles)
+    if n < 4:
+        raise DomainError(f"cycle flip needs n >= 4, got n={n}")
+    if not is_odd_order(cycles):
+        raise DomainError(f"cycle flip is defined on odd order permutations, got {cycles}")
+    c = cycles[0]
+    if not (len(c) >= 3 and c[1] == n and c[2] in (2, 3)):
+        raise DomainError(f"no cycle with the largest letter flanked by 1 and 2 or 3: {cycles}")
+    small, other = c[2], 5 - c[2]
+    if len(c) >= 4 and c[3] == other:
+        return ((1, n, other, small) + c[4:][::-1],) + cycles[1:]
+    swap = {2: 3, 3: 2}.get
+    return _normalize([_swapped(cycle, swap) for cycle in cycles])
 
 
 def oracle_member_index(stream):

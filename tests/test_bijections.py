@@ -2,13 +2,14 @@ import itertools
 import random
 
 import pytest
-from conftest import oracle_anchor_split, oracle_ballot, oracle_swap_letters
+from conftest import oracle_anchor_split, oracle_ballot, oracle_cycle_flip, oracle_swap_letters
 
 from permlab import bijections
 from permlab.bijections import (
     AnchorDecomposition,
     _carry_scan,
     _contractor,
+    _cycle_flip,
     anchor_decompose,
     contract,
     cycle_flip,
@@ -18,7 +19,7 @@ from permlab.bijections import (
     pivot_words,
 )
 from permlab.cycles import _normalize, max_letter_neighbors, perm_weight
-from permlab.enumeration import anchor_classes, member_index
+from permlab.enumeration import anchor_classes, member_index, odd_head_index
 from permlab.errors import DomainError
 from permlab.toeplitz import shift
 from permlab.words import find_factor, height, is_ballot, swap_letters
@@ -465,6 +466,20 @@ def test_cycle_flip_answers_exactly_where_n_is_flanked_by_1_and_2_or_3(small_odd
                 cycle_flip(p)
             assert str(exc.value) == f"no cycle with the largest letter flanked by 1 and 2 or 3: {p}"
     assert answered == 116  # the odd count tables' cells (1, 2) and (1, 3) summed over n = 4..7
+
+
+def test_cycle_flip_equals_the_flip_with_a_swap_table_per_call_on_every_head_member():
+    # every member lemma42 flips, up to its default bound: the odd order
+    # members of n = 4..9 whose first cycle opens with 1 n 2 or 1 n 3, where
+    # both the reversal and the exchange of 2 and 3 run
+    branches = set()
+    for n in range(4, 10):
+        for members in odd_head_index(n).by_d.values():
+            for p in members:
+                q = _cycle_flip(p)
+                assert q == oracle_cycle_flip(p), p
+                branches.add(q[0][2:4] == p[0][2:4][::-1])
+    assert branches == {False, True}
 
 
 def test_tail_of_pivot_decomposition_is_ballot():

@@ -2,12 +2,12 @@ from collections import Counter
 from itertools import permutations
 
 import pytest
-from conftest import ballot_cell, odd_cell
+from conftest import ballot_cell, odd_cell, oracle_cycle_mover
 
 from permlab.cycles import cycle_stats, cycles_from_one_line, is_odd_order, parse_cycles, perm_weight
 from permlab.enumeration import enumerate_ballot, enumerate_odd_order, member_index
 from permlab.errors import DomainError
-from permlab.toeplitz import _core_word, _move, _relabel, _run, lower_core, shift, shift_inv, upper_core
+from permlab.toeplitz import _core_word, _move, _mover, _relabel, _run, lower_core, shift, shift_inv, upper_core
 from permlab.words import descents, find_factor, is_ballot
 
 PI_CYCLIC = parse_cycles("(1 6 8 2 10)(3 12 9 11 7 5 4)")
@@ -354,6 +354,29 @@ def test_move_returns_the_image_and_the_width_it_read():
                                 seen["moved", cyclic, in_domain, got[1] > 0] += 1
     assert {("moved", c, d, w) for c in (False, True) for d in (False, True) for w in (False, True)} <= set(seen), seen
     assert {("refused", "shift"), ("refused", "input"), "outside"} <= set(seen), seen
+
+
+def test_cycle_kernel_equals_the_relabel_every_cycle_kernel_on_every_odd_member(drained):
+    # every odd order member of n = 4..8, at every key 1 <= i != j <= n-2, in
+    # both directions: the kernel's (image, width), or its refusal, equals the
+    # oracle kernel's, which relabels every cycle through tuple(map(...)).
+    # T_roundtrip proves each cell's kernels a bijection onto the target
+    # cell, not that they are T; this holds them to the kernel they replace.
+    seen = Counter()
+    for n in range(4, 9):
+        members = [p for p, _, _ in drained("odd", n)]
+        for i, j in shift_pairs(n):
+            for upper in (False, True):
+                move, oracle = _mover(n, i, j, True, upper), oracle_cycle_mover(n, i, j, upper)
+                for p in members:
+                    got = call_outcome(move, p)
+                    assert got == call_outcome(oracle, p), (p, i, j, upper)
+                    if isinstance(got[0], type):
+                        seen["refused"] += 1
+                    else:
+                        seen["moved", got[1] > 0, min(map(len, p)) == 1] += 1
+    assert {("moved", w, f) for w in (False, True) for f in (False, True)} <= set(seen), seen
+    assert seen["refused"] > 0
 
 
 @pytest.mark.parametrize("op", [shift, shift_inv, lower_core, upper_core])

@@ -4,14 +4,17 @@ import functools
 import itertools
 import json
 import os
+import random
 import threading
 import warnings
 
 import pytest
+from conftest import oracle_cycle_profile
 
 from permlab import enumeration, verify
 from permlab.bijections import AnchorDecomposition
 from permlab.cli import main
+from permlab.cycles import cycles_from_one_line
 from permlab.errors import BudgetError, DomainError
 from permlab.verify import CHECKS, VerificationReport, _bijection, _same, list_checks, run_check
 from permlab.words import is_ballot
@@ -345,6 +348,24 @@ def test_t_roundtrip_reports_cycle_stats_that_change(monkeypatch):
                     "perm": "(1 4 2)(3)"},
          "lhs": str(before + [(0, 0)]), "rhs": str(before)},
     )
+
+
+def test_cycle_profile_equals_the_sorted_comprehension_on_seeded_decompositions():
+    # each cycle of a random permutation of [n], n <= 12, rotated at random,
+    # and the cycles shuffled: the profile reads each cycle's descents round
+    # the wrap wherever it starts, and a fixed point is (1, 0)
+    rng = random.Random(39)
+    rotated = fixed = 0
+    for _ in range(2000):
+        n = rng.randint(1, 12)
+        cycles = []
+        for c in cycles_from_one_line(tuple(rng.sample(range(1, n + 1), n))):
+            k = rng.randrange(len(c))
+            cycles.append(c[k:] + c[:k])
+            rotated, fixed = rotated + (c[k] != min(c)), fixed + (len(c) == 1)
+        rng.shuffle(cycles)
+        assert verify._cycle_profile(cycles) == oracle_cycle_profile(cycles), cycles
+    assert rotated > 1000 and fixed > 1000
 
 
 def test_lemma42_reports_a_flip_that_changes_cycle_lengths(monkeypatch):
