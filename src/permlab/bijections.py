@@ -14,11 +14,11 @@
 * cycle flip: toggle the cyclic neighbors of the largest letter between
   (1, 2) and (1, 3) while preserving the cyclic weight.
 
-``flank_swap``, ``contract`` and ``cycle_flip`` validate and normalize their input
-once, then run their underscored cores, which trust the normalized form.  The
-forward contraction reads i n j around n itself, and the cycle flip reads its
-factor from the first cycle, which holds n after 1 exactly when it is (1 n s),
-and exchanges 2 and 3 through one module-level table.
+Each map validates once, at its public entry: form, domain and letters.  Its
+core, which the checks call, trusts a canonical member and checks only its
+factor: ``_flank_swap`` slices at the split ``_carry_scan`` finds, the
+``_contractor`` kernel reads i n j around n, and ``_cycle_flip`` reads
+(1 n s) off the first cycle and swaps 2 and 3 by one module-level table.
 
 The maximal carry is found in one scan past the anchor.  For the leftmost
 occurrence p[start:split] of the anchor, let rel(g) be the height of
@@ -39,6 +39,7 @@ from functools import cache
 
 from .cycles import (
     CycleDecomposition,
+    _checked,
     _normalize,
     canonicalize_cycles,
     decomposition_size,
@@ -145,11 +146,11 @@ def flank_swap(p: Word, i: int, j: int, direction: str = "forward") -> Word:
 
 
 def _flank_swap(p: Word, src: Word, dst: Word) -> Word:
-    """:func:`flank_swap` of a ballot permutation from the pivot word ``src`` to ``dst``."""
-    dec = anchor_decompose(p, src)
-    if dec is None:
+    """:func:`flank_swap` of a ballot permutation from ``src`` to ``dst``, at the split of :func:`anchor_decompose`."""
+    start, split, _, best = _carry_scan(p, src)
+    if best is None:
         raise DomainError(f"{p} is not anchor-decomposable for {src}")
-    return dec.carry[::-1] + dst + dec.head[::-1] + dec.tail
+    return p[split:split + best][::-1] + dst + p[:start][::-1] + p[split + best:]
 
 
 def exchange_letters(p: Word, i: int, j: int) -> Word:
@@ -174,21 +175,16 @@ def contract(p, i: int, j: int, inverse: bool = False):
     """Remove (or re-insert, with inverse=True) the letters j and n around i.
 
     Needs int letters with |i - j| = 1.  Forward input must contain the
-    factor i n j (a cyclic factor for decompositions); the remaining letters
-    are relabeled in the order-preserving way by a kernel cached per key,
-    which holds its tables.  Accepts a one-line permutation or a cycle
-    decomposition, whose cycles may be tuples or lists, and returns the same kind.
+    factor i n j (a cyclic factor for decompositions); the other letters are
+    relabeled in order by a kernel cached per key, built only for letters in
+    range.  Accepts a one-line permutation or a cycle decomposition, whose
+    cycles may be tuples or lists, and returns the same kind.
     """
     if not _all_ints((i, j)) or abs(i - j) != 1:
         raise DomainError(f"contract needs int letters with |i - j| = 1, got ({i}, {j})")
     p = tuple(p)
     is_cycles = bool(p) and isinstance(p[0], (tuple, list))
-    return _contract(canonicalize_cycles(p) if is_cycles else check_permutation(p), i, j, inverse, is_cycles)
-
-
-def _contract(p, i: int, j: int, inverse: bool, is_cycles: bool):
-    """:func:`contract` on canonical cycles (is_cycles=True) or a one-line permutation: its
-    letters are checked here, so a refused call builds no kernel; the kernel checks the factor."""
+    p = _checked(p, is_cycles)
     n = sum(map(len, p if is_cycles else (p,))) + (2 if inverse else 0)
     if not (1 <= i <= n - 1 and 1 <= j <= n - 1):
         if inverse:
@@ -245,24 +241,25 @@ def cycle_flip(cycles: CycleDecomposition) -> CycleDecomposition:
     are exchanged throughout.  Either way the cyclic weight and all cycle
     lengths are preserved, and the map is an involution.
     """
-    return _cycle_flip(canonicalize_cycles(cycles))
+    cycles = canonicalize_cycles(cycles)
+    n = decomposition_size(cycles)
+    if n < 4:
+        raise DomainError(f"cycle flip needs n >= 4, got n={n}")
+    if not is_odd_order(cycles):
+        raise DomainError(f"cycle flip is defined on odd order permutations, got {cycles}")
+    return _cycle_flip(cycles)
 
 
 _SWAP_2_3 = {2: 3, 3: 2}.get  # the exchange of 2 and 3, one table for every cycle of every flip
 
 
 def _cycle_flip(cycles: CycleDecomposition) -> CycleDecomposition:
-    """:func:`cycle_flip` on a canonical decomposition."""
-    n = decomposition_size(cycles)
-    if n < 4:
-        raise DomainError(f"cycle flip needs n >= 4, got n={n}")
-    if not is_odd_order(cycles):
-        raise DomainError(f"cycle flip is defined on odd order permutations, got {cycles}")
+    """:func:`cycle_flip` on a canonical odd order decomposition of n >= 4, which it trusts."""
     # n follows 1 exactly when n's cycle is the first, (1, n, small, ...), as is its flip.
     c = cycles[0]
-    if not (len(c) >= 3 and c[1] == n and c[2] in (2, 3)):
+    if not (len(c) >= 3 and c[1] == decomposition_size(cycles) and c[2] in (2, 3)):
         raise DomainError(f"no cycle with the largest letter flanked by 1 and 2 or 3: {cycles}")
     small, other = c[2], 5 - c[2]
     if len(c) >= 4 and c[3] == other:
-        return ((1, n, other, small) + c[4:][::-1],) + cycles[1:]
+        return (c[:2] + (other, small) + c[4:][::-1],) + cycles[1:]
     return _normalize([_swapped(cycle, _SWAP_2_3) for cycle in cycles])

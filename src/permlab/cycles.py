@@ -9,9 +9,9 @@ weight of a cycle is min(cyclic descents, cyclic ascents).
 ``_normalize`` is the one min-first rotation and sort, and keeps a cycle
 that already starts with its minimum, as nearly every one does, as it is.
 ``canonicalize_cycles`` is the partition check followed by it.  The maps
-validate their input with ``canonicalize_cycles`` once and pass their
-images, letter bijections of a partition, through ``_normalize`` only (the
-shift kernel makes the same rotation as it relabels each cycle).
+validate their input once, with it or with ``_checked`` (either form), and
+pass their images, letter bijections of a partition, through ``_normalize``
+only (the shift kernel makes the same rotation as it relabels each cycle).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import re
 from itertools import chain
 
 from .errors import DomainError
-from .words import Word, _all_ints
+from .words import Word, _all_ints, check_permutation
 
 Cycle = tuple[int, ...]
 CycleDecomposition = tuple[Cycle, ...]
@@ -61,6 +61,11 @@ def canonicalize_cycles(raw) -> CycleDecomposition:
     # the minima are distinct once the letters partition [n], so _normalize's
     # plain tuple sort is the order by minimum
     return _normalize(cycles)
+
+
+def _checked(p, cyclic: bool):
+    """The input validated and normalized: canonical cycles, or a one-line permutation."""
+    return canonicalize_cycles(p) if cyclic else check_permutation(p)
 
 
 def decomposition_size(cycles: CycleDecomposition) -> int:

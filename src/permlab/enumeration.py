@@ -88,6 +88,13 @@ def _check_d(n: int, d: int | None) -> None:
         raise DomainError(f"d must be an int with 0 <= d <= {d_range(n)[-1]}, got {d!r}")
 
 
+def _has_layer(n: int, d: int) -> bool:
+    """Whether the int d lies in ``d_range(n)``; any other d, a bool or a float too, is refused."""
+    if not _all_ints((d,)):
+        raise DomainError(f"d must be an int, got {d!r}")
+    return d in d_range(n)
+
+
 def _check_letters(n: int, i: int, j: int) -> None:
     """The neighbors (i, j) of n must be two distinct int letters of [n-1]."""
     if not (_all_ints((i, j)) and 1 <= i <= n - 1 and 1 <= j <= n - 1 and i != j):
@@ -303,16 +310,10 @@ class CountTable:
     def grand_total(self) -> int:
         return sum(self.totals)
 
-    def _has_layer(self, d: int) -> bool:
-        """Whether the int d lies in [0, d_max]; any other d, a bool or a float too, is refused."""
-        if not _all_ints((d,)):
-            raise DomainError(f"d must be an int, got {d!r}")
-        return 0 <= d <= self.d_max
-
     def total(self, d: int | None = None) -> int:
         if d is None:
             return self.grand_total
-        if not self._has_layer(d):
+        if not _has_layer(self.n, d):
             return 0
         return self.totals[d]
 
@@ -320,7 +321,7 @@ class CountTable:
         _check_letters(self.n, i, j)
         if d is None:
             return sum(layer[i - 1][j - 1] for layer in self.cells)
-        if not self._has_layer(d):
+        if not _has_layer(self.n, d):
             return 0
         return self.cells[d][i - 1][j - 1]
 
@@ -595,9 +596,7 @@ def count_word_pair(n: int, d: int, u, v) -> int:
     check_word(u + v)
     if max(u + v) > n - 1:
         raise DomainError(f"word pair letters must lie in [1, n-1] = [1, {n - 1}]: {u} and {v}")
-    if not _all_ints((d,)):
-        raise DomainError(f"d must be an int, got {d!r}")
-    return _unpack(_pair_vector(n, u, v), n)[d] if d in d_range(n) else 0
+    return _unpack(_pair_vector(n, u, v), n)[d] if _has_layer(n, d) else 0
 
 
 class MemberIndex:

@@ -42,9 +42,9 @@ from __future__ import annotations
 
 from functools import cache
 
-from .cycles import canonicalize_cycles, cycle_containing, decomposition_size, is_odd_order
+from .cycles import _checked, cycle_containing, decomposition_size, is_odd_order
 from .errors import DomainError
-from .words import Word, _all_ints, check_permutation, is_ballot
+from .words import Word, _all_ints, is_ballot
 
 
 def _run(m: int, M: int, length: int, upper: bool) -> Word:
@@ -62,11 +62,6 @@ def _core_word(n: int, i: int, j: int, width: int, upper: bool) -> Word:
     left, right = (i + 1, j + 1) if upper else (i, j)
     run = _run(min(i, j), max(i, j), width, upper)
     return (left, n) + run if (i < j) == upper else run[::-1] + (n, right)
-
-
-def _checked(p, cyclic: bool):
-    """The input validated and normalized: canonical cycles, or a one-line permutation."""
-    return canonicalize_cycles(p) if cyclic else check_permutation(p)
 
 
 def _relabel(n: int, i: int, j: int, width: int, upper: bool) -> Word:
@@ -201,6 +196,8 @@ def shift(p, i: int, j: int, *, cyclic: bool = False):
     The input must be ballot (cyclic=False) or of odd order (cyclic=True) and
     contain the (cyclic) factor i n j with 1 <= i != j <= n-2.  The statistic
     (descent number, or cyclic weight and all cycle lengths) is preserved.
+    Each key's kernel is kept for the life of the process with M-m+2 relabel
+    tables of n+1 letters, O(n^2) at a large n and far-apart letters.
     """
     return _shift(p, i, j, cyclic, upper=False)
 

@@ -15,8 +15,9 @@ when the cell starts, and ``_verdict`` holds the image to the target by size
 and containment, building the target's set only to word a counterexample;
 ``_cycle_profile``, the ``cycle_stats`` invariant, builds its list in one
 loop and sorts it in place.  The map checks call the maps' cores, which
-trust the streams' normalized members, and the three anchor checks share
-one split per cell, ``anchor_classes``.  The public maps and core searches
+trust the streams' canonical members and check only their factor, and
+``phi_bijection`` calls ``words._swapped`` with one table per (i, j); the
+three anchor checks share one split per cell, ``anchor_classes``.  The public maps and core searches
 imported beside the cores are bound only for perfbench's traced catalog run,
 which rebinds them (tests/test_verify.py holds the list).  Every violated
 cell is recorded, so conjecture-style checks report counterexamples instead
@@ -71,7 +72,7 @@ from .enumeration import (
 )
 from .errors import BudgetError, DomainError
 from .toeplitz import _mover, lower_core, shift, shift_inv, upper_core  # noqa: F401
-from .words import _all_ints, format_word, height, is_ballot, swap_letters
+from .words import _all_ints, _swapped, format_word, height, is_ballot
 
 
 @dataclass(frozen=True)
@@ -224,7 +225,7 @@ def _phi(n: int):
     idx = member_index("ballot", n)
     for i, j in _spread_pairs(n):
         # on its domain exchange_letters is the swap of j-1 and j, its own inverse
-        swap = partial(swap_letters, a=j - 1, b=j)
+        swap = partial(_swapped, swap={j - 1: j, j: j - 1}.get)
         yield partial(_bijection, {"n": n, "i": i, "j": j}, anchor_classes(n, i, j)[1], idx.cell_union(i, j),
                       swap, swap)
 

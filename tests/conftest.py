@@ -6,6 +6,7 @@ from operator import gt
 import pytest
 from hypothesis import HealthCheck, settings
 
+from permlab.bijections import anchor_decompose
 from permlab.cycles import _normalize, decomposition_size, is_odd_order, max_letter_neighbors, perm_weight
 from permlab.enumeration import _ballot_stream, _odd_stream
 from permlab.errors import DomainError
@@ -148,6 +149,24 @@ def oracle_cycle_flip(cycles):
         return ((1, n, other, small) + c[4:][::-1],) + cycles[1:]
     swap = {2: 3, 3: 2}.get
     return _normalize([_swapped(cycle, swap) for cycle in cycles])
+
+
+def outcome(call):
+    """The call's value, or the message of the DomainError it raised."""
+    try:
+        return "value", call()
+    except DomainError as exc:
+        return "refused", str(exc)
+
+
+def oracle_flank_swap(p, src, dst):
+    """The flank swap's core as it was before it sliced at the carry scan's
+    split: the public ``anchor_decompose``, then the parts of its frozen
+    decomposition."""
+    dec = anchor_decompose(p, src)
+    if dec is None:
+        raise DomainError(f"{p} is not anchor-decomposable for {src}")
+    return dec.carry[::-1] + dst + dec.head[::-1] + dec.tail
 
 
 def oracle_member_index(stream):

@@ -2,7 +2,9 @@ import itertools
 import random
 
 import pytest
-from conftest import oracle_anchor_split, oracle_ballot, oracle_cycle_flip, oracle_swap_letters
+from conftest import (
+    oracle_anchor_split, oracle_ballot, oracle_cycle_flip, oracle_flank_swap, oracle_swap_letters, outcome,
+)
 
 from permlab import bijections
 from permlab.bijections import (
@@ -10,6 +12,7 @@ from permlab.bijections import (
     _carry_scan,
     _contractor,
     _cycle_flip,
+    _flank_swap,
     anchor_decompose,
     contract,
     cycle_flip,
@@ -19,7 +22,7 @@ from permlab.bijections import (
     pivot_words,
 )
 from permlab.cycles import _normalize, max_letter_neighbors, perm_weight
-from permlab.enumeration import anchor_classes, member_index, odd_head_index
+from permlab.enumeration import anchor_classes, d_range, member_index, odd_head_index
 from permlab.errors import DomainError
 from permlab.toeplitz import shift
 from permlab.words import find_factor, height, is_ballot, swap_letters
@@ -230,6 +233,29 @@ def test_anchor_classes_split_the_cells_and_the_letter_exchange_swaps_the_rest()
             image = [exchange_letters(p, i, j) for p in rest]
             assert image == [swap_letters(p, j - 1, j) for p in rest]
             assert sorted(image) == sorted(idx.cell_union(i, j))
+
+
+def test_flank_swap_core_equals_the_swap_through_the_decomposition_on_both_pivot_cells():
+    # every member of the ballot cells (i, j-1) and (j, i), where n sits as in
+    # the forward and the backward pivot word, n = 4..8: the members of the
+    # pivot's anchor class map as the frozen decomposition's parts say, and
+    # every other member of the cell is refused with the oracle's message
+    mapped = refused = 0
+    for n in range(4, 9):
+        idx = member_index("ballot", n)
+        for i, j in spread_pairs(n):
+            forward, backward = pivot_words(i, j, n)
+            forward_class, _, backward_class = anchor_classes(n, i, j)
+            for src, dst, members, cell in ((forward, backward, forward_class, (i, j - 1)),
+                                            (backward, forward, backward_class, (j, i))):
+                members = set(members)
+                for d in d_range(n):
+                    for p in idx.cell(d, *cell):
+                        got = outcome(lambda: _flank_swap(p, src, dst))
+                        assert got == outcome(lambda: oracle_flank_swap(p, src, dst)), (p, src)
+                        assert (got[0] == "value") == (p in members), (p, src)
+                        mapped, refused = mapped + (got[0] == "value"), refused + (got[0] == "refused")
+    assert (mapped, refused) == (1416, 7070)  # 708 members in each pivot class, summed over n = 4..8
 
 
 def test_flank_swap_domain_errors():
@@ -449,6 +475,24 @@ def test_cycle_flip_domain_errors():
     with pytest.raises(DomainError) as exc:
         cycle_flip(((1, 2), (3,), (4,)))
     assert str(exc.value) == "cycle flip is defined on odd order permutations, got ((1, 2), (3,), (4,))"
+
+
+@pytest.mark.parametrize("cycles, message", [
+    # too small and of even order: the size rule speaks first
+    (((1, 2), (3,)), "cycle flip needs n >= 4, got n=3"),
+    # too small, though 3 follows 1 and is followed by 2, which the core alone would flip
+    (((1, 3, 2),), "cycle flip needs n >= 4, got n=3"),
+    # of even order and without the factor: the odd order rule speaks before the factor
+    (((1, 2), (3,), (4,)), "cycle flip is defined on odd order permutations, got ((1, 2), (3,), (4,))"),
+    # of even order, with 4 after 1 and before 2
+    (((1, 4, 2, 3),), "cycle flip is defined on odd order permutations, got ((1, 4, 2, 3),)"),
+    # of odd order without the factor
+    (((1, 5, 4), (2,), (3,)), "no cycle with the largest letter flanked by 1 and 2 or 3: ((1, 5, 4), (2,), (3,))"),
+])
+def test_cycle_flip_refuses_size_then_odd_order_then_the_factor(cycles, message):
+    with pytest.raises(DomainError) as exc:
+        cycle_flip(cycles)
+    assert str(exc.value) == message
 
 
 def test_cycle_flip_answers_exactly_where_n_is_flanked_by_1_and_2_or_3(small_odd):

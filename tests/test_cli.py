@@ -174,6 +174,27 @@ def test_map_errors(capsys):
     assert (code, out, err) == (2, "", "permlab: map --op flip is defined on cycle decompositions only\n")
 
 
+def _map_golden():
+    """(argv, stdout, stderr, exit status) of each `permlab map` line of tests/data/map_golden.txt."""
+    lines = (ROOT / "tests" / "data" / "map_golden.txt").read_text(encoding="utf-8").splitlines()
+    for k in range(0, len(lines), 4):
+        _, out, err, status = (line.partition(": ")[2] for line in lines[k:k + 4])
+        assert lines[k].startswith("$ permlab map "), lines[k]
+        yield shlex.split(lines[k])[2:], json.loads(out), json.loads(err), int(status)
+
+
+def test_map_answers_and_refusals_equal_the_golden(capsys):
+    # the console script wrote the golden: every op on fixed members of its
+    # domain, in each form it takes, and refused input (a bad form, input
+    # outside the domain, bad letters, a missing factor); CI runs the same
+    # lines through the installed script
+    cases = list(_map_golden())
+    assert {argv[2] for argv, *_ in cases} == set(cli._MAP_OPS)
+    assert {status for *_, status in cases} == {0, 2}
+    for argv, out, err, status in cases:
+        assert run_cli(capsys, *argv) == (status, out, err), argv
+
+
 def _readme_cli_lines():
     """(argv, expected stdout or None) for each `permlab` line of README's CLI block."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")

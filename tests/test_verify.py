@@ -403,9 +403,9 @@ def test_phi_reports_a_swap_that_leaves_the_target_cell(monkeypatch):
     # the rest of the cell (1, 2) at n = 5, outside the class of 1 5 2 3, is
     # 1 5 2 4 3 and 3 4 1 5 2.  The first is sent to the second, which holds
     # 1 5 2, not 1 5 3, and whose swap back is 2 4 1 5 3, not the first
-    swap, target, outside = verify.swap_letters, (1, 5, 2, 4, 3), (3, 4, 1, 5, 2)
+    swapped, target, outside = verify._swapped, (1, 5, 2, 4, 3), (3, 4, 1, 5, 2)
     assert enumeration.anchor_classes(5, 1, 3)[1] == (target, outside)
-    monkeypatch.setattr(verify, "swap_letters", lambda w, a, b: outside if w == target else swap(w, a, b))
+    monkeypatch.setattr(verify, "_swapped", lambda w, swap: outside if w == target else swapped(w, swap))
     cell = {"n": 5, "i": 1, "j": 3}
     assert run_check("phi_bijection", max_n=5).counterexamples == (
         {"params": dict(cell, property="roundtrip"), "lhs": "round trip", "rhs": "identity"},

@@ -132,6 +132,7 @@ def test_every_validator_refuses_letters_that_are_not_ints():
         (lambda: count_table("ballot", 5.0), "n must be an int of at least 1, got 5.0"),
         (lambda: member_index("odd", True), "n must be an int of at least 1, got True"),
         (lambda: count_word_pair(5, True, (1,), (2,)), "d must be an int, got True"),
+        (lambda: count_word_pair(5, 1.0, (1,), (5,)), "word pair letters must lie in [1, n-1] = [1, 4]: (1,) and (5,)"),
         (lambda: count_word_pair(5.0, 1, (1,), (2,)), "n must be an int of at least 1, got 5.0"),
         (lambda: run_check("toeplitz_B", 5.0), "check toeplitz_B needs an int max_n >= 3, got 5.0"),
         (lambda: run_check("closed_form", True), "check closed_form needs an int max_n >= 1, got True"),
